@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -319,9 +320,16 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     if violations:
         raise ParameterError("; ".join(violations))
     out = Path(out_dir)
+    missing = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    summary = _RUNNERS[config.kind](config, out)
+    try:
+        summary = _RUNNERS[config.kind](config, out)
+    except (ParameterError, DomainError):
+        # exit code 2 promises no outputs: drop what this run created
+        if missing:
+            shutil.rmtree(missing[-1])
+        raise
     elapsed = time.perf_counter() - start
     manifest = {
         "config": dataclasses.asdict(config) | {"factors": list(config.factors)},

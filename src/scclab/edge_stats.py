@@ -243,6 +243,15 @@ def run_edge_trials(config: TwEdgeConfig, indices) -> EdgeSamples:
                        law=config.law, seed=config.seed, failures=failures[0])
 
 
+def _check_failure_budget(failures: int, trials: int) -> None:
+    if failures > _FAILURE_BUDGET * trials:
+        raise NumericalError(
+            f"{failures} failed trials out of {trials} exceeds the "
+            f"{_FAILURE_BUDGET:.0%} budget",
+            achieved=failures / trials,
+        )
+
+
 def tw_experiment(config: TwEdgeConfig) -> ExperimentReport:
     """Run the edge experiment and compare against the GOE reference.
 
@@ -253,12 +262,7 @@ def tw_experiment(config: TwEdgeConfig) -> ExperimentReport:
     if config.trials < 2:
         raise ParameterError("edge experiment needs at least 2 trials")
     ccc = run_edge_trials(config, range(config.trials))
-    if ccc.failures > _FAILURE_BUDGET * config.trials:
-        raise NumericalError(
-            f"{ccc.failures} failed trials out of {config.trials} exceeds the "
-            f"{_FAILURE_BUDGET:.0%} budget",
-            achieved=ccc.failures / config.trials,
-        )
+    _check_failure_budget(ccc.failures, config.trials)
     n_goe = config.n_goe if config.n_goe is not None else config.n
     goe = goe_reference(n_goe, config.trials, config.k_max, config.seed,
                         threads=config.threads)
@@ -311,7 +315,8 @@ def rigidity_experiment(config: RigidityConfig) -> ExperimentReport:
     (At the index q(n)/2 that grows with n the predicted decay is
     faster, n**(-1) up to logarithms, so the fixed index is what makes
     the edge exponent identifiable across the sweep.)  Medians over
-    trials are fitted log-log against n.
+    trials are fitted log-log against n.  Failed spectra are resampled
+    and counted; more than one percent of all trials aborts the sweep.
     """
     if config.trials < 3:
         raise ParameterError("rigidity experiment needs at least 3 trials")
@@ -321,6 +326,7 @@ def rigidity_experiment(config: RigidityConfig) -> ExperimentReport:
 
     bulk_median, edge_median, profile_p95 = [], [], []
     rows = []
+    failures = 0
     for i_n, n in enumerate(ns):
         p, q = round(config.c1 * n), round(config.c2 * n)
         model = make_model(p / n, q / n)
@@ -338,18 +344,22 @@ def rigidity_experiment(config: RigidityConfig) -> ExperimentReport:
                 bulk = abs(result.eigenvalues[j_star - 1] - gamma[j_star - 1])
                 edge = abs(result.eigenvalues[0] - model.lambda_plus)
                 prof = rigidity_profile(result, model)
-                return bulk, edge, float(prof.max())
+                # the retry index is the number of failed attempts before this one
+                return bulk, edge, float(prof.max()), retry
             raise NumericalError(f"rigidity trial {trial} failed {_MAX_RETRIES} resamples")
 
         out = _map_trials(one, range(config.trials), config.threads)
         bulk = np.array([o[0] for o in out])
         edge = np.array([o[1] for o in out])
         prof = np.array([o[2] for o in out])
+        failures += sum(o[3] for o in out)
         bulk_median.append(float(np.median(bulk)))
         edge_median.append(float(np.median(edge)))
         profile_p95.append(float(np.quantile(prof, 0.95)))
         for t in range(config.trials):
             rows.append((n, t, repr(float(bulk[t])), repr(float(edge[t])), repr(float(prof[t]))))
+
+    _check_failure_budget(failures, config.trials * len(ns))
 
     log_n = np.log(np.array(ns, dtype=float))
     bulk_slope = float(np.polyfit(log_n, np.log(bulk_median), 1)[0])
@@ -363,6 +373,7 @@ def rigidity_experiment(config: RigidityConfig) -> ExperimentReport:
         "profile_p95": profile_p95,
         "bulk_exponent": bulk_slope,
         "edge_exponent": edge_slope,
+        "failures": failures,
     }
     params = {
         "n0": config.n0, "factors": list(config.factors), "c1": config.c1,

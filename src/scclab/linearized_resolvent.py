@@ -150,6 +150,16 @@ def _identity_residual(H: np.ndarray, G: np.ndarray) -> float:
     return float(np.abs(R).max())
 
 
+def _enforce_residual(residual: float, z: complex) -> float:
+    if residual > _RESIDUAL_LIMIT:
+        raise NumericalError(
+            f"resolvent identity residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:.0e} "
+            f"at z = {z}",
+            achieved=residual,
+        )
+    return residual
+
+
 def resolvent(pair: DataPair, z, regularize: bool = False,
               reg_exponent: int = _DEFAULT_REG_EXPONENT) -> ResolventBundle:
     """G(z) by dense LU inversion of H(z).
@@ -173,13 +183,7 @@ def resolvent(pair: DataPair, z, regularize: bool = False,
         G = np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linearization not invertible at z = {lin.z}: {exc}") from exc
-    residual = _identity_residual(H, G)
-    if residual > _RESIDUAL_LIMIT:
-        raise NumericalError(
-            f"resolvent identity residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:.0e} "
-            f"at z = {lin.z}",
-            achieved=residual,
-        )
+    residual = _enforce_residual(_identity_residual(H, G), lin.z)
     m1, m2, m3, m4 = _partial_traces(G, layout)
     Syy = pair.Y @ pair.Y.T
     m = complex(np.trace(G[layout.sl2, layout.sl2] @ Syy)) / layout.q
@@ -195,7 +199,8 @@ def blocks_via_schur(pair: DataPair, z) -> ResolventBundle:
     The data-corner block is the two-channel whitened resolvent built
     from the singular value decomposition of the whitened cross matrix;
     the factor corner and the mixed blocks follow by multiplying with the
-    data matrices and the (un-inverted) kernel.
+    data matrices and the (un-inverted) kernel.  As in resolvent(),
+    identity residuals above 1e-6 raise a conditioning error.
     """
     z = complex(z)
     if z == 0 or z == 1:
@@ -244,7 +249,7 @@ def blocks_via_schur(pair: DataPair, z) -> ResolventBundle:
     G[layout.sl_right, layout.sl_left] = GLR.T
     G[layout.sl_right, layout.sl_right] = GR
 
-    residual = _identity_residual(build_H(pair, z).matrix, G)
+    residual = _enforce_residual(_identity_residual(build_H(pair, z).matrix, G), z)
     m1, m2, m3, m4 = _partial_traces(G, layout)
     m = complex(np.mean(1.0 / (lam_q - z)))
     return ResolventBundle(

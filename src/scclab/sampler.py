@@ -77,11 +77,8 @@ class TailSpec:
 
     @classmethod
     def make(cls, beta: float) -> "TailSpec":
-        if not beta > 2.0:
-            raise ParameterError(
-                f"tail exponent must exceed 2 for a finite variance, got beta={beta}"
-            )
-        return cls(beta=beta, scale=math.sqrt((beta - 2.0) / beta))
+        scale = math.sqrt((beta - 2.0) / beta) if beta > 2.0 else math.nan
+        return cls(beta=beta, scale=scale)
 
     @property
     def satisfies_edge_tail_condition(self) -> bool:

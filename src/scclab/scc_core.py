@@ -164,9 +164,7 @@ def rigidity_profile(result: SpectrumResult, model: SpectralModel,
 def write_spectrum_csv(result: SpectrumResult, model: SpectralModel, path) -> None:
     """One row per eigenvalue: index, lambda, gamma, normalized_deviation."""
     gamma = classical_locations(model, result.q)
-    idx = np.arange(1, result.q + 1)
-    weight = np.minimum(idx, result.q + 1 - idx) ** (1.0 / 3.0)
-    dev = np.abs(result.eigenvalues - gamma) * weight * result.n ** (2.0 / 3.0)
+    dev = rigidity_profile(result, model, keep_fraction=1.0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "lambda", "gamma", "normalized_deviation"])

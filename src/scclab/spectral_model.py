@@ -12,10 +12,28 @@ and density
     f(x) = sqrt((lambda_plus - x)(x - lambda_minus)) / (2 pi c2 x (1 - x)).
 
 This module evaluates that density, its upper-tail quantiles (the
-classical eigenvalue locations), the four partial Stieltjes transforms of
+classical eigenvalue locations, inverted from the closed-form tail mass
+below), the four partial Stieltjes transforms of
 the linearized resolvent together with the off-diagonal limit h, the
 block-constant limiting matrix built from them, and the fluctuation
 control parameter used to benchmark finite-n resolvent errors.
+
+With x = a + r cos(theta), a = (lambda_minus + lambda_plus)/2 and
+r = (lambda_plus - lambda_minus)/2, the mass above x(theta) is, exactly,
+
+    T(theta) = [theta - 2 (c1 - c2) atan2(sqrt(lambda_minus) sin(theta/2),
+                                         sqrt(lambda_plus) cos(theta/2))
+                      - 2 (1 - c1 - c2) atan2(sqrt(1 - lambda_minus) sin(theta/2),
+                                             sqrt(1 - lambda_plus) cos(theta/2))]
+               / (2 pi c2).
+
+It follows from splitting 1/(x(1-x)) = 1/x + 1/(1-x) and integrating
+sin(phi)**2 / (A + B cos(phi)) in closed form; the sin(theta) terms of
+the two pieces cancel, and sqrt(lambda_minus lambda_plus) = c1 - c2 and
+sqrt((1 - lambda_minus)(1 - lambda_plus)) = 1 - c1 - c2 make T(pi) = 1.
+At c1 = c2 (so lambda_minus = 0) the first arctangent carries a zero
+coefficient and needs no branch of its own.  Adaptive quadrature of the
+density stays as the independent route behind support_mass.
 
 All square roots of spectral arguments are taken on the branch with
 nonnegative imaginary part.  On the real axis outside the support the
@@ -54,10 +72,11 @@ __all__ = [
     "psi_control",
 ]
 
-# quadrature accuracy contract for tail masses; location inversion is 1e-10 in x
+# quadrature accuracy contract for tail masses
 _QUAD_TOL = 1e-12
 _QUAD_CHECK = 1e-9
-_BISECT_TOL = 1e-10
+# root tolerance in theta; |dx/dtheta| = r sin(theta) < 1 keeps x within 1e-10
+_THETA_TOL = 1e-12
 
 
 def support_edges(c1: float, c2: float) -> tuple[float, float]:
@@ -239,27 +258,40 @@ def support_mass(model: SpectralModel) -> float:
     return _tail_mass_from(model, model.lambda_minus)
 
 
+def _tail_mass_at_angle(model: SpectralModel, theta: float) -> float:
+    """Closed-form mass of the density above x = a + r cos(theta), theta in [0, pi]."""
+    lm, lp = model.lambda_minus, model.lambda_plus
+    s, c = math.sin(0.5 * theta), math.cos(0.5 * theta)
+    lower = math.atan2(math.sqrt(lm) * s, math.sqrt(lp) * c)
+    upper = math.atan2(math.sqrt(1.0 - lm) * s, math.sqrt(1.0 - lp) * c)
+    c1, c2 = model.c1, model.c2
+    mass = theta - 2.0 * (c1 - c2) * lower - 2.0 * (1.0 - c1 - c2) * upper
+    return mass / (2.0 * math.pi * c2)
+
+
 def classical_location(model: SpectralModel, j: int, q: int) -> float:
     """Classical location gamma_j: the upper (j-1)/q tail quantile.
 
     gamma_j = sup { x : integral of f over [x, infinity) > (j-1)/q },
-    so gamma_1 is exactly lambda_plus.  Inverted by bisection to 1e-10
-    in x on the monotone tail-mass function.
+    so gamma_1 is exactly lambda_plus.  The closed-form tail mass is
+    monotone in theta on [0, pi]; a bracketed root in theta fixes x to
+    1e-10.
     """
     if not (1 <= j <= q):
         raise ParameterError(f"need 1 <= j <= q, got j={j}, q={q}")
     if j == 1:
         return model.lambda_plus
     target = (j - 1) / q
-    lm, lp = model.lambda_minus, model.lambda_plus
-    x = optimize.bisect(
-        lambda t: _tail_mass_from(model, t) - target,
-        lm,
-        lp,
-        xtol=_BISECT_TOL,
+    theta = optimize.brentq(
+        lambda t: _tail_mass_at_angle(model, t) - target,
+        0.0,
+        math.pi,
+        xtol=_THETA_TOL,
         maxiter=200,
     )
-    return float(x)
+    a = 0.5 * (model.lambda_minus + model.lambda_plus)
+    r = 0.5 * (model.lambda_plus - model.lambda_minus)
+    return a + r * math.cos(theta)
 
 
 @functools.lru_cache(maxsize=64)

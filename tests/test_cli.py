@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from scclab import DomainError, cli
 from scclab.cli import ExperimentConfig, build_config, main, validate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -123,6 +124,21 @@ class TestMain:
         assert code == 2
         assert not out.exists()
         assert "c1 + c2" in capsys.readouterr().err
+
+    def test_mid_run_domain_error_exit_2_no_outputs(self, tmp_path, monkeypatch):
+        def failing(config, out):
+            (out / "results.csv").write_text("partial\n")
+            raise DomainError("injected mid-run failure")
+
+        monkeypatch.setitem(cli._RUNNERS, "quantiles", failing)
+        fresh = tmp_path / "new" / "q"
+        assert main(["quantiles", "--out", str(fresh)]) == 2
+        assert not (tmp_path / "new").exists()
+        # a directory that existed before the run is left in place
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        assert main(["quantiles", "--out", str(existing)]) == 2
+        assert existing.is_dir()
 
     def test_bad_override_exit_2(self, tmp_path):
         out = tmp_path / "bad"

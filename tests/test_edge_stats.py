@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from scclab import edge_stats
 from scclab import (
     NumericalError,
     ParameterError,
+    RigidityConfig,
     SpectrumResult,
     TwEdgeConfig,
+    ccc_eigenvalues,
     derived_seed,
     goe_reference,
     ks_two_sample,
     make_model,
     run_edge_trials,
+    rigidity_experiment,
     sample_pair,
     tw_experiment,
     tw_rescale,
@@ -195,3 +199,30 @@ class TestTwExperiment:
         cfg = TwEdgeConfig(n=60, c1=0.3, c2=0.2, trials=1, law="gaussian")
         with pytest.raises(ParameterError):
             tw_experiment(cfg)
+
+
+class TestRigidityExperiment:
+    # 50 trials at each of two sizes: the 1% budget allows one failure
+    CONFIG = RigidityConfig(n0=20, c1=0.3, c2=0.2, trials=50, factors=(1, 2), seed=4)
+
+    @staticmethod
+    def _failing_first(monkeypatch, count):
+        calls = [0]
+
+        def flaky(pair):
+            calls[0] += 1
+            if calls[0] <= count:
+                raise NumericalError("injected failure")
+            return ccc_eigenvalues(pair)
+
+        monkeypatch.setattr(edge_stats, "ccc_eigenvalues", flaky)
+
+    def test_failures_counted(self, monkeypatch):
+        assert rigidity_experiment(self.CONFIG).metrics["failures"] == 0
+        self._failing_first(monkeypatch, 1)
+        assert rigidity_experiment(self.CONFIG).metrics["failures"] == 1
+
+    def test_failure_budget_aborts(self, monkeypatch):
+        self._failing_first(monkeypatch, 2)
+        with pytest.raises(NumericalError, match="budget"):
+            rigidity_experiment(self.CONFIG)

@@ -19,6 +19,7 @@ from scclab import (
     sample_heavy_tail,
     stieltjes,
 )
+from scclab import linearized_resolvent
 from scclab._linalg import kernel_2x2, kernel_inverse_2x2
 
 Z_POINTS = [complex(0.3, 0.5), complex(0.7, 0.1), complex(0.5, 1.0),
@@ -111,6 +112,13 @@ class TestResolventRoutes:
                 assert abs(schur.m - direct.m) < 1e-8
                 assert schur.route == "schur"
                 assert schur.identity_residual < 1e-8
+
+    @pytest.mark.parametrize("route", [resolvent, blocks_via_schur])
+    def test_identity_residual_enforced(self, small_pair, route, monkeypatch):
+        monkeypatch.setattr(linearized_resolvent, "_identity_residual", lambda H, G: 1e-3)
+        with pytest.raises(NumericalError) as info:
+            route(small_pair, complex(0.3, 0.5))
+        assert info.value.achieved == 1e-3
 
     def test_schur_rejects_sample_eigenvalue(self, small_pair):
         lam = float(ccc_eigenvalues(small_pair).eigenvalues[4])

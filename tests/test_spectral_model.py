@@ -1,9 +1,13 @@
 """Deterministic limit objects: edges, density, transforms, quantiles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from test_acceptance import RATIO_GRID_20
 
+from scclab import spectral_model
 from scclab import (
     DomainError,
     ParameterError,
@@ -203,6 +207,35 @@ class TestQuantiles:
         for j in (5, 10, 15):
             mass, err = quad(f, gamma[j - 1], lp, epsabs=1e-11, epsrel=1e-11, limit=200)
             assert mass == pytest.approx((j - 1) / q, abs=1e-7)
+
+
+class TestClosedFormTailMass:
+    """The adaptive quadrature of the density is the independent route."""
+
+    @pytest.mark.parametrize("c1,c2", RATIO_GRID_20)
+    def test_matches_quadrature(self, c1, c2):
+        model = make_model(c1, c2)
+        a = 0.5 * (model.lambda_minus + model.lambda_plus)
+        r = 0.5 * (model.lambda_plus - model.lambda_minus)
+        for theta in np.linspace(0.0, math.pi, 62)[1:-1]:
+            closed = spectral_model._tail_mass_at_angle(model, theta)
+            oracle = spectral_model._tail_mass_from(model, a + r * math.cos(theta))
+            assert abs(closed - oracle) <= 1e-10
+
+    @pytest.mark.parametrize("c1,c2", RATIO_GRID_20)
+    def test_total_mass(self, c1, c2):
+        model = make_model(c1, c2)
+        assert spectral_model._tail_mass_at_angle(model, 0.0) == 0.0
+        assert abs(spectral_model._tail_mass_at_angle(model, math.pi) - 1.0) <= 1e-12
+
+    def test_equal_ratios_locations(self):
+        # c1 = c2 puts the lower edge at zero, where the density has a pole
+        model = make_model(0.3, 0.3)
+        assert model.lambda_minus == 0.0
+        gamma = classical_locations(model, 80)
+        assert gamma[0] == model.lambda_plus
+        assert np.all(np.diff(gamma) < 0)
+        assert gamma[-1] > model.lambda_minus
 
 
 class TestMatrixLimit:
