@@ -62,11 +62,10 @@ from .linearized_resolvent import (
     local_law_errors,
     resolvent,
 )
+from .config import ExperimentConfig
 from .edge_stats import (
     EdgeSamples,
     ExperimentReport,
-    RigidityConfig,
-    TwEdgeConfig,
     derived_seed,
     goe_reference,
     ks_two_sample,
@@ -92,7 +91,7 @@ __all__ = [
     "det_characterization_residual", "rigidity_profile", "write_spectrum_csv",
     "LinearizationMatrix", "ResolventBundle", "LocalLawReport",
     "build_H", "resolvent", "blocks_via_schur", "local_law_errors",
-    "EdgeSamples", "ExperimentReport", "TwEdgeConfig", "RigidityConfig",
+    "ExperimentConfig", "EdgeSamples", "ExperimentReport",
     "sample_pair", "derived_seed", "tw_rescale", "goe_reference",
     "ks_two_sample", "run_edge_trials", "tw_experiment", "rigidity_experiment",
 ]

@@ -19,15 +19,14 @@ import json
 import shutil
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .config import KINDS, ExperimentConfig, build_config, validate
 from .edge_stats import (
-    RigidityConfig,
-    TwEdgeConfig,
+    ExperimentReport,
     derived_seed,
     rigidity_experiment,
     sample_pair,
@@ -37,141 +36,6 @@ from .errors import DomainError, NumericalError, ParameterError
 from .linearized_resolvent import local_law_errors
 from .scc_core import ccc_eigenvalues, write_spectrum_csv
 from .spectral_model import classical_locations, density, make_model, support_mass
-
-_KINDS = (
-    "density-table",
-    "quantiles",
-    "spectrum",
-    "local-law-sweep",
-    "tw-edge",
-    "rigidity-scaling",
-)
-
-_LAWS = ("gaussian", "rademacher", "uniform", "pareto")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat configuration covering every experiment kind.
-
-    Fields not used by a kind are ignored by it; validate() checks only
-    what the requested kind will consume.
-    """
-
-    kind: str
-    c1: float = 0.3
-    c2: float = 0.2
-    n: int = 200
-    q: int = 100                      # quantile count for kind=quantiles
-    law: str = "gaussian"
-    beta: float | None = None
-    c_phi: float | None = None
-    trials: int = 100
-    k_max: int = 3
-    seed: int = 0
-    n_goe: int | None = None
-    threads: int = 1
-    n0: int = 200                     # rigidity base size
-    factors: tuple = (1, 2, 4)
-    x_points: int = 201               # density table resolution
-    e_min: float = 0.3
-    e_max: float = 0.9
-    e_points: int = 3
-    eta_min: float = 0.1
-    eta_max: float = 1.0
-    eta_points: int = 3
-    eta_scale: str = "log"
-    epsilon: float = 0.05
-
-
-def build_config(kind: str, raw: dict) -> ExperimentConfig:
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    raw = dict(raw)
-    raw["kind"] = kind
-    if "factors" in raw:
-        raw["factors"] = tuple(raw["factors"])
-    return ExperimentConfig(**raw)
-
-
-def validate(config: ExperimentConfig) -> list[str]:
-    """Collect every violated constraint; an empty list means runnable."""
-    v = []
-    if config.kind not in _KINDS:
-        v.append(f"kind {config.kind!r} is not one of {_KINDS}")
-        return v
-    if not (0.0 < config.c2 <= config.c1):
-        v.append(f"aspect ratios must satisfy 0 < c2 <= c1, got c1={config.c1}, c2={config.c2}")
-    if not (config.c1 + config.c2 < 1.0):
-        v.append(f"aspect ratios must satisfy c1 + c2 < 1, got c1+c2={config.c1 + config.c2}")
-    if not (0 <= config.seed < 2 ** 64):
-        v.append(f"seed must be an unsigned 64-bit integer, got {config.seed}")
-    if config.threads < 1:
-        v.append(f"threads must be >= 1, got {config.threads}")
-    if config.law not in _LAWS:
-        v.append(f"law {config.law!r} is not one of {_LAWS}")
-    if config.law == "pareto":
-        if config.beta is None:
-            v.append("law 'pareto' requires beta")
-        elif not config.beta > 2.0:
-            v.append(f"tail exponent must satisfy beta > 2, got beta={config.beta}")
-    if config.c_phi is not None and not (0.0 < config.c_phi < 0.5):
-        v.append(f"truncation exponent must satisfy 0 < c_phi < 1/2, got {config.c_phi}")
-
-    needs_dims = config.kind in ("spectrum", "local-law-sweep", "tw-edge")
-    if needs_dims:
-        p, q = round(config.c1 * config.n), round(config.c2 * config.n)
-        if config.n < 4 or p < 1 or q < 1 or p >= config.n or q >= config.n:
-            v.append(
-                f"dimensions must satisfy 0 < p, q < n, got p={p}, q={q}, n={config.n}"
-            )
-        elif config.kind == "tw-edge" and not (1 <= config.k_max <= q):
-            v.append(f"k_max must lie in [1, q={q}], got {config.k_max}")
-    if config.kind == "tw-edge" and config.trials < 2:
-        v.append(f"tw-edge needs trials >= 2, got {config.trials}")
-    if config.kind == "rigidity-scaling":
-        if config.trials < 3:
-            v.append(f"rigidity-scaling needs trials >= 3, got {config.trials}")
-        if config.n0 < 4 or round(config.c2 * config.n0) < 2:
-            v.append(f"rigidity base size n0={config.n0} too small for c2={config.c2}")
-        if any(f < 1 for f in config.factors):
-            v.append(f"factors must be positive integers, got {config.factors}")
-    if config.kind == "quantiles" and config.q < 1:
-        v.append(f"quantile count must be >= 1, got {config.q}")
-    if config.kind == "density-table" and config.x_points < 2:
-        v.append(f"density table needs at least 2 points, got {config.x_points}")
-    if config.kind == "local-law-sweep":
-        if not (0.0 < config.epsilon < 1.0):
-            v.append(f"spectral window parameter must lie in (0, 1), got {config.epsilon}")
-        else:
-            eta_floor = config.n ** (-1.0 + config.epsilon)
-            if config.eta_min < eta_floor:
-                v.append(
-                    f"eta_min = {config.eta_min} below the admissible floor "
-                    f"n^(-1+eps) = {eta_floor:.4e} of the spectral window"
-                )
-            if config.eta_max > 1.0 / config.epsilon:
-                v.append(
-                    f"eta_max = {config.eta_max} above the admissible ceiling "
-                    f"1/eps = {1.0 / config.epsilon:.4e} of the spectral window"
-                )
-            if not (config.epsilon <= config.e_min <= config.e_max <= 1.0):
-                v.append(
-                    f"energy range [{config.e_min}, {config.e_max}] must lie inside "
-                    f"[eps, 1] = [{config.epsilon}, 1]"
-                )
-        if config.eta_min > config.eta_max:
-            v.append(f"eta_min {config.eta_min} exceeds eta_max {config.eta_max}")
-        if config.e_points < 1 or config.eta_points < 1:
-            v.append("grid needs at least one point per axis")
-        if config.eta_scale not in ("log", "linear"):
-            v.append(f"eta_scale must be 'log' or 'linear', got {config.eta_scale!r}")
-        if config.trials < 1:
-            v.append(f"local-law-sweep needs trials >= 1, got {config.trials}")
-    return v
-
 
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
@@ -221,8 +85,8 @@ def _run_quantiles(config: ExperimentConfig, out: Path) -> dict:
 
 def _run_spectrum(config: ExperimentConfig, out: Path) -> dict:
     n = config.n
-    p, q = round(config.c1 * n), round(config.c2 * n)
-    model = make_model(p / n, q / n)
+    p, q = config.dims()
+    model = config.model()
     pair = sample_pair(config.law, p, q, n, config.seed,
                        beta=config.beta, c_phi=config.c_phi)
     result = ccc_eigenvalues(pair)
@@ -240,8 +104,8 @@ def _run_spectrum(config: ExperimentConfig, out: Path) -> dict:
 
 def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
     n = config.n
-    p, q = round(config.c1 * n), round(config.c2 * n)
-    model = make_model(p / n, q / n)
+    p, q = config.dims()
+    model = config.model()
     es = np.linspace(config.e_min, config.e_max, config.e_points)
     if config.eta_scale == "log":
         etas = np.geomspace(config.eta_min, config.eta_max, config.eta_points)
@@ -279,29 +143,18 @@ def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _run_tw_edge(config: ExperimentConfig, out: Path) -> dict:
-    tw_config = TwEdgeConfig(
-        n=config.n, c1=config.c1, c2=config.c2, trials=config.trials,
-        law=config.law, beta=config.beta, c_phi=config.c_phi,
-        k_max=config.k_max, seed=config.seed, n_goe=config.n_goe,
-        threads=config.threads,
-    )
-    report = tw_experiment(tw_config)
+def _write_report(report: ExperimentReport, out: Path) -> dict:
     _write_csv(out / "results.csv", report.csv_header, report.csv_rows)
     _write_json(out / "results.json", report.to_json_dict())
     return report.metrics
+
+
+def _run_tw_edge(config: ExperimentConfig, out: Path) -> dict:
+    return _write_report(tw_experiment(config), out)
 
 
 def _run_rigidity(config: ExperimentConfig, out: Path) -> dict:
-    rig_config = RigidityConfig(
-        n0=config.n0, c1=config.c1, c2=config.c2, trials=config.trials,
-        law=config.law, beta=config.beta, c_phi=config.c_phi,
-        factors=tuple(config.factors), seed=config.seed, threads=config.threads,
-    )
-    report = rigidity_experiment(rig_config)
-    _write_csv(out / "results.csv", report.csv_header, report.csv_rows)
-    _write_json(out / "results.json", report.to_json_dict())
-    return report.metrics
+    return _write_report(rigidity_experiment(config), out)
 
 
 _RUNNERS = {
@@ -359,12 +212,11 @@ def main(argv=None) -> int:
         description="Numerical laboratory for null-model canonical correlation spectra",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in _KINDS:
+    for kind in KINDS:
         sp = sub.add_parser(kind, help=f"run the {kind} experiment")
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="unsigned 64-bit master seed")
         sp.add_argument("--out", type=Path, default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=None, help="parallelism degree")
         sp.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config field")
     args = parser.parse_args(argv)
@@ -376,8 +228,6 @@ def main(argv=None) -> int:
     raw.pop("kind", None)
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.threads is not None:
-        raw["threads"] = args.threads
     try:
         for item in args.override:
             key, value = _parse_override(item)

@@ -17,30 +17,36 @@ off-diagonal with decreasing degrees of freedom), which has exactly the
 GOE eigenvalue law at every n but costs O(n) memory per draw; it is
 validated against a dense GOE eigensolve in the test suite.
 
-Trials are keyed by (experiment seed, trial index), so a run can be
-split, parallelized, or merged and still produce identical output;
-failed trials are resampled on a derived key and counted, and a failure
-rate above one percent aborts the experiment.
+Both drivers take the one ExperimentConfig and check it with its
+validator before sampling.  Trials are keyed by (experiment seed, trial
+index), so a run can be split or merged and still produce identical
+output; failed trials are resampled on a derived key and counted, and a
+failure rate above one percent aborts the experiment.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
+from .config import ExperimentConfig, validate
 from .errors import NumericalError, ParameterError, ScclabError
-from .sampler import DataPair, sample_bounded, sample_gaussian, sample_heavy_tail, truncate_center_rescale
+from .sampler import (
+    LAWS,
+    DataPair,
+    sample_bounded,
+    sample_gaussian,
+    sample_heavy_tail,
+    truncate_center_rescale,
+)
 from .scc_core import SpectrumResult, ccc_eigenvalues, rigidity_profile
-from .spectral_model import SpectralModel, classical_locations, make_model
+from .spectral_model import SpectralModel, classical_locations
 
 __all__ = [
     "EdgeSamples",
-    "TwEdgeConfig",
-    "RigidityConfig",
     "ExperimentReport",
     "sample_pair",
     "tw_rescale",
@@ -56,8 +62,6 @@ _MAX_RETRIES = 50
 _FAILURE_BUDGET = 0.01
 _UPPER_TAIL_CUT = 3.0
 
-_LAWS = ("gaussian", "rademacher", "uniform", "pareto")
-
 
 def sample_pair(law: str, p: int, q: int, n: int, seed: int,
                 beta: float | None = None, c_phi: float | None = None) -> DataPair:
@@ -71,7 +75,7 @@ def sample_pair(law: str, p: int, q: int, n: int, seed: int,
             raise ParameterError("law 'pareto' requires a tail exponent beta")
         pair = sample_heavy_tail(p, q, n, seed, beta)
     else:
-        raise ParameterError(f"unknown law {law!r}; choose from {_LAWS}")
+        raise ParameterError(f"unknown law {law!r}; choose from {LAWS}")
     if c_phi is not None:
         pair = truncate_center_rescale(pair, c_phi)
     return pair
@@ -114,31 +118,19 @@ def _goe_top(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return w[::-1] / math.sqrt(n)
 
 
-def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0,
-                  threads: int = 1) -> EdgeSamples:
+def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> EdgeSamples:
     """Monte Carlo reference sample of rescaled top GOE eigenvalues."""
     if n_goe < k_max + 1:
         raise ParameterError(f"n_goe = {n_goe} too small for k_max = {k_max}")
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
-
-    def one(trial: int) -> np.ndarray:
+    values = []
+    for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(2, trial))))
-        top = _goe_top(n_goe, k_max, rng)
-        return n_goe ** (2.0 / 3.0) * (top - 2.0)
-
-    values = _map_trials(one, range(trials), threads)
+        values.append(n_goe ** (2.0 / 3.0) * (_goe_top(n_goe, k_max, rng) - 2.0))
     return EdgeSamples(values=np.array(values), n=n_goe, k_max=k_max,
                        law="goe", seed=seed, failures=0)
-
-
-def _map_trials(fn, indices, threads: int) -> list:
-    indices = list(indices)
-    if threads <= 1:
-        return [fn(t) for t in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, indices))
 
 
 def ks_two_sample(a, b) -> float:
@@ -151,51 +143,6 @@ def ks_two_sample(a, b) -> float:
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     return float(np.abs(cdf_a - cdf_b).max())
-
-
-@dataclass(frozen=True)
-class TwEdgeConfig:
-    """Configuration of one edge-universality experiment."""
-
-    n: int
-    c1: float
-    c2: float
-    trials: int
-    law: str = "gaussian"
-    beta: float | None = None
-    c_phi: float | None = None
-    k_max: int = 3
-    seed: int = 0
-    n_goe: int | None = None
-    threads: int = 1
-
-    @property
-    def p(self) -> int:
-        return round(self.c1 * self.n)
-
-    @property
-    def q(self) -> int:
-        return round(self.c2 * self.n)
-
-    def model(self) -> SpectralModel:
-        # finite-n ratios, not the nominal limits
-        return make_model(self.p / self.n, self.q / self.n)
-
-
-@dataclass(frozen=True)
-class RigidityConfig:
-    """Configuration of one rigidity-scaling experiment."""
-
-    n0: int
-    c1: float
-    c2: float
-    trials: int
-    law: str = "gaussian"
-    beta: float | None = None
-    c_phi: float | None = None
-    factors: tuple = (1, 2, 4)
-    seed: int = 0
-    threads: int = 1
 
 
 @dataclass(eq=False)
@@ -212,35 +159,49 @@ class ExperimentReport:
         return {"kind": self.kind, "params": self.params, "metrics": self.metrics}
 
 
-def run_edge_trials(config: TwEdgeConfig, indices) -> EdgeSamples:
+def _require_valid(config: ExperimentConfig, kind: str) -> None:
+    if config.kind != kind:
+        raise ParameterError(f"expected a {kind!r} config, got kind {config.kind!r}")
+    violations = validate(config)
+    if violations:
+        raise ParameterError("; ".join(violations))
+
+
+def _resampled_spectrum(config: ExperimentConfig, n: int,
+                        *key: int) -> tuple[SpectrumResult, int]:
+    """Spectrum of one trial at size n, and the number of failed attempts before it.
+
+    Attempt r samples the pair seeded by (seed, *key, r), so a trial's
+    spectrum depends only on its key.  A failed spectrum is resampled;
+    _MAX_RETRIES failures in a row abort the run.
+    """
+    p, q = config.dims(n)
+    for retry in range(_MAX_RETRIES):
+        pair = sample_pair(config.law, p, q, n, derived_seed(config.seed, *key, retry),
+                           beta=config.beta, c_phi=config.c_phi)
+        try:
+            return ccc_eigenvalues(pair), retry
+        except ScclabError:
+            continue
+    raise NumericalError(f"trial {key[-1]} failed {_MAX_RETRIES} resampling attempts")
+
+
+def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
     """Edge statistics for an explicit set of trial indices.
 
     Per-trial seeds depend only on (experiment seed, trial index, retry),
     so splitting the index range across calls and concatenating the rows
     in index order reproduces a single full run exactly.
     """
+    _require_valid(config, "tw-edge")
     model = config.model()
-    p, q, n = config.p, config.q, config.n
-    failures = [0]
-
-    def one(trial: int) -> np.ndarray:
-        for retry in range(_MAX_RETRIES):
-            seed_t = derived_seed(config.seed, 1, trial, retry)
-            pair = sample_pair(config.law, p, q, n, seed_t,
-                               beta=config.beta, c_phi=config.c_phi)
-            try:
-                result = ccc_eigenvalues(pair)
-            except ScclabError:
-                failures[0] += 1
-                continue
-            return tw_rescale(result, model, config.k_max)
-        raise NumericalError(
-            f"trial {trial} failed {_MAX_RETRIES} resampling attempts"
-        )
-
-    values = _map_trials(one, indices, config.threads)
-    return EdgeSamples(values=np.array(values), n=n, k_max=config.k_max,
-                       law=config.law, seed=config.seed, failures=failures[0])
+    values, failures = [], 0
+    for trial in indices:
+        result, retries = _resampled_spectrum(config, config.n, 1, trial)
+        values.append(tw_rescale(result, model, config.k_max))
+        failures += retries
+    return EdgeSamples(values=np.array(values), n=config.n, k_max=config.k_max,
+                       law=config.law, seed=config.seed, failures=failures)
 
 
 def _check_failure_budget(failures: int, trials: int) -> None:
@@ -252,20 +213,17 @@ def _check_failure_budget(failures: int, trials: int) -> None:
         )
 
 
-def tw_experiment(config: TwEdgeConfig) -> ExperimentReport:
+def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the edge experiment and compare against the GOE reference.
 
     Emits per-k means, variances, and KS statistics, plus a descriptive
     upper-tail-mass comparison of the top-1 statistic (heavy-tailed input
     below the fourth-moment condition tends to overshoot the edge).
     """
-    if config.trials < 2:
-        raise ParameterError("edge experiment needs at least 2 trials")
-    ccc = run_edge_trials(config, range(config.trials))
+    ccc = run_edge_trials(config, range(config.trials))     # validates the config
     _check_failure_budget(ccc.failures, config.trials)
     n_goe = config.n_goe if config.n_goe is not None else config.n
-    goe = goe_reference(n_goe, config.trials, config.k_max, config.seed,
-                        threads=config.threads)
+    goe = goe_reference(n_goe, config.trials, config.k_max, config.seed)
 
     ks = [ks_two_sample(ccc.values[:, k], goe.values[:, k]) for k in range(config.k_max)]
     tail_ccc = float(np.mean(ccc.values[:, 0] > _UPPER_TAIL_CUT))
@@ -287,8 +245,9 @@ def tw_experiment(config: TwEdgeConfig) -> ExperimentReport:
         "lambda_plus": model.lambda_plus,
         "c_tw": model.c_tw,
     }
+    p, q = config.dims()
     params = {
-        "n": config.n, "p": config.p, "q": config.q, "c1": config.c1, "c2": config.c2,
+        "n": config.n, "p": p, "q": q, "c1": config.c1, "c2": config.c2,
         "law": config.law, "beta": config.beta, "c_phi": config.c_phi,
         "trials": config.trials, "k_max": config.k_max, "seed": config.seed,
         "n_goe": n_goe,
@@ -306,7 +265,7 @@ def tw_experiment(config: TwEdgeConfig) -> ExperimentReport:
     )
 
 
-def rigidity_experiment(config: RigidityConfig) -> ExperimentReport:
+def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Fit the n-decay of eigenvalue deviations from their classical locations.
 
     The sweep runs n = n0 * factors.  Two deviations are tracked: the
@@ -318,41 +277,23 @@ def rigidity_experiment(config: RigidityConfig) -> ExperimentReport:
     trials are fitted log-log against n.  Failed spectra are resampled
     and counted; more than one percent of all trials aborts the sweep.
     """
-    if config.trials < 3:
-        raise ParameterError("rigidity experiment needs at least 3 trials")
+    _require_valid(config, "rigidity-scaling")
     ns = [config.n0 * f for f in config.factors]
-    q0 = round(config.c2 * config.n0)
-    j_star = max(1, q0 // 2)
+    j_star = max(1, config.dims(config.n0)[1] // 2)
 
     bulk_median, edge_median, profile_p95 = [], [], []
     rows = []
     failures = 0
     for i_n, n in enumerate(ns):
-        p, q = round(config.c1 * n), round(config.c2 * n)
-        model = make_model(p / n, q / n)
-        gamma = classical_locations(model, q)
-
-        def one(trial: int, i_n=i_n, n=n, p=p, q=q, model=model, gamma=gamma) -> tuple:
-            for retry in range(_MAX_RETRIES):
-                seed_t = derived_seed(config.seed, 3, i_n, trial, retry)
-                pair = sample_pair(config.law, p, q, n, seed_t,
-                                   beta=config.beta, c_phi=config.c_phi)
-                try:
-                    result = ccc_eigenvalues(pair)
-                except ScclabError:
-                    continue
-                bulk = abs(result.eigenvalues[j_star - 1] - gamma[j_star - 1])
-                edge = abs(result.eigenvalues[0] - model.lambda_plus)
-                prof = rigidity_profile(result, model)
-                # the retry index is the number of failed attempts before this one
-                return bulk, edge, float(prof.max()), retry
-            raise NumericalError(f"rigidity trial {trial} failed {_MAX_RETRIES} resamples")
-
-        out = _map_trials(one, range(config.trials), config.threads)
-        bulk = np.array([o[0] for o in out])
-        edge = np.array([o[1] for o in out])
-        prof = np.array([o[2] for o in out])
-        failures += sum(o[3] for o in out)
+        model = config.model(n)
+        gamma = classical_locations(model, config.dims(n)[1])
+        bulk, edge, prof = [], [], []
+        for trial in range(config.trials):
+            result, retries = _resampled_spectrum(config, n, 3, i_n, trial)
+            failures += retries
+            bulk.append(abs(result.eigenvalues[j_star - 1] - gamma[j_star - 1]))
+            edge.append(abs(result.eigenvalues[0] - model.lambda_plus))
+            prof.append(float(rigidity_profile(result, model).max()))
         bulk_median.append(float(np.median(bulk)))
         edge_median.append(float(np.median(edge)))
         profile_p95.append(float(np.quantile(prof, 0.95)))

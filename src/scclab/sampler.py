@@ -33,6 +33,7 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
+    "LAWS",
     "TailSpec",
     "PairMeta",
     "DataPair",
@@ -52,6 +53,7 @@ _GAUSSIAN = "gaussian"
 _RADEMACHER = "rademacher"
 _UNIFORM = "uniform"
 _PARETO = "pareto"
+LAWS = (_GAUSSIAN, _RADEMACHER, _UNIFORM, _PARETO)
 
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 

@@ -108,25 +108,31 @@ class SpectralModel:
     c_tw: float
 
     def __post_init__(self):
-        if not (0.0 < self.c2 <= self.c1):
-            raise ParameterError(
-                f"aspect ratios must satisfy 0 < c2 <= c1, got c1={self.c1}, c2={self.c2}"
-            )
-        if not (self.c1 + self.c2 < 1.0):
-            raise ParameterError(
-                f"aspect ratios must satisfy c1 + c2 < 1, got c1+c2={self.c1 + self.c2}"
-            )
+        _require_aspect_ratios(self.c1, self.c2)
         lm, lp = support_edges(self.c1, self.c2)
         if abs(lm - self.lambda_minus) > 1e-12 or abs(lp - self.lambda_plus) > 1e-12:
             raise ParameterError("support edges inconsistent with aspect ratios")
 
 
+def aspect_ratio_violations(c1: float, c2: float) -> list[str]:
+    """Every violated aspect-ratio constraint; an empty list means admissible."""
+    violations = []
+    if not (0.0 < c2 <= c1):
+        violations.append(f"aspect ratios must satisfy 0 < c2 <= c1, got c1={c1}, c2={c2}")
+    if not (c1 + c2 < 1.0):
+        violations.append(f"aspect ratios must satisfy c1 + c2 < 1, got c1+c2={c1 + c2}")
+    return violations
+
+
+def _require_aspect_ratios(c1: float, c2: float) -> None:
+    violations = aspect_ratio_violations(c1, c2)
+    if violations:
+        raise ParameterError("; ".join(violations))
+
+
 def make_model(c1: float, c2: float) -> SpectralModel:
     """Validate the aspect ratios and precompute the spectral constants."""
-    if not (0.0 < c2 <= c1):
-        raise ParameterError(f"aspect ratios must satisfy 0 < c2 <= c1, got c1={c1}, c2={c2}")
-    if not (c1 + c2 < 1.0):
-        raise ParameterError(f"aspect ratios must satisfy c1 + c2 < 1, got c1+c2={c1 + c2}")
+    _require_aspect_ratios(c1, c2)
     lm, lp = support_edges(c1, c2)
     c_tw = ((lp ** 2) * ((1.0 - lp) ** 2) / math.sqrt(c1 * c2 * (1.0 - c1) * (1.0 - c2))) ** (1.0 / 3.0)
     return SpectralModel(c1=c1, c2=c2, lambda_minus=lm, lambda_plus=lp, c_tw=c_tw)

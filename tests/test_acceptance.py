@@ -11,15 +11,13 @@ line with the measured quantity next to its threshold.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from scclab import (
     DataPair,
+    ExperimentConfig,
     PairMeta,
-    RigidityConfig,
-    TwEdgeConfig,
     blocks_via_schur,
     ccc_eigenvalues,
     classical_locations,
@@ -152,12 +150,10 @@ def test_criterion_6_deviation_decay():
         model = make_model(p / n, q / n)
         lp = model.lambda_plus
 
-        def one(seed, p=p, q=q, n=n, model=model, lp=lp):
+        reports = []
+        for seed in range(20):
             pair = sample_gaussian(p, q, n, derived_seed(5, 4, seed))
-            return [local_law_errors(pair, model, complex(lp, eta)) for eta in etas]
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            reports = list(pool.map(one, range(20)))
+            reports.append([local_law_errors(pair, model, complex(lp, eta)) for eta in etas])
         for j, eta in enumerate(etas):
             medians[(n, eta)] = float(np.median([r[j].entrywise_err for r in reports]))
             if n == 400:
@@ -175,11 +171,11 @@ def test_criterion_6_deviation_decay():
 
 def test_criterion_7_edge_universality():
     """Top edge statistic matches the GOE reference for light and heavy tails."""
-    gaussian = tw_experiment(TwEdgeConfig(
-        n=400, c1=0.3, c2=0.2, trials=2000, law="gaussian", seed=5, threads=4))
+    gaussian = tw_experiment(ExperimentConfig(
+        "tw-edge", n=400, c1=0.3, c2=0.2, trials=2000, law="gaussian", seed=5))
     ks_gauss = gaussian.metrics["ks"][0]
-    heavy = tw_experiment(TwEdgeConfig(
-        n=400, c1=0.3, c2=0.2, trials=2000, law="pareto", beta=4.5, seed=5, threads=4))
+    heavy = tw_experiment(ExperimentConfig(
+        "tw-edge", n=400, c1=0.3, c2=0.2, trials=2000, law="pareto", beta=4.5, seed=5))
     ks_heavy = heavy.metrics["ks"][0]
     ok = ks_gauss <= 0.08 and ks_heavy <= 0.10
     _verdict("criterion-7 edge-universality", ok,
@@ -189,9 +185,9 @@ def test_criterion_7_edge_universality():
 
 def test_criterion_8_rigidity_scaling():
     """Fixed-index and edge deviations decay with fitted exponent near -2/3."""
-    report = rigidity_experiment(RigidityConfig(
-        n0=200, c1=0.3, c2=0.2, trials=50, law="gaussian",
-        factors=(1, 2, 4), seed=17, threads=4))
+    report = rigidity_experiment(ExperimentConfig(
+        "rigidity-scaling", n0=200, c1=0.3, c2=0.2, trials=50, law="gaussian",
+        factors=(1, 2, 4), seed=17))
     bulk = report.metrics["bulk_exponent"]
     edge = report.metrics["edge_exponent"]
     ok = -0.8 <= bulk <= -0.55 and -0.8 <= edge <= -0.55

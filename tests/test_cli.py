@@ -59,6 +59,19 @@ class TestValidate:
         cfg = ExperimentConfig(kind="spectrum", c_phi=0.6)
         assert any("c_phi" in m for m in validate(cfg))
 
+    def test_goe_size_collected_with_other_violations(self):
+        cfg = ExperimentConfig(kind="tw-edge", n=60, n_goe=3, k_max=3, trials=1)
+        msgs = validate(cfg)
+        assert any("n_goe = 3 too small for k_max = 3" in m for m in msgs)
+        assert any("trials >= 2" in m for m in msgs)
+
+    def test_mistyped_fields_all_reported(self):
+        cfg = ExperimentConfig(kind="spectrum", n=60.5, c1="wide", seed=True)
+        msgs = validate(cfg)
+        assert len(msgs) == 3
+        assert any(m.startswith("n must be an integer") for m in msgs)
+        assert any(m.startswith("c1 must be a real number") for m in msgs)
+
 
 class TestBundledConfigs:
     @pytest.mark.parametrize("name,kind", [
@@ -144,6 +157,41 @@ class TestMain:
         out = tmp_path / "bad"
         assert main(["spectrum", "--out", str(out), "--override", "nonsense"]) == 2
         assert main(["spectrum", "--out", str(out), "--override", "frob=1"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,override", [
+        ("tw-edge", "trials=2.5"),
+        ("spectrum", "n=60.5"),
+        ("rigidity-scaling", "n0=60.5"),
+        ("tw-edge", "k_max=2.5"),
+        ("quantiles", "q=2.5"),
+        ("rigidity-scaling", "factors=[1.5,2]"),
+    ])
+    def test_non_integer_field_exit_2_no_outputs(self, tmp_path, capsys, kind, override):
+        out = tmp_path / "bad"
+        assert main([kind, "--out", str(out), "--override", override]) == 2
+        assert not out.exists()
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factors", ["[]", "[2]", "[2,2]"])
+    def test_rigidity_needs_two_sizes_exit_2(self, tmp_path, capsys, factors):
+        out = tmp_path / "rig"
+        code = main(["rigidity-scaling", "--out", str(out), "--override", "n0=20",
+                     "--override", "trials=3", "--override", f"factors={factors}"])
+        assert code == 2
+        assert not out.exists()
+        assert "two distinct sizes" in capsys.readouterr().err
+
+    def test_threads_rejected_exit_2(self, tmp_path):
+        out = tmp_path / "tw"
+        small = ["--override", "n=40", "--override", "trials=4"]
+        assert main(["tw-edge", "--out", str(out), "--override", "threads=2", *small]) == 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"threads": 2}))
+        assert main(["tw-edge", "--out", str(out), "--config", str(cfg_path), *small]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["tw-edge", "--out", str(out), "--threads", "2", *small])
+        assert exc.value.code == 2
         assert not out.exists()
 
     def test_numerical_failure_exit_3_with_diagnostics(self, tmp_path):

@@ -1,16 +1,17 @@
 """Edge statistics: rescaling, GOE reference, KS machinery, experiments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from scclab import edge_stats
 from scclab import (
+    ExperimentConfig,
     NumericalError,
     ParameterError,
-    RigidityConfig,
     SpectrumResult,
-    TwEdgeConfig,
     ccc_eigenvalues,
     derived_seed,
     goe_reference,
@@ -65,11 +66,6 @@ class TestGoeReference:
         assert np.array_equal(a.values, b.values)
         c = goe_reference(100, 20, k_max=2, seed=6)
         assert not np.array_equal(a.values, c.values)
-
-    def test_threading_invariant(self):
-        a = goe_reference(100, 30, k_max=2, seed=5, threads=1)
-        b = goe_reference(100, 30, k_max=2, seed=5, threads=4)
-        assert np.array_equal(a.values, b.values)
 
     def test_ordering_and_shape(self):
         samples = goe_reference(200, 25, k_max=3, seed=1)
@@ -127,7 +123,8 @@ class TestKolmogorovSmirnov:
 
 
 class TestEdgeTrials:
-    CFG = TwEdgeConfig(n=60, c1=0.3, c2=0.2, trials=24, law="gaussian", seed=8)
+    CFG = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=24, law="gaussian",
+                           seed=8)
 
     def test_split_merge_equals_full(self):
         full = run_edge_trials(self.CFG, range(24))
@@ -142,13 +139,6 @@ class TestEdgeTrials:
         alone = run_edge_trials(self.CFG, [17])
         assert np.array_equal(full.values[17], alone.values[0])
 
-    def test_threading_invariant(self):
-        cfg = TwEdgeConfig(n=60, c1=0.3, c2=0.2, trials=16, law="gaussian",
-                           seed=8, threads=4)
-        a = run_edge_trials(cfg, range(16))
-        b = run_edge_trials(self.CFG, range(16))
-        assert np.array_equal(a.values, b.values)
-
     def test_law_dispatch_validation(self):
         with pytest.raises(ParameterError):
             sample_pair("cauchy", 5, 3, 20, seed=0)
@@ -158,7 +148,8 @@ class TestEdgeTrials:
 
 class TestTwExperiment:
     def test_report_structure(self):
-        cfg = TwEdgeConfig(n=60, c1=0.3, c2=0.2, trials=30, law="gaussian", seed=8)
+        cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=30, law="gaussian",
+                               seed=8)
         rep = tw_experiment(cfg)
         assert rep.kind == "tw-edge"
         assert len(rep.metrics["ks"]) == 3
@@ -172,7 +163,8 @@ class TestTwExperiment:
     def test_rescaled_statistics_in_range(self):
         # Gaussian data at moderate size: rescaled means land near the
         # reference and the KS distance is already moderate
-        cfg = TwEdgeConfig(n=200, c1=0.3, c2=0.2, trials=400, law="gaussian", seed=14)
+        cfg = ExperimentConfig("tw-edge", n=200, c1=0.3, c2=0.2, trials=400, law="gaussian",
+                               seed=14)
         rep = tw_experiment(cfg)
         assert abs(rep.metrics["ccc_mean"][0] - rep.metrics["goe_mean"][0]) < 0.5
         assert rep.metrics["ks"][0] < 0.15
@@ -181,8 +173,8 @@ class TestTwExperiment:
     def test_heavy_tail_flag_below_moment_condition(self):
         # far below the fourth-moment condition the top statistic acquires
         # upper-tail mass the GOE reference does not have
-        cfg = TwEdgeConfig(n=200, c1=0.3, c2=0.2, trials=800, law="pareto",
-                           beta=2.5, seed=14)
+        cfg = ExperimentConfig("tw-edge", n=200, c1=0.3, c2=0.2, trials=800, law="pareto",
+                               beta=2.5, seed=14)
         rep = tw_experiment(cfg)
         assert rep.metrics["heavy_upper_tail"]
         assert rep.metrics["upper_tail_mass_ccc"] > rep.metrics["upper_tail_mass_goe"]
@@ -190,20 +182,33 @@ class TestTwExperiment:
     def test_failure_budget_aborts(self):
         # tiny Rademacher matrices hit singular Gram blocks often enough to
         # blow the 1% resampling budget
-        cfg = TwEdgeConfig(n=10, c1=0.5, c2=0.3, trials=40, law="rademacher",
-                           seed=0, k_max=2)
+        cfg = ExperimentConfig("tw-edge", n=10, c1=0.5, c2=0.3, trials=40, law="rademacher",
+                               seed=0, k_max=2)
         with pytest.raises(NumericalError):
             tw_experiment(cfg)
 
     def test_trials_validation(self):
-        cfg = TwEdgeConfig(n=60, c1=0.3, c2=0.2, trials=1, law="gaussian")
+        cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=1, law="gaussian")
         with pytest.raises(ParameterError):
             tw_experiment(cfg)
+
+    def test_config_validated_before_sampling(self, monkeypatch):
+        # every violation is reported at once, and no trial runs first
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(edge_stats, "sample_pair", no_sampling)
+        cfg = ExperimentConfig("tw-edge", n=60, trials=1, n_goe=3, k_max=3)
+        with pytest.raises(ParameterError, match="trials >= 2.*n_goe = 3 too small"):
+            tw_experiment(cfg)
+        with pytest.raises(ParameterError, match="'tw-edge' config"):
+            tw_experiment(ExperimentConfig("rigidity-scaling"))
 
 
 class TestRigidityExperiment:
     # 50 trials at each of two sizes: the 1% budget allows one failure
-    CONFIG = RigidityConfig(n0=20, c1=0.3, c2=0.2, trials=50, factors=(1, 2), seed=4)
+    CONFIG = ExperimentConfig("rigidity-scaling", n0=20, c1=0.3, c2=0.2, trials=50,
+                              factors=(1, 2), seed=4)
 
     @staticmethod
     def _failing_first(monkeypatch, count):
@@ -226,3 +231,11 @@ class TestRigidityExperiment:
         self._failing_first(monkeypatch, 2)
         with pytest.raises(NumericalError, match="budget"):
             rigidity_experiment(self.CONFIG)
+
+    def test_config_validated(self):
+        with pytest.raises(ParameterError, match="trials >= 3"):
+            rigidity_experiment(replace(self.CONFIG, trials=2))
+        with pytest.raises(ParameterError, match="two distinct"):
+            rigidity_experiment(replace(self.CONFIG, factors=(2,)))
+        with pytest.raises(ParameterError, match="'rigidity-scaling' config"):
+            rigidity_experiment(replace(self.CONFIG, kind="tw-edge"))
