@@ -118,18 +118,3 @@ def kernel_inverse_2x2(z: complex) -> np.ndarray:
     sz = sqrt_z(z)
     return np.array([[z, -sz], [-sz, z]]) / det
 
-
-def kernel_mul_left(M: np.ndarray, z: complex) -> np.ndarray:
-    """Apply the 2n x 2n kernel (2x2 blocks of scalar multiples of I_n) on the left."""
-    sz = sqrt_z(z)
-    half = M.shape[0] // 2
-    top, bot = M[:half], M[half:]
-    return np.vstack([z * top + sz * bot, sz * top + z * bot])
-
-
-def kernel_mul_right(M: np.ndarray, z: complex) -> np.ndarray:
-    """Apply the 2n x 2n kernel on the right."""
-    sz = sqrt_z(z)
-    half = M.shape[1] // 2
-    left, right = M[:, :half], M[:, half:]
-    return np.hstack([z * left + sz * right, sz * left + z * right])

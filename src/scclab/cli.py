@@ -7,7 +7,8 @@ manifest.json with the full configuration echo next to them.  Outputs
 are a pure function of the configuration, so re-running a manifest's
 configuration reproduces the result files byte for byte.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation failure (including an unreadable or
+malformed --config file), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
               "psi", "benchmark_entrywise", "benchmark_averaged")
     rows = []
     reports = []
+    point_checks = []
     for trial in range(config.trials):
         seed_t = derived_seed(config.seed, 4, trial)
         pair = sample_pair(config.law, p, q, n, seed_t,
@@ -131,6 +133,7 @@ def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
                              repr(rep.benchmarks["entrywise"]),
                              repr(rep.benchmarks["averaged"])))
                 reports.append(rep.to_json_dict() | {"trial": trial})
+                point_checks.append(rep.checks)
     _write_csv(out / "results.csv", header, rows)
     worst = max(r["entrywise_err"] / r["benchmarks"]["entrywise"] for r in reports)
     summary = {
@@ -140,7 +143,9 @@ def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
         "reports": reports,
     }
     _write_json(out / "results.json", summary)
-    return summary
+    checks = {f"{key}_max": max(c[key] for c in point_checks)
+              for key in ("identity_residual", "trace_identity")}
+    return summary | {"checks": checks}
 
 
 def _write_report(report: ExperimentReport, out: Path) -> dict:
@@ -168,7 +173,11 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
-    """Validate, execute, and write results plus manifest.  Returns a summary."""
+    """Validate, execute, and write results plus manifest.  Returns a summary.
+
+    A runner may return its self-check residuals under "checks"; they go
+    to the manifest only, so results.* stay a function of the config.
+    """
     violations = validate(config)
     if violations:
         raise ParameterError("; ".join(violations))
@@ -184,6 +193,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
             shutil.rmtree(missing[-1])
         raise
     elapsed = time.perf_counter() - start
+    checks = summary.pop("checks", None)
     manifest = {
         "config": dataclasses.asdict(config) | {"factors": list(config.factors)},
         "code_version": __version__,
@@ -191,6 +201,8 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         "timings": {"total_s": elapsed},
         "outputs": ["results.csv", "results.json"],
     }
+    if checks is not None:
+        manifest["checks"] = checks
     _write_json(out / "manifest.json", manifest)
     return summary
 
@@ -204,6 +216,20 @@ def _parse_override(text: str):
     except json.JSONDecodeError:
         value = raw
     return key, value
+
+
+def _read_config(path: Path) -> dict:
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParameterError(f"config file {path} must hold a JSON object, "
+                             f"got {type(raw).__name__}")
+    return raw
 
 
 def main(argv=None) -> int:
@@ -221,14 +247,11 @@ def main(argv=None) -> int:
                         metavar="KEY=VALUE", help="override a config field")
     args = parser.parse_args(argv)
 
-    raw: dict = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            raw.update(json.load(fh))
-    raw.pop("kind", None)
-    if args.seed is not None:
-        raw["seed"] = args.seed
     try:
+        raw = _read_config(args.config) if args.config is not None else {}
+        raw.pop("kind", None)
+        if args.seed is not None:
+            raw["seed"] = args.seed
         for item in args.override:
             key, value = _parse_override(item)
             raw[key] = value

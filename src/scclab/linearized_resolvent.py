@@ -19,6 +19,15 @@ Schur-complement assembly that builds every block from the SVD of the
 whitened cross matrix without ever forming H**(-1).  Agreement of the
 two routes is an end-to-end check of the block algebra.
 
+Both routes check max |H G - I| over all d**2 entries (d = p+q+2n) and
+raise above 1e-6.  The product is formed one coordinate block of rows at
+a time from X, Y and the kernel inverse, never from the dense H: X G3,
+Y G4, X' G1 + k00 G3 + k01 G4 and Y' G2 + k01 G3 + k00 G4.  The real
+data matrices multiply the complex G through its interleaved float view,
+so the check costs 4 (p+q) n d real multiply-adds instead of the d**3
+complex ones of a dense product, and it stays exact rather than a probe
+estimate.  The Schur assembly uses the same block products.
+
 The partial traces of G over the four blocks (each divided by n)
 satisfy, for every realization and in exact arithmetic,
 
@@ -32,17 +41,12 @@ precision self-tests of any computed G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (
-    IndexLayout,
-    kernel_inverse_2x2,
-    kernel_mul_left,
-    kernel_mul_right,
-    sqrt_z,
-)
+from ._linalg import IndexLayout, kernel_inverse_2x2, sqrt_z
 from .errors import DomainError, NumericalError, ParameterError
 from .sampler import DataPair
 from .scc_core import whitened_cross
@@ -62,46 +66,106 @@ _RESIDUAL_LIMIT = 1e-6
 _DEFAULT_REG_EXPONENT = 10
 
 
-@dataclass(eq=False)
-class LinearizationMatrix:
-    """Dense linearization H(z) with its coordinate layout."""
+def _real_times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for a real A, without promoting A to complex when B is complex.
 
-    matrix: np.ndarray
+    A complex B (its last axis contiguous) is multiplied as its interleaved
+    (re, im) float view: one real product instead of a complex one with a
+    zero imaginary part.
+    """
+    if not np.iscomplexobj(B):
+        return A @ B
+    return (A @ B.view(np.float64)).view(np.complex128)
+
+
+@dataclass(frozen=True, eq=False)
+class LinearizationMatrix:
+    """H(z) held by its blocks: the data matrices and the kernel inverse.
+
+    data_shift is subtracted from the diagonal of the (p+q) data corner
+    (the regularized direct route).  ``matrix`` builds the dense d x d
+    array on first use, for the LU and SVD callers; ``row_blocks``
+    multiplies by H without forming it.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
     z: complex
     layout: IndexLayout
-    regularized: bool = False
+    data_shift: complex = 0j
 
     @property
     def dim(self) -> int:
         return self.layout.dim
 
+    @property
+    def is_real(self) -> bool:
+        """H is real symmetric exactly for real z > 0."""
+        return self.z.imag == 0 and self.z.real > 0
+
+    def _entry(self, value: complex):
+        return value.real if self.is_real else value
+
+    @property
+    def kernel_inverse(self) -> tuple:
+        """(diagonal, cross) entries of the closed-form 2x2 kernel inverse."""
+        kinv = kernel_inverse_2x2(self.z)
+        return self._entry(kinv[0, 0]), self._entry(kinv[0, 1])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense H(z): real for real z > 0, complex symmetric otherwise."""
+        layout = self.layout
+        n, off = layout.n, layout.p + layout.q
+        H = np.zeros((layout.dim, layout.dim), dtype=float if self.is_real else complex)
+        H[layout.sl1, layout.sl3] = self.X
+        H[layout.sl2, layout.sl4] = self.Y
+        H[layout.sl3, layout.sl1] = self.X.T
+        H[layout.sl4, layout.sl2] = self.Y.T
+        if self.data_shift:
+            data = np.arange(off)
+            H[data, data] = -self._entry(self.data_shift)
+        idx = off + np.arange(n)
+        diag, cross = self.kernel_inverse
+        H[idx, idx] = diag
+        H[n + idx, n + idx] = diag
+        H[idx, n + idx] = cross
+        H[n + idx, idx] = cross
+        return H
+
+    def row_blocks(self, G: np.ndarray):
+        """Yield (rows, H[rows] @ G) for the four coordinate blocks of rows.
+
+        G must be C-contiguous (its row blocks are then contiguous).  Each
+        block is a fresh array, so callers may overwrite it.
+        """
+        layout = self.layout
+        G1, G2, G3, G4 = (G[layout.block_slice(a)] for a in (1, 2, 3, 4))
+        diag, cross = self.kernel_inverse
+        shift = self._entry(self.data_shift)
+        for rows, data, Gdata, Gfactor in ((layout.sl1, self.X, G1, G3),
+                                           (layout.sl2, self.Y, G2, G4)):
+            block = _real_times(data, Gfactor)
+            if shift:
+                block -= shift * Gdata
+            yield rows, block
+        for rows, data, Gdata, own, other in ((layout.sl3, self.X, G1, G3, G4),
+                                              (layout.sl4, self.Y, G2, G4, G3)):
+            block = _real_times(data.T, Gdata)
+            block += diag * own
+            block += cross * other
+            yield rows, block
+
 
 def build_H(pair: DataPair, z) -> LinearizationMatrix:
-    """Assemble H(z).  Real symmetric for real z > 0, complex symmetric otherwise."""
+    """H(z) for a pair.  Real symmetric for real z > 0, complex symmetric otherwise."""
     z = complex(z)
     if z == 0 or z == 1:
         raise DomainError(f"kernel is singular at z = {z}")
     if z.imag < 0:
         raise DomainError(f"z = {z} lies below the real axis")
-    layout = IndexLayout(pair.p, pair.q, pair.n)
-    p, q, n = layout.p, layout.q, layout.n
-    real_case = z.imag == 0 and z.real > 0
-    dtype = float if real_case else complex
-    kinv = kernel_inverse_2x2(z)
-    H = np.zeros((layout.dim, layout.dim), dtype=dtype)
-    H[layout.sl1, layout.sl3] = pair.X
-    H[layout.sl2, layout.sl4] = pair.Y
-    H[layout.sl3, layout.sl1] = pair.X.T
-    H[layout.sl4, layout.sl2] = pair.Y.T
-    idx = np.arange(n)
-    off = p + q
-    diag = kinv[0, 0].real if real_case else kinv[0, 0]
-    cross = kinv[0, 1].real if real_case else kinv[0, 1]
-    H[off + idx, off + idx] = diag
-    H[off + n + idx, off + n + idx] = diag
-    H[off + idx, off + n + idx] = cross
-    H[off + n + idx, off + idx] = cross
-    return LinearizationMatrix(matrix=H, z=z, layout=layout)
+    return LinearizationMatrix(X=pair.X, Y=pair.Y, z=z,
+                               layout=IndexLayout(pair.p, pair.q, pair.n))
 
 
 @dataclass(eq=False)
@@ -111,7 +175,9 @@ class ResolventBundle:
     m1..m4 are the per-n traces of the four diagonal blocks of G; m is
     the q-normalized trace of the resolvent of the q x q correlation
     product, recovered from the second data block of G.  The identity
-    residual records max |H G - I|.
+    residual records max |H G - I| over every entry of the product,
+    computed blockwise from the data matrices and the kernel inverse in
+    O((p+q) n d) time and O(n d) extra memory (see the module docstring).
     """
 
     G: np.ndarray
@@ -134,6 +200,13 @@ class ResolventBundle:
     def c2(self) -> float:
         return self.layout.q / self.layout.n
 
+    @property
+    def trace_identity_residual(self) -> float:
+        """Largest violation of the two exact trace identities of the module docstring."""
+        z, c1, c2 = self.z, self.c1, self.c2
+        return max(abs(self.m3 - self.m4 - (1 - z) * (c1 - c2)),
+                   abs(self.m3 - (c2 * z * (1 - z) * self.m + (1 - c1 - c2) * z)))
+
 
 def _partial_traces(G: np.ndarray, layout: IndexLayout):
     n = layout.n
@@ -143,11 +216,14 @@ def _partial_traces(G: np.ndarray, layout: IndexLayout):
     )
 
 
-def _identity_residual(H: np.ndarray, G: np.ndarray) -> float:
-    d = H.shape[0]
-    R = H @ G
-    R[np.arange(d), np.arange(d)] -= 1.0
-    return float(np.abs(R).max())
+def _identity_residual(lin: LinearizationMatrix, G: np.ndarray) -> float:
+    """max |H G - I| over all d**2 entries, one coordinate block of rows at a time."""
+    worst = 0.0
+    for rows, block in lin.row_blocks(G):
+        local = np.arange(rows.stop - rows.start)
+        block[local, rows.start + local] -= 1.0
+        worst = max(worst, float(np.abs(block).max()))
+    return worst
 
 
 def _enforce_residual(residual: float, z: complex) -> float:
@@ -171,19 +247,14 @@ def resolvent(pair: DataPair, z, regularize: bool = False,
     residuals above 1e-6 raise a conditioning error.
     """
     lin = build_H(pair, z)
-    H = lin.matrix
     layout = lin.layout
     if regularize:
-        shift = lin.z * layout.n ** (-float(reg_exponent))
-        H = H.copy()
-        d_idx = np.arange(layout.p + layout.q)
-        # real H can only occur for real z, where the shift is real too
-        H[d_idx, d_idx] -= shift if H.dtype == complex else shift.real
+        lin = replace(lin, data_shift=lin.z * layout.n ** (-float(reg_exponent)))
     try:
-        G = np.linalg.inv(H)
+        G = np.linalg.inv(lin.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linearization not invertible at z = {lin.z}: {exc}") from exc
-    residual = _enforce_residual(_identity_residual(H, G), lin.z)
+    residual = _enforce_residual(_identity_residual(lin, G), lin.z)
     m1, m2, m3, m4 = _partial_traces(G, layout)
     Syy = pair.Y @ pair.Y.T
     m = complex(np.trace(G[layout.sl2, layout.sl2] @ Syy)) / layout.q
@@ -196,21 +267,20 @@ def resolvent(pair: DataPair, z, regularize: bool = False,
 def blocks_via_schur(pair: DataPair, z) -> ResolventBundle:
     """Assemble G(z) from the whitened SVD without inverting H.
 
-    The data-corner block is the two-channel whitened resolvent built
+    The data-corner block GL is the two-channel whitened resolvent built
     from the singular value decomposition of the whitened cross matrix;
-    the factor corner and the mixed blocks follow by multiplying with the
-    data matrices and the (un-inverted) kernel.  As in resolvent(),
-    identity residuals above 1e-6 raise a conditioning error.
+    with D = diag(X, Y) and K the (un-inverted) kernel, the mixed blocks
+    are G[right, left] = -K D' GL and the factor corner is
+    K - K D' G[left, right].  Every product by D is split into its X and Y
+    blocks and written straight into G.  As in resolvent(), identity
+    residuals above 1e-6 raise a conditioning error.
     """
-    z = complex(z)
-    if z == 0 or z == 1:
-        raise DomainError(f"kernel is singular at z = {z}")
-    if z.imag < 0:
-        raise DomainError(f"z = {z} lies below the real axis")
+    lin = build_H(pair, z)
+    z = lin.z
     if not (1e-8 < abs(z) < 1e8):
         raise ParameterError(f"|z| = {abs(z)} outside the supported range for this route")
-    p, q, n = pair.p, pair.q, pair.n
-    layout = IndexLayout(p, q, n)
+    layout = lin.layout
+    p, q, n = layout
     wc = whitened_cross(pair)
     k = len(wc.singular_values)
     lam_p = np.concatenate([wc.singular_values ** 2, np.zeros(p - k)])
@@ -222,34 +292,31 @@ def blocks_via_schur(pair: DataPair, z) -> ResolventBundle:
     R2 = (V * (1.0 / (lam_q - z))) @ V.T
     sz = sqrt_z(z)
     isx, isy = wc.isqrt_xx, wc.isqrt_yy
-    GL = np.empty((p + q, p + q), dtype=complex)
-    GL[:p, :p] = isx @ R1 @ isx
-    cross = isx @ R1 @ wc.matrix @ isy
-    GL[:p, p:] = -(1.0 / sz) * cross
-    GL[p:, :p] = GL[:p, p:].T
-    GL[p:, p:] = isy @ R2 @ isy
-
-    D = np.zeros((p + q, 2 * n))
-    D[:p, :n] = pair.X
-    D[p:, n:] = pair.Y
-
-    W = GL @ D
-    inner = D.T @ W
-    GR = kernel_mul_left(kernel_mul_right(inner, z), z)
-    idx = np.arange(n)
-    GR[idx, idx] += z
-    GR[n + idx, n + idx] += z
-    GR[idx, n + idx] += sz
-    GR[n + idx, idx] += sz
-    GLR = -kernel_mul_right(W, z)
-
+    left, right = layout.sl_left, layout.sl_right
     G = np.empty((layout.dim, layout.dim), dtype=complex)
-    G[layout.sl_left, layout.sl_left] = GL
-    G[layout.sl_left, layout.sl_right] = GLR
-    G[layout.sl_right, layout.sl_left] = GLR.T
-    G[layout.sl_right, layout.sl_right] = GR
+    G[:p, :p] = isx @ R1 @ isx
+    cross = isx @ R1 @ wc.matrix @ isy
+    G[:p, p:p + q] = -(1.0 / sz) * cross
+    G[p:p + q, :p] = G[:p, p:p + q].T
+    G[p:p + q, p:p + q] = isy @ R2 @ isy
 
-    residual = _enforce_residual(_identity_residual(build_H(pair, z).matrix, G), z)
+    def apply_minus_kernel(cols: slice) -> None:
+        # G[right, cols] = -K D' G[left, cols], with D' = diag(X', Y')
+        top = _real_times(pair.X.T, G[:p, cols])
+        bottom = _real_times(pair.Y.T, G[p:p + q, cols])
+        G[layout.sl3, cols] = -(z * top + sz * bottom)
+        G[layout.sl4, cols] = -(sz * top + z * bottom)
+
+    apply_minus_kernel(left)
+    G[left, right] = G[right, left].T
+    apply_minus_kernel(right)
+    idx = p + q + np.arange(n)
+    G[idx, idx] += z
+    G[n + idx, n + idx] += z
+    G[idx, n + idx] += sz
+    G[n + idx, idx] += sz
+
+    residual = _enforce_residual(_identity_residual(lin, G), z)
     m1, m2, m3, m4 = _partial_traces(G, layout)
     m = complex(np.mean(1.0 / (lam_q - z)))
     return ResolventBundle(
@@ -266,7 +333,10 @@ class LocalLawReport:
     |m - limit|.  benchmarks carries the entrywise reference
     phi_n + psi(z) and the averaged reference 1/(n eta); sectors is the
     entrywise maximum split by block pair, with the paired factor
-    coordinates (mu, mu + n) reported separately.
+    coordinates (mu, mu + n) reported separately.  checks holds the
+    resolvent's self-check residuals (identity_residual,
+    trace_identity); they describe the computation rather than the
+    deviation, so to_json_dict leaves them out.
     """
 
     z: complex
@@ -281,6 +351,7 @@ class LocalLawReport:
     benchmarks: dict = field(default_factory=dict)
     sectors: dict = field(default_factory=dict)
     route: str = "schur"
+    checks: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -350,22 +421,24 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     else:
         raise ParameterError(f"route must be 'schur' or 'direct', got {route!r}")
     layout = bundle.layout
-    pi = pi_limit(model, z, layout.p, layout.q, layout.n)
-    diff = bundle.G - pi.dense()
+    # the bundle is private to this call, so G becomes G - Pi in place
+    diff = bundle.G
+    pi_limit(model, z, layout.p, layout.q, layout.n).subtract_from(diff)
+    magnitude = np.abs(diff)
 
-    entrywise = float(np.abs(diff).max())
+    entrywise = float(magnitude.max())
 
     sectors = {}
     for a in (1, 2, 3, 4):
         for b in (1, 2, 3, 4):
-            block = diff[layout.block_slice(a), layout.block_slice(b)]
-            sectors[f"{a}{b}"] = float(np.abs(block).max())
+            block = magnitude[layout.block_slice(a), layout.block_slice(b)]
+            sectors[f"{a}{b}"] = float(block.max())
     mu = np.arange(layout.n)
     off = layout.p + layout.q
-    sectors["paired34"] = float(np.abs(diff[off + mu, off + layout.n + mu]).max())
+    sectors["paired34"] = float(magnitude[off + mu, off + layout.n + mu].max())
 
     vectors = _test_vectors(layout, n_vectors, seed)
-    quad_forms = vectors.T @ diff @ vectors
+    quad_forms = _real_times(vectors.T, diff) @ vectors
     aniso = float(np.abs(quad_forms).max())
 
     limit = stieltjes(model, z)
@@ -396,4 +469,6 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
         benchmarks=benchmarks,
         sectors=sectors,
         route=route,
+        checks={"identity_residual": bundle.identity_residual,
+                "trace_identity": bundle.trace_identity_residual},
     )

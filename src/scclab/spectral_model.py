@@ -432,6 +432,20 @@ class PiDescriptor:
         out[off + self.n + idx, off + idx] = self.kernel[1, 0]
         return out
 
+    def subtract_from(self, G: np.ndarray) -> None:
+        """G -= dense(), in place, touching only the nonzero entries of the limit."""
+        if G.shape != (self.dim, self.dim):
+            raise ParameterError(f"G has shape {G.shape}, expected {(self.dim, self.dim)}")
+        off = self.p + self.q
+        data = np.arange(off)
+        idx = off + np.arange(self.n)
+        G[data[: self.p], data[: self.p]] -= self.diag1
+        G[data[self.p:], data[self.p:]] -= self.diag2
+        G[idx, idx] -= self.kernel[0, 0]
+        G[self.n + idx, self.n + idx] -= self.kernel[1, 1]
+        G[idx, self.n + idx] -= self.kernel[0, 1]
+        G[self.n + idx, idx] -= self.kernel[1, 0]
+
 
 def pi_limit(model: SpectralModel, z, p: int, q: int, n: int) -> PiDescriptor:
     """Assemble the block-constant limit matrix descriptor at z.

@@ -216,15 +216,41 @@ class TestMain:
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 6                 # header plus five quantiles
 
+    @pytest.mark.parametrize("name,content,message", [
+        ("missing.json", None, "cannot read config file"),
+        ("malformed.json", "{\"c1\": 0.4,", "not valid JSON"),
+        ("list.json", "[0.4, 0.2]", "must hold a JSON object, got list"),
+    ])
+    def test_bad_config_file_exit_2_no_outputs(self, tmp_path, capsys, name, content,
+                                               message):
+        cfg_path = tmp_path / name
+        if content is not None:
+            cfg_path.write_text(content)
+        out = tmp_path / "q"
+        assert main(["quantiles", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and message in err
+
     def test_local_law_sweep_runs(self, tmp_path):
-        out = tmp_path / "ll"
-        code = main(["local-law-sweep", "--out", str(out), "--seed", "2",
-                     "--override", "n=80", "--override", "trials=1",
-                     "--override", "e_points=2", "--override", "eta_points=2"])
-        assert code == 0
+        args = ["local-law-sweep", "--seed", "2", "--override", "n=80",
+                "--override", "trials=1", "--override", "e_points=2",
+                "--override", "eta_points=2"]
+        out, rerun = tmp_path / "ll", tmp_path / "ll-rerun"
+        assert main(args + ["--out", str(out)]) == 0
         summary = json.loads((out / "results.json").read_text())
         assert summary["worst_entrywise_over_benchmark"] < 50.0
         assert len(summary["reports"]) == 4
+        # self-check residuals go to the manifest, never to results.*
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        assert set(checks) == {"identity_residual_max", "trace_identity_max"}
+        assert 0.0 < checks["identity_residual_max"] <= 1e-6
+        assert 0.0 <= checks["trace_identity_max"] <= 1e-10
+        assert "checks" not in summary
+        assert all("checks" not in report for report in summary["reports"])
+        assert main(args + ["--out", str(rerun)]) == 0
+        for name in ("results.csv", "results.json"):
+            assert (out / name).read_bytes() == (rerun / name).read_bytes()
 
     def test_rigidity_runs(self, tmp_path):
         out = tmp_path / "rig"

@@ -1,5 +1,7 @@
 """Linearization matrix, resolvent routes, and finite-size deviation reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,47 @@ class TestResolventRoutes:
             route(small_pair, complex(0.3, 0.5))
         assert info.value.achieved == 1e-3
 
+    @pytest.mark.parametrize("pair_name", ["small_pair", "medium_pair"])
+    @pytest.mark.parametrize("route,z,reg_exponent", [
+        ("direct", 0.37, None),
+        ("direct", complex(0.3, 0.5), None),
+        ("schur", complex(0.3, 0.5), None),
+        ("schur", complex(0.7, 0.1), None),
+        ("direct", complex(0.7, 0.1), 4),
+        ("direct", "sample eigenvalue", 4),
+    ])
+    def test_identity_residual_matches_dense_product(self, request, pair_name,
+                                                     route, z, reg_exponent):
+        # the blockwise residual is max |H G - I| over every entry, so it
+        # equals the dense product's value up to the rounding of the sums,
+        # i.e. relative to the size of the summed terms |H| |G|
+        pair = request.getfixturevalue(pair_name)
+        if z == "sample eigenvalue":
+            z = float(ccc_eigenvalues(pair).eigenvalues[3])
+        if route == "schur":
+            bundle = blocks_via_schur(pair, z)
+        else:
+            bundle = resolvent(pair, z, regularize=reg_exponent is not None,
+                               reg_exponent=reg_exponent or 10)
+        H = build_H(pair, z).matrix.copy()
+        if reg_exponent is not None:
+            shift = complex(z) * pair.n ** -float(reg_exponent)
+            d_idx = np.arange(pair.p + pair.q)
+            H[d_idx, d_idx] -= shift if H.dtype == complex else shift.real
+        scale = (np.abs(H) @ np.abs(bundle.G)).max()
+        wrong = bundle.G.copy()
+        wrong[pair.p + pair.q:] *= 1.001      # a visibly wrong inverse
+        lin = build_H(pair, z)
+        if reg_exponent is not None:
+            lin = dataclasses.replace(lin, data_shift=shift)
+        for G in (bundle.G, wrong):
+            dense = np.abs(H @ G - np.eye(len(H))).max()
+            structured = linearized_resolvent._identity_residual(lin, G)
+            assert abs(structured - dense) <= 1e-14 * scale
+        assert bundle.identity_residual == linearized_resolvent._identity_residual(
+            lin, bundle.G)
+        assert linearized_resolvent._identity_residual(lin, wrong) > 1e-6
+
     def test_schur_rejects_sample_eigenvalue(self, small_pair):
         lam = float(ccc_eigenvalues(small_pair).eigenvalues[4])
         with pytest.raises(DomainError):
@@ -228,6 +271,31 @@ class TestLocalLawReport:
         limit = stieltjes(model, z)
         assert rep.avg_err[0] == pytest.approx(abs(bundle.m1 - limit.m1), rel=1e-12)
         assert rep.avg_err[4] == pytest.approx(abs(bundle.m - limit.m), rel=1e-12)
+
+    @pytest.mark.parametrize("pair_name", ["small_pair", "medium_pair"])
+    @pytest.mark.parametrize("route", ["schur", "direct"])
+    def test_matches_dense_reference(self, request, pair_name, route):
+        # reference: materialize G - Pi and sweep it densely
+        pair = request.getfixturevalue(pair_name)
+        model = make_model(pair.p / pair.n, pair.q / pair.n)
+        z = complex(0.5, 0.4)
+        rep = local_law_errors(pair, model, z, route=route)
+        bundle = (blocks_via_schur if route == "schur" else resolvent)(pair, z)
+        diff = bundle.G - pi_limit(model, z, pair.p, pair.q, pair.n).dense()
+        layout = bundle.layout
+        assert rep.entrywise_err == pytest.approx(np.abs(diff).max(), rel=1e-12)
+        vectors = linearized_resolvent._test_vectors(layout, 24, 0)
+        aniso = np.abs(vectors.T @ diff @ vectors).max()
+        assert rep.aniso_err == pytest.approx(aniso, rel=1e-12)
+        for a in (1, 2, 3, 4):
+            for b in (1, 2, 3, 4):
+                block = diff[layout.block_slice(a), layout.block_slice(b)]
+                assert rep.sectors[f"{a}{b}"] == pytest.approx(np.abs(block).max(), rel=1e-12)
+        off, mu = pair.p + pair.q, np.arange(pair.n)
+        paired = np.abs(diff[off + mu, off + pair.n + mu]).max()
+        assert rep.sectors["paired34"] == pytest.approx(paired, rel=1e-12)
+        assert rep.checks["identity_residual"] == bundle.identity_residual
+        assert rep.checks["trace_identity"] == bundle.trace_identity_residual < 1e-10
 
     def test_aniso_bounded_by_operator_norm(self, medium_pair):
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
