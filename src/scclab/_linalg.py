@@ -12,8 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularityError
-
 
 def sqrt_upper(w: complex) -> complex:
     """Square root of w on the branch with nonnegative imaginary part.
@@ -79,24 +77,6 @@ class IndexLayout(NamedTuple):
         if alpha not in (1, 2, 3, 4):
             raise ValueError(f"block index must be 1..4, got {alpha}")
         return (self.sl1, self.sl2, self.sl3, self.sl4)[alpha - 1]
-
-
-def inverse_sqrt_psd(S: np.ndarray, rel_floor: float = 1e-10):
-    """Eigendecomposition-based S**(-1/2) for a symmetric PSD matrix.
-
-    Returns (inverse_sqrt, min_eigenvalue, max_eigenvalue).  Raises
-    SingularityError when the smallest eigenvalue falls below
-    rel_floor times the largest, reporting the offending value.
-    """
-    w, V = np.linalg.eigh(S)
-    w_min, w_max = float(w[0]), float(w[-1])
-    if w_max <= 0 or w_min <= rel_floor * w_max:
-        raise SingularityError(
-            f"covariance block numerically singular: min eigenvalue {w_min:.3e} "
-            f"vs max {w_max:.3e} (relative floor {rel_floor:.1e})",
-            min_eigenvalue=w_min,
-        )
-    return (V / np.sqrt(w)) @ V.T, w_min, w_max
 
 
 def kernel_2x2(z: complex) -> np.ndarray:

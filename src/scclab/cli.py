@@ -151,7 +151,7 @@ def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
 def _write_report(report: ExperimentReport, out: Path) -> dict:
     _write_csv(out / "results.csv", report.csv_header, report.csv_rows)
     _write_json(out / "results.json", report.to_json_dict())
-    return report.metrics
+    return report.metrics | {"checks": report.checks}
 
 
 def _run_tw_edge(config: ExperimentConfig, out: Path) -> dict:
@@ -175,8 +175,9 @@ _RUNNERS = {
 def run(config: ExperimentConfig, out_dir) -> dict:
     """Validate, execute, and write results plus manifest.  Returns a summary.
 
-    A runner may return its self-check residuals under "checks"; they go
-    to the manifest only, so results.* stay a function of the config.
+    A runner may return its self-check residuals or conditioning under
+    "checks"; they go to the manifest only, so results.* stay a function
+    of the config.
     """
     violations = validate(config)
     if violations:

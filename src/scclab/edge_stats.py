@@ -91,7 +91,11 @@ def tw_rescale(result: SpectrumResult, model: SpectralModel, k_max: int = 3) -> 
 
 @dataclass(eq=False)
 class EdgeSamples:
-    """Rescaled edge statistics, one row per trial, one column per k."""
+    """Rescaled edge statistics, one row per trial, one column per k.
+
+    min_eig_xx and min_eig_yy are the smallest Gram-block eigenvalues over
+    the accepted spectra (infinite when no spectrum was taken).
+    """
 
     values: np.ndarray
     n: int
@@ -99,6 +103,8 @@ class EdgeSamples:
     law: str
     seed: int
     failures: int = 0
+    min_eig_xx: float = math.inf
+    min_eig_yy: float = math.inf
 
     @property
     def trials(self) -> int:
@@ -147,13 +153,19 @@ def ks_two_sample(a, b) -> float:
 
 @dataclass(eq=False)
 class ExperimentReport:
-    """Aggregated Monte Carlo output with full reproducibility metadata."""
+    """Aggregated Monte Carlo output with full reproducibility metadata.
+
+    checks holds the conditioning of the accepted spectra
+    (min_eig_xx_min, min_eig_yy_min); it describes the computation rather
+    than the result, so to_json_dict leaves it out.
+    """
 
     kind: str
     params: dict
     metrics: dict
     csv_header: tuple
     csv_rows: list = field(default_factory=list)
+    checks: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params, "metrics": self.metrics}
@@ -196,12 +208,15 @@ def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
     _require_valid(config, "tw-edge")
     model = config.model()
     values, failures = [], 0
+    min_xx = min_yy = math.inf
     for trial in indices:
         result, retries = _resampled_spectrum(config, config.n, 1, trial)
         values.append(tw_rescale(result, model, config.k_max))
         failures += retries
+        min_xx, min_yy = min(min_xx, result.min_eig_xx), min(min_yy, result.min_eig_yy)
     return EdgeSamples(values=np.array(values), n=config.n, k_max=config.k_max,
-                       law=config.law, seed=config.seed, failures=failures)
+                       law=config.law, seed=config.seed, failures=failures,
+                       min_eig_xx=min_xx, min_eig_yy=min_yy)
 
 
 def _check_failure_budget(failures: int, trials: int) -> None:
@@ -262,6 +277,7 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         kind="tw-edge", params=params, metrics=metrics,
         csv_header=("source", "trial", "k", "value"), csv_rows=rows,
+        checks={"min_eig_xx_min": ccc.min_eig_xx, "min_eig_yy_min": ccc.min_eig_yy},
     )
 
 
@@ -284,6 +300,7 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
     bulk_median, edge_median, profile_p95 = [], [], []
     rows = []
     failures = 0
+    min_xx = min_yy = math.inf
     for i_n, n in enumerate(ns):
         model = config.model(n)
         gamma = classical_locations(model, config.dims(n)[1])
@@ -291,6 +308,7 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
         for trial in range(config.trials):
             result, retries = _resampled_spectrum(config, n, 3, i_n, trial)
             failures += retries
+            min_xx, min_yy = min(min_xx, result.min_eig_xx), min(min_yy, result.min_eig_yy)
             bulk.append(abs(result.eigenvalues[j_star - 1] - gamma[j_star - 1]))
             edge.append(abs(result.eigenvalues[0] - model.lambda_plus))
             prof.append(float(rigidity_profile(result, model).max()))
@@ -325,4 +343,5 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
         kind="rigidity-scaling", params=params, metrics=metrics,
         csv_header=("n", "trial", "fixed_index_dev", "edge_dev", "profile_max"),
         csv_rows=rows,
+        checks={"min_eig_xx_min": min_xx, "min_eig_yy_min": min_yy},
     )

@@ -15,9 +15,10 @@ and for Im z > 0 the resolvent G(z) = H(z)**(-1) exists and collects all
 of the whitened two-channel resolvent blocks at once.
 
 Two routes to G are implemented: a direct dense LU inversion of H, and a
-Schur-complement assembly that builds every block from the SVD of the
-whitened cross matrix without ever forming H**(-1).  Agreement of the
-two routes is an end-to-end check of the block algebra.
+Schur-complement assembly that builds every block from the Cholesky
+whitening of the Gram blocks and its own SVD of the whitened cross
+matrix without ever forming H**(-1).  Agreement of the two routes is an
+end-to-end check of the block algebra.
 
 Both routes check max |H G - I| over all d**2 entries (d = p+q+2n) and
 raise above 1e-6.  The product is formed one coordinate block of rows at
@@ -267,13 +268,16 @@ def resolvent(pair: DataPair, z, regularize: bool = False,
 def blocks_via_schur(pair: DataPair, z) -> ResolventBundle:
     """Assemble G(z) from the whitened SVD without inverting H.
 
-    The data-corner block GL is the two-channel whitened resolvent built
-    from the singular value decomposition of the whitened cross matrix;
-    with D = diag(X, Y) and K the (un-inverted) kernel, the mixed blocks
-    are G[right, left] = -K D' GL and the factor corner is
-    K - K D' G[left, right].  Every product by D is split into its X and Y
-    blocks and written straight into G.  As in resolvent(), identity
-    residuals above 1e-6 raise a conditioning error.
+    The data-corner block GL is the two-channel whitened resolvent.  With
+    the whitened cross matrix M = Wx Sxy Wy' (Wx, Wy the inverse Cholesky
+    factors), this route's own full SVD M = U diag(sv) V', and
+    R1 = U (sv**2 - z)**(-1) U', R2 = V (sv**2 - z)**(-1) V', its blocks
+    are Wx' R1 Wx, -z**(-1/2) Wx' R1 M Wy and Wy' R2 Wy: the same matrices
+    for any whitening W with W S W' = I.  With D = diag(X, Y) and K the
+    (un-inverted) kernel, the mixed blocks are G[right, left] = -K D' GL
+    and the factor corner is K - K D' G[left, right].  Every product by D
+    is split into its X and Y blocks and written straight into G.  As in
+    resolvent(), identity residuals above 1e-6 raise a conditioning error.
     """
     lin = build_H(pair, z)
     z = lin.z
@@ -282,23 +286,23 @@ def blocks_via_schur(pair: DataPair, z) -> ResolventBundle:
     layout = lin.layout
     p, q, n = layout
     wc = whitened_cross(pair)
-    k = len(wc.singular_values)
-    lam_p = np.concatenate([wc.singular_values ** 2, np.zeros(p - k)])
-    lam_q = np.concatenate([wc.singular_values ** 2, np.zeros(q - k)])
+    U, sv, Vt = np.linalg.svd(wc.matrix)
+    k = len(sv)
+    lam_p = np.concatenate([sv ** 2, np.zeros(p - k)])
+    lam_q = np.concatenate([sv ** 2, np.zeros(q - k)])
     if min(np.abs(lam_p - z).min(), np.abs(lam_q - z).min()) < 1e-12:
         raise DomainError(f"z = {z} coincides with a sample eigenvalue")
-    R1 = (wc.U * (1.0 / (lam_p - z))) @ wc.U.T
-    V = wc.Vt.T
-    R2 = (V * (1.0 / (lam_q - z))) @ V.T
+    R1 = (U * (1.0 / (lam_p - z))) @ U.T
+    R2 = (Vt.T * (1.0 / (lam_q - z))) @ Vt
     sz = sqrt_z(z)
-    isx, isy = wc.isqrt_xx, wc.isqrt_yy
+    Wx, Wy = wc.whiten_xx, wc.whiten_yy
     left, right = layout.sl_left, layout.sl_right
     G = np.empty((layout.dim, layout.dim), dtype=complex)
-    G[:p, :p] = isx @ R1 @ isx
-    cross = isx @ R1 @ wc.matrix @ isy
+    G[:p, :p] = Wx.T @ R1 @ Wx
+    cross = Wx.T @ R1 @ wc.matrix @ Wy
     G[:p, p:p + q] = -(1.0 / sz) * cross
     G[p:p + q, :p] = G[:p, p:p + q].T
-    G[p:p + q, p:p + q] = isy @ R2 @ isy
+    G[p:p + q, p:p + q] = Wy.T @ R2 @ Wy
 
     def apply_minus_kernel(cols: slice) -> None:
         # G[right, cols] = -K D' G[left, cols], with D' = diag(X', Y')

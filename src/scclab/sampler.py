@@ -9,10 +9,11 @@ scale t0 = sqrt((beta - 2)/beta) makes the variance exactly one.  The
 fourth-moment tail condition that edge universality needs holds for the
 Pareto family exactly when beta > 4.
 
-Entries are generated by a counter-based generator keyed per
-(seed, matrix, row), so a matrix can be filled row-block by row-block in
-any order, in parallel, and still come out bit-identical for a given
-(dimensions, seed, law) triple.
+Each row is its own counter-based Philox stream under the 128-bit key
+(seed, matrix, row) with a zero counter, so a row does not depend on the
+rows before it or on the matrix height, and a pair is bit-identical for
+a given (dimensions, seed, law) triple.  One bit generator per matrix is
+re-keyed row by row rather than built anew for each row.
 
 The truncation pipeline clips the unit-scale entries at n**(1/2 - c_phi)
 (equivalently: clips the 1/sqrt(n)-scale entries at n**(-c_phi)), zeroing
@@ -132,13 +133,6 @@ def _validate_dims(p: int, q: int, n: int, seed: int):
         raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
-def _row_rng(seed: int, matrix_id: int, row: int) -> np.random.Generator:
-    # 128-bit counter-based key: (seed | matrix | row); rows are independent
-    # streams, so fill order never matters.
-    key = (int(seed) << 64) | (matrix_id << 32) | row
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _draw_row(rng: np.random.Generator, n: int, distribution: str, tail: TailSpec | None):
     if distribution == _GAUSSIAN:
         return rng.standard_normal(n)
@@ -155,10 +149,18 @@ def _draw_row(rng: np.random.Generator, n: int, distribution: str, tail: TailSpe
 
 def _fill_matrix(p: int, n: int, seed: int, matrix_id: int, distribution: str,
                  tail: TailSpec | None) -> np.ndarray:
-    scale = 1.0 / math.sqrt(n)
+    bit_gen = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_gen)
+    key = np.array([0, seed], dtype=np.uint64)      # (low, high) words of the key
+    zeros = np.zeros(4, dtype=np.uint64)
+    fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     out = np.empty((p, n))
     for row in range(p):
-        out[row] = _draw_row(_row_rng(seed, matrix_id, row), n, distribution, tail) * scale
+        key[0] = (matrix_id << 32) | row
+        bit_gen.state = fresh       # copied in: the stream of Philox(key=...) for this row
+        out[row] = _draw_row(rng, n, distribution, tail)
+    out *= 1.0 / math.sqrt(n)
     return out
 
 

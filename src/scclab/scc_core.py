@@ -5,11 +5,20 @@ eigenvalues of
 
     C = Sxx**(-1/2) Sxy Syy**(-1) Syx Sxx**(-1/2),
 
-with Sxx = X X', Syy = Y Y', Sxy = X Y'.  They are computed here from the
-singular values of the whitened cross matrix Sxx**(-1/2) Sxy Syy**(-1/2),
-which keeps everything symmetric and confines the spectrum to [0, 1] up
-to roundoff.  The companion q x q product has the same nonzero spectrum;
-the p x p version carries p - q extra zeros.
+with Sxx = X X', Syy = Y Y', Sxy = X Y'.  They are computed here as the
+squared singular values of the whitened cross matrix Wx Sxy Wy', where
+Wx = Lx**(-1) and Wy = Ly**(-1) are the inverse Cholesky factors
+(Sxx = Lx Lx').  Any whitening W with W S W' = I differs from S**(-1/2)
+by an orthogonal factor on the left, so the singular values are those of
+Sxx**(-1/2) Sxy Syy**(-1/2), and the spectrum stays in [0, 1] up to
+roundoff.  Only the singular values are computed.  The companion q x q
+product has the same nonzero spectrum; the p x p version carries p - q
+extra zeros.
+
+Before whitening, the eigenvalues (values only) of Sxx and Syy are
+checked against a relative floor of 1e-10; a block below it raises
+SingularityError, and the smallest eigenvalues are reported as
+conditioning diagnostics.
 
 Each eigenvalue lambda in (0, 1) is also characterized as a zero of the
 determinant of the linearization matrix H(lambda), which this module
@@ -23,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import inverse_sqrt_psd
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, SingularityError
 from .sampler import DataPair, PairMeta
 from .spectral_model import SpectralModel, classical_locations
 
@@ -40,6 +48,7 @@ __all__ = [
 ]
 
 _CLAMP_TOL = 1e-12
+_SINGULAR_FLOOR = 1e-10
 
 
 def sample_covariances(pair: DataPair):
@@ -49,14 +58,12 @@ def sample_covariances(pair: DataPair):
 
 @dataclass(eq=False)
 class WhitenedCross:
-    """Whitened cross matrix with its SVD and conditioning diagnostics."""
+    """Whitened cross matrix with its singular values and conditioning diagnostics."""
 
-    matrix: np.ndarray          # Sxx**(-1/2) Sxy Syy**(-1/2), p x q
-    isqrt_xx: np.ndarray
-    isqrt_yy: np.ndarray
-    U: np.ndarray               # full p x p left singular vectors
+    matrix: np.ndarray          # Wx Sxy Wy', p x q
+    whiten_xx: np.ndarray       # Wx = Lx**(-1), so Wx Sxx Wx' = I
+    whiten_yy: np.ndarray
     singular_values: np.ndarray
-    Vt: np.ndarray
     min_eig_xx: float
     min_eig_yy: float
 
@@ -66,19 +73,36 @@ class WhitenedCross:
         return self.singular_values ** 2
 
 
+def _whitener(S: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse Cholesky factor of a Gram block and its smallest eigenvalue.
+
+    Raises SingularityError when the smallest eigenvalue falls below
+    1e-10 times the largest, reporting the offending value.
+    """
+    w = np.linalg.eigvalsh(S)
+    w_min, w_max = float(w[0]), float(w[-1])
+    if w_max <= 0 or w_min <= _SINGULAR_FLOOR * w_max:
+        raise SingularityError(
+            f"covariance block numerically singular: min eigenvalue {w_min:.3e} "
+            f"vs max {w_max:.3e} (relative floor {_SINGULAR_FLOOR:.1e})",
+            min_eigenvalue=w_min,
+        )
+    # numpy's inverse rather than scipy's triangular one: scipy's LAPACK
+    # runs on its own BLAS thread pool, and alternating two pools in the
+    # per-trial loop made n = 800 spectra several times slower on 2 threads
+    return np.linalg.inv(np.linalg.cholesky(S)), w_min
+
+
 def whitened_cross(pair: DataPair) -> WhitenedCross:
     Sxx, Syy, Sxy = sample_covariances(pair)
-    isx, min_xx, _ = inverse_sqrt_psd(Sxx)
-    isy, min_yy, _ = inverse_sqrt_psd(Syy)
-    matrix = isx @ Sxy @ isy
-    U, sv, Vt = np.linalg.svd(matrix)
+    Wx, min_xx = _whitener(Sxx)
+    Wy, min_yy = _whitener(Syy)
+    matrix = Wx @ Sxy @ Wy.T
     return WhitenedCross(
         matrix=matrix,
-        isqrt_xx=isx,
-        isqrt_yy=isy,
-        U=U,
-        singular_values=sv,
-        Vt=Vt,
+        whiten_xx=Wx,
+        whiten_yy=Wy,
+        singular_values=np.linalg.svd(matrix, compute_uv=False),
         min_eig_xx=min_xx,
         min_eig_yy=min_yy,
     )

@@ -1,6 +1,7 @@
 """Command line driver: validation, execution, reproducibility, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -261,3 +262,21 @@ class TestMain:
         summary = json.loads((out / "results.json").read_text())
         assert summary["metrics"]["ns"] == [60, 120]
         assert len(summary["metrics"]["bulk_median"]) == 2
+
+    @pytest.mark.parametrize("kind, overrides", [
+        ("tw-edge", ["n=60", "trials=6", "k_max=2"]),
+        ("rigidity-scaling", ["n0=40", "trials=3", "factors=[1,2]"]),
+    ])
+    def test_conditioning_in_manifest_only(self, tmp_path, kind, overrides):
+        args = [kind, "--seed", "3"]
+        for item in overrides:
+            args += ["--override", item]
+        out, rerun = tmp_path / "run", tmp_path / "rerun"
+        assert main(args + ["--out", str(out)]) == 0
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        assert set(checks) == {"min_eig_xx_min", "min_eig_yy_min"}
+        assert all(0.0 < value < math.inf for value in checks.values())
+        assert "checks" not in json.loads((out / "results.json").read_text())
+        assert main(args + ["--out", str(rerun)]) == 0
+        for name in ("results.csv", "results.json"):
+            assert (out / name).read_bytes() == (rerun / name).read_bytes()

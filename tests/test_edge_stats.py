@@ -160,6 +160,17 @@ class TestTwExperiment:
         d = rep.to_json_dict()
         assert set(d) == {"kind", "params", "metrics"}
 
+    def test_conditioning_is_minimum_over_trials(self):
+        cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=5, law="gaussian",
+                               seed=8)
+        rep = tw_experiment(cfg)
+        assert rep.metrics["failures"] == 0
+        spectra = [ccc_eigenvalues(sample_pair("gaussian", 18, 12, 60,
+                                               derived_seed(8, 1, trial, 0)))
+                   for trial in range(5)]
+        assert rep.checks == {"min_eig_xx_min": min(r.min_eig_xx for r in spectra),
+                              "min_eig_yy_min": min(r.min_eig_yy for r in spectra)}
+
     def test_rescaled_statistics_in_range(self):
         # Gaussian data at moderate size: rescaled means land near the
         # reference and the KS distance is already moderate

@@ -77,11 +77,60 @@ class TestSpectrum:
         with pytest.raises(SingularityError):
             ccc_eigenvalues(_pair_from(X, Y))
 
+    def test_near_singular_covariance_rejected_by_eigenvalue_floor(self):
+        # the last row of X repeats the first up to 1e-6, so cond(Sxx) is
+        # about 1e12: Cholesky still factors it, and only the eigenvalue
+        # floor of 1e-10 relative stops it
+        rng = np.random.Generator(np.random.Philox(key=7))
+        X = rng.standard_normal((4, 40)) / np.sqrt(40)
+        X[3] = X[0] + 1e-6 * rng.standard_normal(40) / np.sqrt(40)
+        Y = rng.standard_normal((2, 40)) / np.sqrt(40)
+        Sxx = X @ X.T
+        w = np.linalg.eigvalsh(Sxx)
+        assert 1e11 < w[-1] / w[0] < 1e13
+        np.linalg.cholesky(Sxx)
+        with pytest.raises(SingularityError) as info:
+            ccc_eigenvalues(_pair_from(X, Y))
+        assert info.value.min_eigenvalue == pytest.approx(w[0], rel=1e-3)
+
     def test_conditioning_diagnostics_positive(self, medium_pair):
         res = ccc_eigenvalues(medium_pair)
         assert res.min_eig_xx > 0.0
         assert res.min_eig_yy > 0.0
         assert res.meta is medium_pair.meta
+
+
+def _symmetric_whitening_spectrum(pair):
+    """Oracle: squared singular values of Sxx**(-1/2) Sxy Syy**(-1/2) by eigh."""
+    Sxx, Syy, Sxy = sample_covariances(pair)
+
+    def inverse_sqrt(S):
+        w, V = np.linalg.eigh(S)
+        return (V / np.sqrt(w)) @ V.T, w[0]
+
+    isx, min_xx = inverse_sqrt(Sxx)
+    isy, min_yy = inverse_sqrt(Syy)
+    sv = np.linalg.svd(isx @ Sxy @ isy, compute_uv=False)
+    return sv ** 2, min_xx, min_yy
+
+
+class TestSpectrumOracle:
+    @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
+    def test_matches_symmetric_whitening(self, name, request):
+        pair = request.getfixturevalue(name)
+        lam, min_xx, min_yy = _symmetric_whitening_spectrum(pair)
+        res = ccc_eigenvalues(pair)
+        assert np.max(np.abs(res.eigenvalues - lam)) < 1e-12
+        assert res.min_eig_xx == pytest.approx(min_xx, rel=1e-12)
+        assert res.min_eig_yy == pytest.approx(min_yy, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
+    def test_whiteners_whiten(self, name, request):
+        pair = request.getfixturevalue(name)
+        Sxx, Syy, _ = sample_covariances(pair)
+        wc = whitened_cross(pair)
+        assert np.max(np.abs(wc.whiten_xx @ Sxx @ wc.whiten_xx.T - np.eye(pair.p))) < 1e-12
+        assert np.max(np.abs(wc.whiten_yy @ Syy @ wc.whiten_yy.T - np.eye(pair.q))) < 1e-12
 
 
 class TestDetCharacterization:
