@@ -18,7 +18,6 @@ from .errors import (
 from .spectral_model import (
     PiDescriptor,
     SpectralModel,
-    SpectralParameter,
     StieltjesQuadruple,
     classical_location,
     classical_locations,
@@ -27,7 +26,6 @@ from .spectral_model import (
     pi_limit,
     psi_control,
     sc_residuals,
-    solve_m3,
     stieltjes,
     support_edges,
     support_mass,
@@ -36,8 +34,6 @@ from .sampler import (
     DataPair,
     PairMeta,
     TailSpec,
-    dump_pair,
-    load_pair,
     sample_bounded,
     sample_gaussian,
     sample_heavy_tail,
@@ -79,13 +75,13 @@ from .edge_stats import (
 __all__ = [
     "__version__",
     "ScclabError", "ParameterError", "DomainError", "NumericalError", "SingularityError",
-    "SpectralModel", "SpectralParameter", "StieltjesQuadruple", "PiDescriptor",
+    "SpectralModel", "StieltjesQuadruple", "PiDescriptor",
     "make_model", "support_edges", "density", "support_mass",
     "classical_location", "classical_locations", "stieltjes", "sc_residuals",
-    "solve_m3", "pi_limit", "psi_control",
+    "pi_limit", "psi_control",
     "DataPair", "PairMeta", "TailSpec",
     "sample_gaussian", "sample_bounded", "sample_heavy_tail",
-    "truncate_center_rescale", "dump_pair", "load_pair",
+    "truncate_center_rescale",
     "SpectrumResult", "WhitenedCross",
     "sample_covariances", "whitened_cross", "ccc_eigenvalues",
     "det_characterization_residual", "rigidity_profile", "write_spectrum_csv",

@@ -79,12 +79,6 @@ class IndexLayout(NamedTuple):
         return (self.sl1, self.sl2, self.sl3, self.sl4)[alpha - 1]
 
 
-def kernel_2x2(z: complex) -> np.ndarray:
-    """The 2x2 coupling kernel [[z, z^(1/2)], [z^(1/2), z]]."""
-    sz = sqrt_z(z)
-    return np.array([[z, sz], [sz, z]])
-
-
 def kernel_inverse_2x2(z: complex) -> np.ndarray:
     """Closed-form inverse of the coupling kernel.
 

@@ -261,12 +261,6 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 
-    violations = validate(config)
-    if violations:
-        for item in violations:
-            print(f"validation error: {item}", file=sys.stderr)
-        return 2
-
     out_dir = args.out if args.out is not None else Path(f"out-{config.kind}")
     try:
         summary = run(config, out_dir)

@@ -42,7 +42,7 @@ precision self-tests of any computed G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-6
-_DEFAULT_REG_EXPONENT = 10
 
 
 def _real_times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -83,17 +82,14 @@ def _real_times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class LinearizationMatrix:
     """H(z) held by its blocks: the data matrices and the kernel inverse.
 
-    data_shift is subtracted from the diagonal of the (p+q) data corner
-    (the regularized direct route).  ``matrix`` builds the dense d x d
-    array on first use, for the LU and SVD callers; ``row_blocks``
-    multiplies by H without forming it.
+    ``matrix`` builds the dense d x d array on first use, for the LU and
+    SVD callers; ``row_blocks`` multiplies by H without forming it.
     """
 
     X: np.ndarray
     Y: np.ndarray
     z: complex
     layout: IndexLayout
-    data_shift: complex = 0j
 
     @property
     def dim(self) -> int:
@@ -123,9 +119,6 @@ class LinearizationMatrix:
         H[layout.sl2, layout.sl4] = self.Y
         H[layout.sl3, layout.sl1] = self.X.T
         H[layout.sl4, layout.sl2] = self.Y.T
-        if self.data_shift:
-            data = np.arange(off)
-            H[data, data] = -self._entry(self.data_shift)
         idx = off + np.arange(n)
         diag, cross = self.kernel_inverse
         H[idx, idx] = diag
@@ -143,13 +136,8 @@ class LinearizationMatrix:
         layout = self.layout
         G1, G2, G3, G4 = (G[layout.block_slice(a)] for a in (1, 2, 3, 4))
         diag, cross = self.kernel_inverse
-        shift = self._entry(self.data_shift)
-        for rows, data, Gdata, Gfactor in ((layout.sl1, self.X, G1, G3),
-                                           (layout.sl2, self.Y, G2, G4)):
-            block = _real_times(data, Gfactor)
-            if shift:
-                block -= shift * Gdata
-            yield rows, block
+        yield layout.sl1, _real_times(self.X, G3)
+        yield layout.sl2, _real_times(self.Y, G4)
         for rows, data, Gdata, own, other in ((layout.sl3, self.X, G1, G3, G4),
                                               (layout.sl4, self.Y, G2, G4, G3)):
             block = _real_times(data.T, Gdata)
@@ -190,7 +178,6 @@ class ResolventBundle:
     m4: complex
     m: complex
     identity_residual: float
-    regularized: bool = False
     route: str = "direct"
 
     @property
@@ -237,20 +224,15 @@ def _enforce_residual(residual: float, z: complex) -> float:
     return residual
 
 
-def resolvent(pair: DataPair, z, regularize: bool = False,
-              reg_exponent: int = _DEFAULT_REG_EXPONENT) -> ResolventBundle:
+def resolvent(pair: DataPair, z) -> ResolventBundle:
     """G(z) by dense LU inversion of H(z).
 
-    With regularize=True the data-block diagonal is shifted by
-    -z n**(-reg_exponent) before inversion, which keeps H invertible at
-    real z where the unregularized determinant vanishes.  The recorded
-    identity residual is measured against the matrix actually inverted;
-    residuals above 1e-6 raise a conditioning error.
+    A singular H, as at a real z where det H vanishes (a squared sample
+    canonical correlation), and identity residuals above 1e-6 raise a
+    NumericalError.
     """
     lin = build_H(pair, z)
     layout = lin.layout
-    if regularize:
-        lin = replace(lin, data_shift=lin.z * layout.n ** (-float(reg_exponent)))
     try:
         G = np.linalg.inv(lin.matrix)
     except np.linalg.LinAlgError as exc:
@@ -261,7 +243,7 @@ def resolvent(pair: DataPair, z, regularize: bool = False,
     m = complex(np.trace(G[layout.sl2, layout.sl2] @ Syy)) / layout.q
     return ResolventBundle(
         G=G, z=lin.z, layout=layout, m1=m1, m2=m2, m3=m3, m4=m4, m=m,
-        identity_residual=residual, regularized=regularize, route="direct",
+        identity_residual=residual, route="direct",
     )
 
 
@@ -325,7 +307,7 @@ def blocks_via_schur(pair: DataPair, z) -> ResolventBundle:
     m = complex(np.mean(1.0 / (lam_q - z)))
     return ResolventBundle(
         G=G, z=z, layout=layout, m1=m1, m2=m2, m3=m3, m4=m4, m=m,
-        identity_residual=residual, regularized=False, route="schur",
+        identity_residual=residual, route="schur",
     )
 
 

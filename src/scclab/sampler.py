@@ -26,7 +26,6 @@ n**(-c_phi).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,13 +41,7 @@ __all__ = [
     "sample_bounded",
     "sample_heavy_tail",
     "truncate_center_rescale",
-    "dump_pair",
-    "load_pair",
 ]
-
-_MAGIC = b"SCCPAIR1"
-_VERSION = 1
-_HEADER = struct.Struct("<8sIIIIQ16sddd")
 
 _GAUSSIAN = "gaussian"
 _RADEMACHER = "rademacher"
@@ -199,10 +192,8 @@ def sample_heavy_tail(p: int, q: int, n: int, seed: int, beta: float) -> DataPai
 def _truncated_moments(distribution: str, threshold: float, beta: float | None):
     """Exact mean and standard deviation of u * 1{|u| <= threshold}.
 
-    Returns None when no analytic formula is wired up for the tag, in
-    which case the caller falls back to pooled empirical estimates.  All
-    built-in laws are symmetric, so the mean is 0 and only the clipped
-    second moment needs care.
+    Every law in LAWS is symmetric, so the mean is 0 and only the clipped
+    second moment needs care; any other tag is rejected.
     """
     T = threshold
     if distribution == _GAUSSIAN:
@@ -220,7 +211,9 @@ def _truncated_moments(distribution: str, threshold: float, beta: float | None):
             return 0.0, 0.0
         var = 1.0 - beta * t0 ** beta * T ** (2.0 - beta) / (beta - 2.0)
         return 0.0, math.sqrt(max(var, 0.0))
-    return None
+    raise ParameterError(
+        f"no truncated moments for distribution {distribution!r}; known laws: {LAWS}"
+    )
 
 
 def truncate_center_rescale(pair: DataPair, c_phi: float) -> DataPair:
@@ -228,87 +221,26 @@ def truncate_center_rescale(pair: DataPair, c_phi: float) -> DataPair:
 
     Works on the unit-variance scale: u = sqrt(n) x is zeroed where
     |u| > n**(1/2 - c_phi), standardized by the exact moments of the
-    clipped base law (pooled empirical moments when no formula is
-    available), and scaled back by 1/sqrt(n).
+    clipped base law, and scaled back by 1/sqrt(n).
     """
     if not (0.0 < c_phi < 0.5):
         raise ParameterError(f"truncation exponent must satisfy 0 < c_phi < 1/2, got {c_phi}")
     n = pair.n
     threshold = n ** (0.5 - c_phi)
     sqrt_n = math.sqrt(n)
-
-    moments = _truncated_moments(pair.meta.distribution, threshold, pair.meta.beta)
+    mean, std = _truncated_moments(pair.meta.distribution, threshold, pair.meta.beta)
+    if std <= 0.0:
+        raise ParameterError(
+            f"truncation at level {threshold:.3e} removes all mass of "
+            f"{pair.meta.distribution!r}: degenerate scale"
+        )
 
     def transform(M: np.ndarray) -> np.ndarray:
         u = M * sqrt_n
         clipped = np.where(np.abs(u) <= threshold, u, 0.0)
-        if moments is not None:
-            mean, std = moments
-        else:
-            mean, std = float(clipped.mean()), float(clipped.std())
-        if std <= 0.0:
-            raise ParameterError(
-                f"truncation at level {threshold:.3e} removes all mass of "
-                f"{pair.meta.distribution!r}: degenerate scale"
-            )
         return (clipped - mean) / (std * sqrt_n)
 
     X = transform(pair.X)
     Y = transform(pair.Y)
-    if moments is not None:
-        _, std = moments
-        support = (threshold + 0.0) / (std * sqrt_n)
-    else:
-        support = float(max(np.abs(X).max(), np.abs(Y).max()))
-    meta = replace(pair.meta, phi_n=support, c_phi=c_phi)
-    return DataPair(X=X, Y=Y, meta=meta)
-
-
-def dump_pair(pair: DataPair, path) -> None:
-    """Write the pair as a flat binary: fixed header then X and Y row-major float64."""
-    law = pair.meta.distribution.encode()
-    if len(law) > 16:
-        raise ParameterError(f"distribution tag too long to serialize: {pair.meta.distribution!r}")
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        pair.p,
-        pair.q,
-        pair.n,
-        pair.meta.seed,
-        law.ljust(16, b"\x00"),
-        math.nan if pair.meta.phi_n is None else pair.meta.phi_n,
-        math.nan if pair.meta.beta is None else pair.meta.beta,
-        math.nan if pair.meta.c_phi is None else pair.meta.c_phi,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(pair.X, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(pair.Y, dtype="<f8").tobytes())
-
-
-def load_pair(path) -> DataPair:
-    """Read a pair written by dump_pair, validating magic and version."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ParameterError(f"file {path} too short to hold a pair header")
-    magic, version, p, q, n, seed, law, phi_n, beta, c_phi = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ParameterError(f"bad magic in {path}: {magic!r}")
-    if version != _VERSION:
-        raise ParameterError(f"unsupported pair format version {version}")
-    expected = _HEADER.size + 8 * (p * n + q * n)
-    if len(raw) != expected:
-        raise ParameterError(f"file {path} has {len(raw)} bytes, expected {expected}")
-    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    X = body[: p * n].reshape(p, n).copy()
-    Y = body[p * n:].reshape(q, n).copy()
-    meta = PairMeta(
-        distribution=law.rstrip(b"\x00").decode(),
-        seed=seed,
-        phi_n=None if math.isnan(phi_n) else phi_n,
-        beta=None if math.isnan(beta) else beta,
-        c_phi=None if math.isnan(c_phi) else c_phi,
-    )
+    meta = replace(pair.meta, phi_n=threshold / (std * sqrt_n), c_phi=c_phi)
     return DataPair(X=X, Y=Y, meta=meta)

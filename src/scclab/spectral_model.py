@@ -11,12 +11,14 @@ and density
 
     f(x) = sqrt((lambda_plus - x)(x - lambda_minus)) / (2 pi c2 x (1 - x)).
 
-This module evaluates that density, its upper-tail quantiles (the
-classical eigenvalue locations, inverted from the closed-form tail mass
-below), the four partial Stieltjes transforms of
-the linearized resolvent together with the off-diagonal limit h, the
-block-constant limiting matrix built from them, and the fluctuation
-control parameter used to benchmark finite-n resolvent errors.
+This module evaluates that density and its total mass, its upper-tail
+quantiles (the classical eigenvalue locations, inverted from the
+closed-form tail mass below), the four partial Stieltjes transforms of
+the linearized resolvent together with the off-diagonal limit h and the
+residuals of their self-consistency relations, a descriptor of the
+block-constant limit matrix that is subtracted from a resolvent in place
+rather than formed densely, and the fluctuation control parameter used
+to benchmark finite-n resolvent errors.
 
 With x = a + r cos(theta), a = (lambda_minus + lambda_plus)/2 and
 r = (lambda_plus - lambda_minus)/2, the mass above x(theta) is, exactly,
@@ -56,7 +58,6 @@ from .errors import DomainError, NumericalError, ParameterError
 
 __all__ = [
     "SpectralModel",
-    "SpectralParameter",
     "StieltjesQuadruple",
     "PiDescriptor",
     "support_edges",
@@ -67,7 +68,6 @@ __all__ = [
     "classical_locations",
     "stieltjes",
     "sc_residuals",
-    "solve_m3",
     "pi_limit",
     "psi_control",
 ]
@@ -139,26 +139,6 @@ def make_model(c1: float, c2: float) -> SpectralModel:
 
 
 @dataclass(frozen=True)
-class SpectralParameter:
-    """A spectral argument z = E + i eta with its distance to the edges."""
-
-    z: complex
-    E: float
-    eta: float
-    kappa: float
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ParameterError(f"spectral parameter requires eta > 0, got eta={self.eta}")
-
-    @classmethod
-    def make(cls, model: SpectralModel, z: complex) -> "SpectralParameter":
-        z = complex(z)
-        kappa = min(abs(z.real - model.lambda_minus), abs(z.real - model.lambda_plus))
-        return cls(z=z, E=z.real, eta=z.imag, kappa=kappa)
-
-
-@dataclass(frozen=True)
 class StieltjesQuadruple:
     """The four partial transforms, the off-diagonal limit h, and m.
 
@@ -173,12 +153,6 @@ class StieltjesQuadruple:
     m4: complex
     h: complex
     m: complex
-
-
-def _as_complex(z) -> complex:
-    if isinstance(z, SpectralParameter):
-        return complex(z.z)
-    return complex(z)
 
 
 def _edge_sqrt(model: SpectralModel, z: complex) -> complex:
@@ -322,7 +296,7 @@ def stieltjes(model: SpectralModel, z) -> StieltjesQuadruple:
     with m3(1) = m4(1) = h(1) = 1 - c1 - c2.
     """
     c1, c2 = model.c1, model.c2
-    z = _as_complex(z)
+    z = complex(z)
     if z.imag < 0:
         raise DomainError(f"z = {z} lies below the real axis")
     if z.imag == 0:
@@ -357,7 +331,7 @@ def sc_residuals(model: SpectralModel, quad: StieltjesQuadruple, z) -> np.ndarra
     expressing m3 through (m1, m2), and the closed quadratic in m3.
     """
     c1, c2 = model.c1, model.c2
-    z = _as_complex(z)
+    z = complex(z)
     m1, m2, m3, m4 = quad.m1, quad.m2, quad.m3, quad.m4
     r = np.empty(5)
     r[0] = abs(m1 + c1 / m3)
@@ -368,38 +342,12 @@ def sc_residuals(model: SpectralModel, quad: StieltjesQuadruple, z) -> np.ndarra
     return r
 
 
-def solve_m3(model: SpectralModel, z) -> complex:
-    """Solve the closed quadratic for m3 and pick the upper-half-plane root.
-
-    The quadratic is m3**2 + b m3 + c = 0 with b = (2 c1 - 1) z - c1 + c2
-    and c = c1 (c1 - 1) z (z - 1).  Its discriminant factors exactly as
-    (z - lambda_minus)(z - lambda_plus); that identity is asserted here
-    before the root with nonnegative imaginary part is returned.
-    """
-    c1, c2 = model.c1, model.c2
-    z = _as_complex(z)
-    b = (2.0 * c1 - 1.0) * z - c1 + c2
-    c = c1 * (c1 - 1.0) * z * (z - 1.0)
-    disc = b * b - 4.0 * c
-    factored = (z - model.lambda_minus) * (z - model.lambda_plus)
-    scale = max(1.0, abs(disc), abs(factored))
-    if abs(disc - factored) > 1e-10 * scale:
-        raise NumericalError(
-            f"discriminant mismatch at z={z}: {disc} vs edge product {factored}",
-            achieved=abs(disc - factored),
-        )
-    s = _edge_sqrt(model, z) if z.imag == 0 else sqrt_upper(disc)
-    root = 0.5 * (-b + s)
-    if z.imag > 0 and root.imag < -1e-12:
-        raise NumericalError(f"selected root has negative imaginary part at z={z}")
-    return root
-
-
 @dataclass(eq=False)
 class PiDescriptor:
     """Block-constant limit of the linearized resolvent at one z.
 
-    The matrix is diagonal except on the paired coordinates (mu, mu + n)
+    Held by its distinct values, never as a dense d x d array.  The
+    matrix is diagonal except on the paired coordinates (mu, mu + n)
     of the two factor blocks, where the off-diagonal value is h.  The
     diagonal values are m1/c1 on the first p coordinates, m2/c2 on the
     next q, then m3 and m4 on the two n-blocks.
@@ -412,28 +360,13 @@ class PiDescriptor:
     diag1: complex
     diag2: complex
     kernel: np.ndarray
-    kernel_inverse: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.p + self.q + 2 * self.n
 
-    def dense(self) -> np.ndarray:
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        idx = np.arange(self.n)
-        off = self.p + self.q
-        out[np.arange(self.p), np.arange(self.p)] = self.diag1
-        rng_q = np.arange(self.p, off)
-        out[rng_q, rng_q] = self.diag2
-        out[off + idx, off + idx] = self.kernel[0, 0]
-        out[off + self.n + idx, off + self.n + idx] = self.kernel[1, 1]
-        out[off + idx, off + self.n + idx] = self.kernel[0, 1]
-        out[off + self.n + idx, off + idx] = self.kernel[1, 0]
-        return out
-
     def subtract_from(self, G: np.ndarray) -> None:
-        """G -= dense(), in place, touching only the nonzero entries of the limit."""
+        """G -= the limit matrix, in place, touching only its nonzero entries."""
         if G.shape != (self.dim, self.dim):
             raise ParameterError(f"G has shape {G.shape}, expected {(self.dim, self.dim)}")
         off = self.p + self.q
@@ -458,16 +391,9 @@ def pi_limit(model: SpectralModel, z, p: int, q: int, n: int) -> PiDescriptor:
             f"dimensions (p={p}, q={q}, n={n}) inconsistent with model ratios "
             f"({model.c1}, {model.c2})"
         )
-    z = _as_complex(z)
+    z = complex(z)
     quad = stieltjes(model, z)
     kernel = np.array([[quad.m3, quad.h], [quad.h, quad.m4]])
-    sz = sqrt_z(z)
-    kernel_inverse = (1.0 / (z - 1.0)) * np.array(
-        [
-            [1.0 - (z - 1.0) * quad.m1, -1.0 / sz],
-            [-1.0 / sz, 1.0 - (z - 1.0) * quad.m2],
-        ]
-    )
     return PiDescriptor(
         z=z,
         p=p,
@@ -476,13 +402,12 @@ def pi_limit(model: SpectralModel, z, p: int, q: int, n: int) -> PiDescriptor:
         diag1=quad.m1 / model.c1,
         diag2=quad.m2 / model.c2,
         kernel=kernel,
-        kernel_inverse=kernel_inverse,
     )
 
 
 def psi_control(model: SpectralModel, z, n: int) -> float:
     """Fluctuation control parameter sqrt(Im m / (n eta)) + 1/(n eta)."""
-    zc = _as_complex(z)
+    zc = complex(z)
     if zc.imag <= 0:
         raise DomainError(f"control parameter needs Im z > 0, got z = {zc}")
     quad = stieltjes(model, zc)

@@ -1,0 +1,72 @@
+"""Independent reference routes that only the tests need.
+
+Each one recomputes, by a different or more explicit path, an object the
+library evaluates in a leaner form: the m3 root of the closed quadratic,
+the dense block-constant limit matrix, the inverse of its 2x2 kernel, and
+the un-inverted coupling kernel of the linearization.
+"""
+
+import numpy as np
+
+from scclab import NumericalError, SpectralModel, stieltjes
+from scclab._linalg import sqrt_upper, sqrt_z
+from scclab.spectral_model import PiDescriptor, _edge_sqrt
+
+
+def solve_m3(model: SpectralModel, z) -> complex:
+    """Solve the closed quadratic for m3 and pick the upper-half-plane root.
+
+    The quadratic is m3**2 + b m3 + c = 0 with b = (2 c1 - 1) z - c1 + c2
+    and c = c1 (c1 - 1) z (z - 1).  Its discriminant factors exactly as
+    (z - lambda_minus)(z - lambda_plus); that identity is asserted here
+    before the root with nonnegative imaginary part is returned.
+    """
+    c1, c2 = model.c1, model.c2
+    z = complex(z)
+    b = (2.0 * c1 - 1.0) * z - c1 + c2
+    c = c1 * (c1 - 1.0) * z * (z - 1.0)
+    disc = b * b - 4.0 * c
+    factored = (z - model.lambda_minus) * (z - model.lambda_plus)
+    scale = max(1.0, abs(disc), abs(factored))
+    if abs(disc - factored) > 1e-10 * scale:
+        raise NumericalError(
+            f"discriminant mismatch at z={z}: {disc} vs edge product {factored}",
+            achieved=abs(disc - factored),
+        )
+    s = _edge_sqrt(model, z) if z.imag == 0 else sqrt_upper(disc)
+    root = 0.5 * (-b + s)
+    if z.imag > 0 and root.imag < -1e-12:
+        raise NumericalError(f"selected root has negative imaginary part at z={z}")
+    return root
+
+
+def pi_dense(desc: PiDescriptor) -> np.ndarray:
+    """The block-constant limit matrix of a descriptor as a dense d x d array."""
+    out = np.zeros((desc.dim, desc.dim), dtype=complex)
+    off = desc.p + desc.q
+    data = np.arange(off)
+    idx = off + np.arange(desc.n)
+    out[data[: desc.p], data[: desc.p]] = desc.diag1
+    out[data[desc.p:], data[desc.p:]] = desc.diag2
+    out[idx, idx] = desc.kernel[0, 0]
+    out[desc.n + idx, desc.n + idx] = desc.kernel[1, 1]
+    out[idx, desc.n + idx] = desc.kernel[0, 1]
+    out[desc.n + idx, idx] = desc.kernel[1, 0]
+    return out
+
+
+def pi_kernel_inverse(model: SpectralModel, z) -> np.ndarray:
+    """Closed-form inverse of the limit's 2x2 kernel [[m3, h], [h, m4]] at z."""
+    z = complex(z)
+    quad = stieltjes(model, z)
+    sz = sqrt_z(z)
+    return (1.0 / (z - 1.0)) * np.array([
+        [1.0 - (z - 1.0) * quad.m1, -1.0 / sz],
+        [-1.0 / sz, 1.0 - (z - 1.0) * quad.m2],
+    ])
+
+
+def kernel_2x2(z: complex) -> np.ndarray:
+    """The 2x2 coupling kernel [[z, z^(1/2)], [z^(1/2), z]]."""
+    sz = sqrt_z(z)
+    return np.array([[z, sz], [sz, z]])

@@ -1,0 +1,20 @@
+"""Every exported name resolves.
+
+The benchmark tracer calls getattr(module, name) on each __all__ entry of
+the layer modules, so a stale entry would break every traced run.
+"""
+
+import importlib
+
+import pytest
+
+LAYERS = ("sampler", "scc_core", "spectral_model", "linearized_resolvent", "edge_stats")
+
+
+@pytest.mark.parametrize("module_name", ["scclab"] + [f"scclab.{layer}" for layer in LAYERS])
+def test_all_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)
+

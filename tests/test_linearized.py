@@ -1,7 +1,5 @@
 """Linearization matrix, resolvent routes, and finite-size deviation reports."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,8 @@ from scclab import (
     stieltjes,
 )
 from scclab import linearized_resolvent
-from scclab._linalg import kernel_2x2, kernel_inverse_2x2
+from scclab._linalg import kernel_inverse_2x2
+from oracles import kernel_2x2, pi_dense
 
 Z_POINTS = [complex(0.3, 0.5), complex(0.7, 0.1), complex(0.5, 1.0),
             complex(0.9, 0.05), complex(0.1, 0.3)]
@@ -123,38 +122,23 @@ class TestResolventRoutes:
         assert info.value.achieved == 1e-3
 
     @pytest.mark.parametrize("pair_name", ["small_pair", "medium_pair"])
-    @pytest.mark.parametrize("route,z,reg_exponent", [
-        ("direct", 0.37, None),
-        ("direct", complex(0.3, 0.5), None),
-        ("schur", complex(0.3, 0.5), None),
-        ("schur", complex(0.7, 0.1), None),
-        ("direct", complex(0.7, 0.1), 4),
-        ("direct", "sample eigenvalue", 4),
+    @pytest.mark.parametrize("route,z", [
+        ("direct", 0.37),
+        ("direct", complex(0.3, 0.5)),
+        ("schur", complex(0.3, 0.5)),
+        ("schur", complex(0.7, 0.1)),
     ])
-    def test_identity_residual_matches_dense_product(self, request, pair_name,
-                                                     route, z, reg_exponent):
+    def test_identity_residual_matches_dense_product(self, request, pair_name, route, z):
         # the blockwise residual is max |H G - I| over every entry, so it
         # equals the dense product's value up to the rounding of the sums,
         # i.e. relative to the size of the summed terms |H| |G|
         pair = request.getfixturevalue(pair_name)
-        if z == "sample eigenvalue":
-            z = float(ccc_eigenvalues(pair).eigenvalues[3])
-        if route == "schur":
-            bundle = blocks_via_schur(pair, z)
-        else:
-            bundle = resolvent(pair, z, regularize=reg_exponent is not None,
-                               reg_exponent=reg_exponent or 10)
-        H = build_H(pair, z).matrix.copy()
-        if reg_exponent is not None:
-            shift = complex(z) * pair.n ** -float(reg_exponent)
-            d_idx = np.arange(pair.p + pair.q)
-            H[d_idx, d_idx] -= shift if H.dtype == complex else shift.real
+        bundle = (blocks_via_schur if route == "schur" else resolvent)(pair, z)
+        lin = build_H(pair, z)
+        H = lin.matrix
         scale = (np.abs(H) @ np.abs(bundle.G)).max()
         wrong = bundle.G.copy()
         wrong[pair.p + pair.q:] *= 1.001      # a visibly wrong inverse
-        lin = build_H(pair, z)
-        if reg_exponent is not None:
-            lin = dataclasses.replace(lin, data_shift=shift)
         for G in (bundle.G, wrong):
             dense = np.abs(H @ G - np.eye(len(H))).max()
             structured = linearized_resolvent._identity_residual(lin, G)
@@ -162,6 +146,13 @@ class TestResolventRoutes:
         assert bundle.identity_residual == linearized_resolvent._identity_residual(
             lin, bundle.G)
         assert linearized_resolvent._identity_residual(lin, wrong) > 1e-6
+
+    def test_direct_rejects_sample_eigenvalue(self, small_pair):
+        # det H vanishes at a squared sample correlation, so the plain
+        # inversion must fail its conditioning check there
+        lam = float(ccc_eigenvalues(small_pair).eigenvalues[3])
+        with pytest.raises(NumericalError):
+            resolvent(small_pair, lam)
 
     def test_schur_rejects_sample_eigenvalue(self, small_pair):
         lam = float(ccc_eigenvalues(small_pair).eigenvalues[4])
@@ -175,34 +166,6 @@ class TestResolventRoutes:
             b = resolvent(small_pair, z)
             direct = np.mean(1.0 / (lam - b.z))
             assert abs(b.m - direct) < 1e-8
-
-
-class TestRegularization:
-    def test_inert_away_from_spectrum(self, small_pair):
-        z = complex(0.45, 0.2)
-        plain = resolvent(small_pair, z)
-        reg = resolvent(small_pair, z, regularize=True, reg_exponent=10)
-        assert reg.regularized
-        assert np.abs(reg.G - plain.G).max() < 1e-8
-
-    def test_measurable_at_low_exponent(self, small_pair):
-        # exponent 4 shifts by n**(-4), visible but within the first-order
-        # perturbation bound |shift| ||G||**2
-        z = complex(0.45, 0.2)
-        plain = resolvent(small_pair, z)
-        reg = resolvent(small_pair, z, regularize=True, reg_exponent=4)
-        diff = np.abs(reg.G - plain.G).max()
-        bound = abs(z) * small_pair.n ** -4.0 * np.linalg.norm(plain.G, 2) ** 2
-        assert 0.0 < diff <= bound
-
-    def test_rescues_singular_real_point(self, small_pair):
-        # at a squared sample correlation the plain inversion fails while
-        # a large enough shift restores invertibility
-        lam = float(ccc_eigenvalues(small_pair).eigenvalues[3])
-        with pytest.raises(NumericalError):
-            resolvent(small_pair, lam)
-        bundle = resolvent(small_pair, lam, regularize=True, reg_exponent=4)
-        assert bundle.identity_residual < 1e-6
 
 
 class TestResolventBounds:
@@ -281,7 +244,7 @@ class TestLocalLawReport:
         z = complex(0.5, 0.4)
         rep = local_law_errors(pair, model, z, route=route)
         bundle = (blocks_via_schur if route == "schur" else resolvent)(pair, z)
-        diff = bundle.G - pi_limit(model, z, pair.p, pair.q, pair.n).dense()
+        diff = bundle.G - pi_dense(pi_limit(model, z, pair.p, pair.q, pair.n))
         layout = bundle.layout
         assert rep.entrywise_err == pytest.approx(np.abs(diff).max(), rel=1e-12)
         vectors = linearized_resolvent._test_vectors(layout, 24, 0)
@@ -303,6 +266,6 @@ class TestLocalLawReport:
         rep = local_law_errors(medium_pair, model, z)
         bundle = blocks_via_schur(medium_pair, z)
         pi = pi_limit(model, z, medium_pair.p, medium_pair.q, medium_pair.n)
-        op = np.linalg.norm(bundle.G - pi.dense(), 2)
+        op = np.linalg.norm(bundle.G - pi_dense(pi), 2)
         assert rep.aniso_err <= op * (1.0 + 1e-12)
         assert rep.entrywise_err <= op * (1.0 + 1e-12)

