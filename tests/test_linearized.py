@@ -125,6 +125,8 @@ class TestResolventRoutes:
     @pytest.mark.parametrize("route,z", [
         ("direct", 0.37),
         ("direct", complex(0.3, 0.5)),
+        ("direct", complex(0.7, 0.1)),
+        ("schur", 0.37),
         ("schur", complex(0.3, 0.5)),
         ("schur", complex(0.7, 0.1)),
     ])
