@@ -17,12 +17,14 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import shutil
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import KINDS, ExperimentConfig, build_config, validate
@@ -172,12 +174,29 @@ _RUNNERS = {
 }
 
 
+def _environment() -> dict:
+    """Library versions, BLAS build and thread settings of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version")},
+        "cpu_count": os.cpu_count(),
+        "threads": {key: value for key, value in sorted(os.environ.items())
+                    if key.endswith("_NUM_THREADS")},
+    }
+
+
 def run(config: ExperimentConfig, out_dir) -> dict:
     """Validate, execute, and write results plus manifest.  Returns a summary.
 
     A runner may return its self-check residuals or conditioning under
-    "checks"; they go to the manifest only, so results.* stay a function
-    of the config.
+    "checks"; they go to the manifest only, as does the "environment"
+    (library versions, BLAS, CPU count, *_NUM_THREADS settings), so
+    results.* stay a function of the config.
     """
     violations = validate(config)
     if violations:
@@ -200,6 +219,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         "code_version": __version__,
         "seed": config.seed,
         "timings": {"total_s": elapsed},
+        "environment": _environment(),
         "outputs": ["results.csv", "results.json"],
     }
     if checks is not None:

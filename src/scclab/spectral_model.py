@@ -12,7 +12,7 @@ and density
     f(x) = sqrt((lambda_plus - x)(x - lambda_minus)) / (2 pi c2 x (1 - x)).
 
 This module evaluates that density and its total mass, its upper-tail
-quantiles (the classical eigenvalue locations, inverted from the
+quantiles (the classical eigenvalue locations, found by bisection on the
 closed-form tail mass below), the four partial Stieltjes transforms of
 the linearized resolvent together with the off-diagonal limit h and the
 residuals of their self-consistency relations, a descriptor of the
@@ -34,8 +34,14 @@ sin(phi)**2 / (A + B cos(phi)) in closed form; the sin(theta) terms of
 the two pieces cancel, and sqrt(lambda_minus lambda_plus) = c1 - c2 and
 sqrt((1 - lambda_minus)(1 - lambda_plus)) = 1 - c1 - c2 make T(pi) = 1.
 At c1 = c2 (so lambda_minus = 0) the first arctangent carries a zero
-coefficient and needs no branch of its own.  Adaptive quadrature of the
-density stays as the independent route behind support_mass.
+coefficient and needs no branch of its own.
+
+T is increasing in theta, so the classical locations come from one
+vectorized bisection in theta over all targets at once: 48 halvings of
+[0, pi] leave a bracket of pi / 2**48 ~ 1.1e-14, and |dx/dtheta| =
+r sin(theta) < 1 keeps x as close.  It needs no root-finding library.
+Adaptive quadrature of the density stays as the independent route behind
+support_mass; scipy.integrate is imported only when that route runs.
 
 All square roots of spectral arguments are taken on the branch with
 nonnegative imaginary part.  On the real axis outside the support the
@@ -51,7 +57,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from ._linalg import sqrt_upper, sqrt_z
 from .errors import DomainError, NumericalError, ParameterError
@@ -75,8 +80,8 @@ __all__ = [
 # quadrature accuracy contract for tail masses
 _QUAD_TOL = 1e-12
 _QUAD_CHECK = 1e-9
-# root tolerance in theta; |dx/dtheta| = r sin(theta) < 1 keeps x within 1e-10
-_THETA_TOL = 1e-12
+# halvings of [0, pi] in theta behind classical_location
+_BISECTIONS = 48
 
 
 def support_edges(c1: float, c2: float) -> tuple[float, float]:
@@ -194,6 +199,9 @@ def density(model: SpectralModel, x):
 
 
 def _quad_checked(fun, a, b, what):
+    # deferred: only support_mass and the test oracle pay for scipy.integrate
+    from scipy import integrate
+
     val, err = integrate.quad(fun, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
     if err > _QUAD_CHECK:
         raise NumericalError(
@@ -238,45 +246,52 @@ def support_mass(model: SpectralModel) -> float:
     return _tail_mass_from(model, model.lambda_minus)
 
 
-def _tail_mass_at_angle(model: SpectralModel, theta: float) -> float:
-    """Closed-form mass of the density above x = a + r cos(theta), theta in [0, pi]."""
+def _tail_mass_at_angle(model: SpectralModel, theta):
+    """Closed-form mass of the density above x = a + r cos(theta), theta in [0, pi].
+
+    Accepts a scalar or an ndarray of angles.
+    """
     lm, lp = model.lambda_minus, model.lambda_plus
-    s, c = math.sin(0.5 * theta), math.cos(0.5 * theta)
-    lower = math.atan2(math.sqrt(lm) * s, math.sqrt(lp) * c)
-    upper = math.atan2(math.sqrt(1.0 - lm) * s, math.sqrt(1.0 - lp) * c)
+    s, c = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    lower = np.arctan2(math.sqrt(lm) * s, math.sqrt(lp) * c)
+    upper = np.arctan2(math.sqrt(1.0 - lm) * s, math.sqrt(1.0 - lp) * c)
     c1, c2 = model.c1, model.c2
     mass = theta - 2.0 * (c1 - c2) * lower - 2.0 * (1.0 - c1 - c2) * upper
     return mass / (2.0 * math.pi * c2)
 
 
-def classical_location(model: SpectralModel, j: int, q: int) -> float:
+def classical_location(model: SpectralModel, j, q: int):
     """Classical location gamma_j: the upper (j-1)/q tail quantile.
 
     gamma_j = sup { x : integral of f over [x, infinity) > (j-1)/q },
-    so gamma_1 is exactly lambda_plus.  The closed-form tail mass is
-    monotone in theta on [0, pi]; a bracketed root in theta fixes x to
-    1e-10.
+    so gamma_1 is exactly lambda_plus.  j is an integer or an integer
+    array with 1 <= j <= q; a scalar j gives a float, an array the
+    locations at each entry.  The closed-form tail mass is increasing in
+    theta on [0, pi], so one bisection in theta serves every target:
+    48 halvings fix theta to pi / 2**48 ~ 1.1e-14, and x moves by at
+    most as much because |dx/dtheta| = r sin(theta) < 1.
     """
-    if not (1 <= j <= q):
+    js = np.asarray(j)
+    if js.dtype.kind not in "iu" or not isinstance(q, (int, np.integer)):
+        raise ParameterError(f"need integer j and q, got j={j}, q={q}")
+    if not np.all((1 <= js) & (js <= q)):
         raise ParameterError(f"need 1 <= j <= q, got j={j}, q={q}")
-    if j == 1:
-        return model.lambda_plus
-    target = (j - 1) / q
-    theta = optimize.brentq(
-        lambda t: _tail_mass_at_angle(model, t) - target,
-        0.0,
-        math.pi,
-        xtol=_THETA_TOL,
-        maxiter=200,
-    )
+    target = (js - 1) / q
+    lo = np.zeros(js.shape)
+    step = math.pi
+    for _ in range(_BISECTIONS):
+        step *= 0.5
+        mid = lo + step
+        lo = np.where(_tail_mass_at_angle(model, mid) < target, mid, lo)
     a = 0.5 * (model.lambda_minus + model.lambda_plus)
     r = 0.5 * (model.lambda_plus - model.lambda_minus)
-    return a + r * math.cos(theta)
+    gamma = np.where(js == 1, model.lambda_plus, a + r * np.cos(lo + 0.5 * step))
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 @functools.lru_cache(maxsize=64)
-def _classical_locations_cached(model: SpectralModel, q: int) -> tuple:
-    return tuple(classical_location(model, j, q) for j in range(1, q + 1))
+def _classical_locations_cached(model: SpectralModel, q: int) -> np.ndarray:
+    return classical_location(model, np.arange(1, q + 1), q)
 
 
 def classical_locations(model: SpectralModel, q: int) -> np.ndarray:

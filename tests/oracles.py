@@ -2,15 +2,19 @@
 
 Each one recomputes, by a different or more explicit path, an object the
 library evaluates in a leaner form: the m3 root of the closed quadratic,
-the dense block-constant limit matrix, the inverse of its 2x2 kernel, and
-the un-inverted coupling kernel of the linearization.
+the dense block-constant limit matrix, the inverse of its 2x2 kernel,
+the un-inverted coupling kernel of the linearization, and a classical
+location found by a bracketed root finder one target at a time.
 """
 
+import math
+
 import numpy as np
+from scipy import optimize
 
 from scclab import NumericalError, SpectralModel, stieltjes
 from scclab._linalg import sqrt_upper, sqrt_z
-from scclab.spectral_model import PiDescriptor, _edge_sqrt
+from scclab.spectral_model import PiDescriptor, _edge_sqrt, _tail_mass_at_angle
 
 
 def solve_m3(model: SpectralModel, z) -> complex:
@@ -70,3 +74,24 @@ def kernel_2x2(z: complex) -> np.ndarray:
     """The 2x2 coupling kernel [[z, z^(1/2)], [z^(1/2), z]]."""
     sz = sqrt_z(z)
     return np.array([[z, sz], [sz, z]])
+
+
+def classical_location_brentq(model: SpectralModel, j: int, q: int) -> float:
+    """gamma_j by Brent's method on the closed-form tail mass in theta.
+
+    A root tolerance of 1e-12 in theta bounds the error in x by 1e-12,
+    since |dx/dtheta| = r sin(theta) < 1.
+    """
+    if j == 1:
+        return model.lambda_plus
+    target = (j - 1) / q
+    theta = optimize.brentq(
+        lambda t: _tail_mass_at_angle(model, t) - target,
+        0.0,
+        math.pi,
+        xtol=1e-12,
+        maxiter=200,
+    )
+    a = 0.5 * (model.lambda_minus + model.lambda_plus)
+    r = 0.5 * (model.lambda_plus - model.lambda_minus)
+    return a + r * math.cos(theta)

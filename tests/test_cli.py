@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,30 @@ class TestMain:
         assert manifest["outputs"] == ["results.csv", "results.json"]
         assert "code_version" in manifest
         assert manifest["timings"]["total_s"] >= 0.0
+
+    @pytest.mark.parametrize("kind, overrides", [
+        ("density-table", ["x_points=5"]),
+        ("quantiles", ["q=5"]),
+        ("spectrum", ["n=60"]),
+        ("local-law-sweep", ["n=40", "trials=1", "e_points=1", "eta_points=1"]),
+        ("tw-edge", ["n=60", "trials=4", "k_max=2"]),
+        ("rigidity-scaling", ["n0=40", "trials=3", "factors=[1,2]"]),
+    ])
+    def test_environment_in_manifest_only(self, tmp_path, monkeypatch, kind, overrides):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        out = tmp_path / "env"
+        args = [kind, "--out", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "threads"}
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
+        results = json.loads((out / "results.json").read_text())
+        assert not {"environment", "numpy", "scipy", "blas", "threads"} & set(results)
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["spectrum", "--seed", "3", "--override", "n=100"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from oracles import pi_dense, pi_kernel_inverse, solve_m3
+from oracles import classical_location_brentq, pi_dense, pi_kernel_inverse, solve_m3
 from test_acceptance import RATIO_GRID_20
 
 from scclab import spectral_model
@@ -167,6 +167,31 @@ class TestQuantiles:
         assert np.all(np.diff(gamma) < 0)
         assert gamma[0] == model_thin.lambda_plus
         assert gamma[-1] > model_thin.lambda_minus
+
+    @pytest.mark.parametrize("c1,c2", RATIO_GRID_20)
+    def test_bisection_matches_brentq(self, c1, c2):
+        model = make_model(c1, c2)
+        for q in (2, 40, 60, 160, 200):
+            gamma = classical_locations(model, q)
+            oracle = [classical_location_brentq(model, j, q) for j in range(1, q + 1)]
+            assert np.max(np.abs(gamma - oracle)) <= 1e-12
+            assert np.all(np.diff(gamma) < 0)
+            assert gamma[0] == model.lambda_plus
+
+    def test_scalar_j_is_float_entry(self, model_thin):
+        q = 40
+        gamma = classical_locations(model_thin, q)
+        for j in (1, 2, 17, np.int64(30), q):
+            value = classical_location(model_thin, j, q)
+            assert type(value) is float
+            assert value == gamma[j - 1]
+
+    @pytest.mark.parametrize("j", [
+        0, 41, 1.5, 2.0, True, [0, 1, 2], [39, 40, 41], [1.0, 2.0], np.array([1.5]),
+    ])
+    def test_bad_j_rejected(self, model_thin, j):
+        with pytest.raises(ParameterError):
+            classical_location(model_thin, j, 40)
 
     def test_against_dense_tabulation(self, model_wide):
         # independent oracle: cumulative trapezoid of the density on a dense
