@@ -40,8 +40,10 @@ from .sampler import (
     truncate_center_rescale,
 )
 from .scc_core import (
+    CanonicalFactor,
     SpectrumResult,
     WhitenedCross,
+    canonical_factor,
     ccc_eigenvalues,
     det_characterization_residual,
     rigidity_profile,
@@ -82,8 +84,8 @@ __all__ = [
     "DataPair", "PairMeta", "TailSpec",
     "sample_gaussian", "sample_bounded", "sample_heavy_tail",
     "truncate_center_rescale",
-    "SpectrumResult", "WhitenedCross",
-    "sample_covariances", "whitened_cross", "ccc_eigenvalues",
+    "SpectrumResult", "WhitenedCross", "CanonicalFactor",
+    "sample_covariances", "whitened_cross", "canonical_factor", "ccc_eigenvalues",
     "det_characterization_residual", "rigidity_profile", "write_spectrum_csv",
     "LinearizationMatrix", "ResolventBundle", "LocalLawReport",
     "build_H", "resolvent", "blocks_via_schur", "local_law_errors",

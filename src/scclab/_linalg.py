@@ -63,16 +63,6 @@ class IndexLayout(NamedTuple):
     def sl4(self) -> slice:
         return slice(self.p + self.q + self.n, self.dim)
 
-    @property
-    def sl_left(self) -> slice:
-        """The p+q data coordinates."""
-        return slice(0, self.p + self.q)
-
-    @property
-    def sl_right(self) -> slice:
-        """The 2n factor coordinates."""
-        return slice(self.p + self.q, self.dim)
-
     def block_slice(self, alpha: int) -> slice:
         if alpha not in (1, 2, 3, 4):
             raise ValueError(f"block index must be 1..4, got {alpha}")

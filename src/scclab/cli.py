@@ -37,7 +37,7 @@ from .edge_stats import (
 )
 from .errors import DomainError, NumericalError, ParameterError
 from .linearized_resolvent import local_law_errors
-from .scc_core import ccc_eigenvalues, write_spectrum_csv
+from .scc_core import canonical_factor, ccc_eigenvalues, write_spectrum_csv
 from .spectral_model import classical_locations, density, make_model, support_mass
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -120,14 +120,17 @@ def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
     rows = []
     reports = []
     point_checks = []
+    conditioning = []
     for trial in range(config.trials):
         seed_t = derived_seed(config.seed, 4, trial)
         pair = sample_pair(config.law, p, q, n, seed_t,
                            beta=config.beta, c_phi=config.c_phi)
+        factor = canonical_factor(pair)     # whiten and decompose once per pair
+        conditioning.append((factor.min_eig_xx, factor.min_eig_yy))
         for E in es:
             for eta in etas:
-                rep = local_law_errors(pair, model, complex(E, eta),
-                                       seed=config.seed, epsilon=config.epsilon)
+                rep = local_law_errors(pair, model, complex(E, eta), seed=config.seed,
+                                       epsilon=config.epsilon, factor=factor)
                 rows.append((trial, repr(float(E)), repr(float(eta)),
                              repr(rep.entrywise_err), repr(rep.aniso_err),
                              *(repr(e) for e in rep.avg_err),
@@ -147,6 +150,8 @@ def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
     _write_json(out / "results.json", summary)
     checks = {f"{key}_max": max(c[key] for c in point_checks)
               for key in ("identity_residual", "trace_identity")}
+    checks["min_eig_xx_min"] = min(xx for xx, _ in conditioning)
+    checks["min_eig_yy_min"] = min(yy for _, yy in conditioning)
     return summary | {"checks": checks}
 
 

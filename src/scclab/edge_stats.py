@@ -26,6 +26,7 @@ failure rate above one percent aborts the experiment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -124,19 +125,31 @@ def _goe_top(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return w[::-1] / math.sqrt(n)
 
 
-def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> EdgeSamples:
-    """Monte Carlo reference sample of rescaled top GOE eigenvalues."""
-    if n_goe < k_max + 1:
-        raise ParameterError(f"n_goe = {n_goe} too small for k_max = {k_max}")
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
+@functools.lru_cache(maxsize=8)
+def _goe_values(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarray:
     values = []
     for trial in range(trials):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(2, trial))))
         values.append(n_goe ** (2.0 / 3.0) * (_goe_top(n_goe, k_max, rng) - 2.0))
-    return EdgeSamples(values=np.array(values), n=n_goe, k_max=k_max,
-                       law="goe", seed=seed, failures=0)
+    values = np.array(values)
+    values.setflags(write=False)
+    return values
+
+
+def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> EdgeSamples:
+    """Monte Carlo reference sample of rescaled top GOE eigenvalues.
+
+    The draws are memoized on (n_goe, trials, k_max, seed): every call
+    returns a fresh EdgeSamples whose values are the one read-only array
+    drawn for those arguments.
+    """
+    if n_goe < k_max + 1:
+        raise ParameterError(f"n_goe = {n_goe} too small for k_max = {k_max}")
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
+    return EdgeSamples(values=_goe_values(n_goe, trials, k_max, seed), n=n_goe,
+                       k_max=k_max, law="goe", seed=seed, failures=0)
 
 
 def ks_two_sample(a, b) -> float:

@@ -15,19 +15,19 @@ and for Im z > 0 the resolvent G(z) = H(z)**(-1) exists and collects all
 of the whitened two-channel resolvent blocks at once.
 
 Two routes to G are implemented: a direct dense LU inversion of H, and a
-Schur-complement assembly that builds every block from the Cholesky
-whitening of the Gram blocks and its own SVD of the whitened cross
-matrix without ever forming H**(-1).  Agreement of the two routes is an
+Schur-complement assembly from a pair's z-free canonical_factor (the
+whitening and the full SVD of the whitened cross matrix), which a sweep
+computes once and reuses at every z.  Agreement of the two routes is an
 end-to-end check of the block algebra.
 
 Both routes check max |H G - I| over all d**2 entries (d = p+q+2n) and
-raise above 1e-6.  The product is formed one coordinate block of rows at
-a time from X, Y and the kernel inverse, never from the dense H: X G3,
-Y G4, X' G1 + k00 G3 + k01 G4 and Y' G2 + k01 G3 + k00 G4.  The real
-data matrices multiply the complex G through its interleaved float view,
-so the check costs 4 (p+q) n d real multiply-adds instead of the d**3
-complex ones of a dense product, and it stays exact rather than a probe
-estimate.  The Schur assembly uses the same block products.
+raise above 1e-6.  The product is formed afresh from X, Y and the kernel
+inverse, one panel of _PANEL columns and one block of rows at a time:
+X G3, Y G4, X' G1 + k00 G3 + k01 G4 and Y' G2 + k01 G3 + k00 G4.  The
+real data matrices multiply the complex G through its interleaved float
+view, so the exact check costs 4 (p+q) n d real multiply-adds and
+O(n _PANEL) memory.  The Schur route writes G in the same panels, so G is
+the only array of its size it allocates.
 
 The partial traces of G over the four blocks (each divided by n)
 satisfy, for every realization and in exact arithmetic,
@@ -50,7 +50,7 @@ import numpy as np
 from ._linalg import IndexLayout, kernel_inverse_2x2, sqrt_z
 from .errors import DomainError, NumericalError, ParameterError
 from .sampler import DataPair
-from .scc_core import whitened_cross
+from .scc_core import CanonicalFactor, canonical_factor
 from .spectral_model import SpectralModel, pi_limit, psi_control, stieltjes
 
 __all__ = [
@@ -64,6 +64,12 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-6
+_PANEL = 128
+
+
+def _panels(start: int, stop: int) -> list[slice]:
+    """Slices of at most _PANEL columns covering start..stop-1."""
+    return [slice(c, min(c + _PANEL, stop)) for c in range(start, stop, _PANEL)]
 
 
 def _real_times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -83,7 +89,8 @@ class LinearizationMatrix:
     """H(z) held by its blocks: the data matrices and the kernel inverse.
 
     ``matrix`` builds the dense d x d array on first use, for the LU and
-    SVD callers; ``row_blocks`` multiplies by H without forming it.
+    SVD callers; ``row_blocks`` multiplies a column panel by H without
+    forming it.
     """
 
     X: np.ndarray
@@ -127,14 +134,14 @@ class LinearizationMatrix:
         H[n + idx, idx] = cross
         return H
 
-    def row_blocks(self, G: np.ndarray):
-        """Yield (rows, H[rows] @ G) for the four coordinate blocks of rows.
+    def row_blocks(self, G: np.ndarray, cols: slice):
+        """Yield (rows, H[rows] @ G[:, cols]) for the four coordinate blocks of rows.
 
-        G must be C-contiguous (its row blocks are then contiguous).  Each
-        block is a fresh array, so callers may overwrite it.
+        G's last axis must be contiguous.  Each block is a fresh array, so
+        callers may overwrite it.
         """
         layout = self.layout
-        G1, G2, G3, G4 = (G[layout.block_slice(a)] for a in (1, 2, 3, 4))
+        G1, G2, G3, G4 = (G[layout.block_slice(a), cols] for a in (1, 2, 3, 4))
         diag, cross = self.kernel_inverse
         yield layout.sl1, _real_times(self.X, G3)
         yield layout.sl2, _real_times(self.Y, G4)
@@ -165,8 +172,9 @@ class ResolventBundle:
     the q-normalized trace of the resolvent of the q x q correlation
     product, recovered from the second data block of G.  The identity
     residual records max |H G - I| over every entry of the product,
-    computed blockwise from the data matrices and the kernel inverse in
-    O((p+q) n d) time and O(n d) extra memory (see the module docstring).
+    computed from the data matrices and the kernel inverse one column
+    panel at a time, in O((p+q) n d) time and O(n _PANEL) extra memory
+    (see the module docstring).
     """
 
     G: np.ndarray
@@ -205,12 +213,13 @@ def _partial_traces(G: np.ndarray, layout: IndexLayout):
 
 
 def _identity_residual(lin: LinearizationMatrix, G: np.ndarray) -> float:
-    """max |H G - I| over all d**2 entries, one coordinate block of rows at a time."""
+    """max |H G - I| over all d**2 entries, one column panel and block of rows at a time."""
     worst = 0.0
-    for rows, block in lin.row_blocks(G):
-        local = np.arange(rows.stop - rows.start)
-        block[local, rows.start + local] -= 1.0
-        worst = max(worst, float(np.abs(block).max()))
+    for cols in _panels(0, lin.dim):
+        for rows, block in lin.row_blocks(G, cols):
+            on_diag = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+            block[on_diag - rows.start, on_diag - cols.start] -= 1.0
+            worst = max(worst, float(np.abs(block).max()))
     return worst
 
 
@@ -247,55 +256,57 @@ def resolvent(pair: DataPair, z) -> ResolventBundle:
     )
 
 
-def blocks_via_schur(pair: DataPair, z) -> ResolventBundle:
-    """Assemble G(z) from the whitened SVD without inverting H.
+def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None) -> ResolventBundle:
+    """Assemble G(z) from the pair's CanonicalFactor without inverting H.
 
-    The data-corner block GL is the two-channel whitened resolvent.  With
-    the whitened cross matrix M = Wx Sxy Wy' (Wx, Wy the inverse Cholesky
-    factors), this route's own full SVD M = U diag(sv) V', and
-    R1 = U (sv**2 - z)**(-1) U', R2 = V (sv**2 - z)**(-1) V', its blocks
-    are Wx' R1 Wx, -z**(-1/2) Wx' R1 M Wy and Wy' R2 Wy: the same matrices
-    for any whitening W with W S W' = I.  With D = diag(X, Y) and K the
-    (un-inverted) kernel, the mixed blocks are G[right, left] = -K D' GL
-    and the factor corner is K - K D' G[left, right].  Every product by D
-    is split into its X and Y blocks and written straight into G.  As in
-    resolvent(), identity residuals above 1e-6 raise a conditioning error.
+    factor defaults to canonical_factor(pair).  With its A, B, sv and lam,
+    the data-corner block GL, the two-channel whitened resolvent, has the
+    blocks A diag(1/(lam - z)) A', -z**(-1/2) A diag(sv/(lam - z)) B' and
+    B diag(1/(lam - z)) B'.  With D = diag(X, Y) and K the (un-inverted)
+    kernel, G[right, left] = -K D' GL and the factor corner is
+    K - K D' G[left, right], written into G in place one panel of columns
+    at a time.  As in resolvent(), identity residuals above 1e-6 raise a
+    conditioning error.
     """
     lin = build_H(pair, z)
     z = lin.z
     if not (1e-8 < abs(z) < 1e8):
         raise ParameterError(f"|z| = {abs(z)} outside the supported range for this route")
+    if factor is None:
+        factor = canonical_factor(pair)
+    elif factor.pair is not pair:
+        raise ParameterError("the canonical factor belongs to a different pair")
     layout = lin.layout
     p, q, n = layout
-    wc = whitened_cross(pair)
-    U, sv, Vt = np.linalg.svd(wc.matrix)
-    k = len(sv)
-    lam_p = np.concatenate([sv ** 2, np.zeros(p - k)])
-    lam_q = np.concatenate([sv ** 2, np.zeros(q - k)])
+    lam_p, lam_q = factor.lam_p, factor.lam_q
     if min(np.abs(lam_p - z).min(), np.abs(lam_q - z).min()) < 1e-12:
         raise DomainError(f"z = {z} coincides with a sample eigenvalue")
-    R1 = (U * (1.0 / (lam_p - z))) @ U.T
-    R2 = (Vt.T * (1.0 / (lam_q - z))) @ Vt
+    A, B, k = factor.A, factor.B, len(factor.sv)
     sz = sqrt_z(z)
-    Wx, Wy = wc.whiten_xx, wc.whiten_yy
-    left, right = layout.sl_left, layout.sl_right
     G = np.empty((layout.dim, layout.dim), dtype=complex)
-    G[:p, :p] = Wx.T @ R1 @ Wx
-    cross = Wx.T @ R1 @ wc.matrix @ Wy
-    G[:p, p:p + q] = -(1.0 / sz) * cross
+
+    def weighted_gram(left, weights, right):    # left diag(weights) right'
+        return _real_times(left, np.multiply(weights[:, None], right.T, order="C"))
+
+    G[:p, :p] = weighted_gram(A, 1.0 / (lam_p - z), A)
+    cross = -factor.sv / (sz * (lam_q[:k] - z))
+    G[:p, p:p + q] = weighted_gram(A[:, :k], cross, B[:, :k])
     G[p:p + q, :p] = G[:p, p:p + q].T
-    G[p:p + q, p:p + q] = Wy.T @ R2 @ Wy
+    G[p:p + q, p:p + q] = weighted_gram(B, 1.0 / (lam_q - z), B)
 
     def apply_minus_kernel(cols: slice) -> None:
         # G[right, cols] = -K D' G[left, cols], with D' = diag(X', Y')
         top = _real_times(pair.X.T, G[:p, cols])
         bottom = _real_times(pair.Y.T, G[p:p + q, cols])
-        G[layout.sl3, cols] = -(z * top + sz * bottom)
-        G[layout.sl4, cols] = -(sz * top + z * bottom)
+        for rows, own, other in ((layout.sl3, top, bottom), (layout.sl4, bottom, top)):
+            block = np.multiply(own, -z, out=G[rows, cols])
+            block -= sz * other
 
-    apply_minus_kernel(left)
-    G[left, right] = G[right, left].T
-    apply_minus_kernel(right)
+    for cols in _panels(0, p + q):
+        apply_minus_kernel(cols)
+    for cols in _panels(p + q, layout.dim):
+        G[:p + q, cols] = G[cols, :p + q].T
+        apply_minus_kernel(cols)
     idx = p + q + np.arange(n)
     G[idx, idx] += z
     G[n + idx, n + idx] += z
@@ -378,7 +389,8 @@ def _test_vectors(layout: IndexLayout, n_vectors: int, seed: int) -> np.ndarray:
 
 def local_law_errors(pair: DataPair, model: SpectralModel, z,
                      n_vectors: int = 24, seed: int = 0, route: str = "schur",
-                     epsilon: float = 0.05) -> LocalLawReport:
+                     epsilon: float = 0.05,
+                     factor: CanonicalFactor | None = None) -> LocalLawReport:
     """Measure entrywise, anisotropic, and averaged deviations of G from the limit.
 
     z must lie in the spectral window epsilon <= Re z <= 1,
@@ -386,7 +398,8 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     maximum of |u' (G - Pi) v| over all ordered pairs from a deterministic
     test set: seeded uniform unit vectors, one unit vector supported on
     each coordinate block, and representative standard basis vectors (the
-    full basis-pair sweep is the entrywise error).
+    full basis-pair sweep is the entrywise error).  factor, from
+    canonical_factor(pair), goes to the Schur route.
     """
     z = complex(z)
     n = pair.n
@@ -401,27 +414,27 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
             f"[n^(-1+eps), 1/eps] = [{eta_floor:.3e}, {1.0 / epsilon:.3e}]"
         )
     if route == "schur":
-        bundle = blocks_via_schur(pair, z)
-    elif route == "direct":
+        bundle = blocks_via_schur(pair, z, factor)
+    elif route == "direct" and factor is None:
         bundle = resolvent(pair, z)
     else:
-        raise ParameterError(f"route must be 'schur' or 'direct', got {route!r}")
+        raise ParameterError(f"route must be 'schur', or 'direct' without a factor; "
+                             f"got {route!r}")
     layout = bundle.layout
     # the bundle is private to this call, so G becomes G - Pi in place
     diff = bundle.G
     pi_limit(model, z, layout.p, layout.q, layout.n).subtract_from(diff)
-    magnitude = np.abs(diff)
 
-    entrywise = float(magnitude.max())
-
+    # one block at a time, so no |G - Pi| of the size of G is formed
     sectors = {}
     for a in (1, 2, 3, 4):
         for b in (1, 2, 3, 4):
-            block = magnitude[layout.block_slice(a), layout.block_slice(b)]
-            sectors[f"{a}{b}"] = float(block.max())
+            block = diff[layout.block_slice(a), layout.block_slice(b)]
+            sectors[f"{a}{b}"] = float(np.abs(block).max())
+    entrywise = max(sectors.values())
     mu = np.arange(layout.n)
     off = layout.p + layout.q
-    sectors["paired34"] = float(magnitude[off + mu, off + layout.n + mu].max())
+    sectors["paired34"] = float(np.abs(diff[off + mu, off + layout.n + mu]).max())
 
     vectors = _test_vectors(layout, n_vectors, seed)
     quad_forms = _real_times(vectors.T, diff) @ vectors

@@ -11,7 +11,9 @@ Wx = Lx**(-1) and Wy = Ly**(-1) are the inverse Cholesky factors
 (Sxx = Lx Lx').  Any whitening W with W S W' = I differs from S**(-1/2)
 by an orthogonal factor on the left, so the singular values are those of
 Sxx**(-1/2) Sxy Syy**(-1/2), and the spectrum stays in [0, 1] up to
-roundoff.  Only the singular values are computed.  The companion q x q
+roundoff.  Only the singular values are computed, except by
+canonical_factor, which keeps the full SVD (the canonical weight
+vectors) for the Schur route of the local law.  The companion q x q
 product has the same nonzero spectrum; the p x p version carries p - q
 extra zeros.
 
@@ -39,8 +41,10 @@ from .spectral_model import SpectralModel, classical_locations
 __all__ = [
     "SpectrumResult",
     "WhitenedCross",
+    "CanonicalFactor",
     "sample_covariances",
     "whitened_cross",
+    "canonical_factor",
     "ccc_eigenvalues",
     "det_characterization_residual",
     "rigidity_profile",
@@ -105,6 +109,39 @@ def whitened_cross(pair: DataPair) -> WhitenedCross:
         singular_values=np.linalg.svd(matrix, compute_uv=False),
         min_eig_xx=min_xx,
         min_eig_yy=min_yy,
+    )
+
+
+@dataclass(eq=False)
+class CanonicalFactor:
+    """The full SVD M = U diag(sv) V' of a pair's whitened cross matrix.
+
+    The columns of A = Wx' U and B = Wy' V are the sample canonical
+    weight vectors: A' Sxx A = I, B' Syy B = I and A' Sxy B = diag(sv).
+    lam_p and lam_q are sv**2 zero-padded to p and q entries; min_eig_*
+    are whitened_cross's conditioning.
+    """
+
+    pair: DataPair
+    A: np.ndarray
+    B: np.ndarray
+    sv: np.ndarray
+    lam_p: np.ndarray
+    lam_q: np.ndarray
+    min_eig_xx: float
+    min_eig_yy: float
+
+
+def canonical_factor(pair: DataPair) -> CanonicalFactor:
+    """Whiten the pair and take the full SVD of its whitened cross matrix."""
+    wc = whitened_cross(pair)
+    U, sv, Vt = np.linalg.svd(wc.matrix)
+    lam = sv ** 2
+    return CanonicalFactor(
+        pair=pair, A=wc.whiten_xx.T @ U, B=wc.whiten_yy.T @ Vt.T, sv=sv,
+        lam_p=np.concatenate([lam, np.zeros(pair.p - len(sv))]),
+        lam_q=np.concatenate([lam, np.zeros(pair.q - len(sv))]),
+        min_eig_xx=wc.min_eig_xx, min_eig_yy=wc.min_eig_yy,
     )
 
 

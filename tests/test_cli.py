@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from scclab import DomainError, cli
+from scclab import DomainError, cli, scc_core
 from scclab.cli import ExperimentConfig, build_config, main, validate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -269,11 +269,34 @@ class TestMain:
         assert len(summary["reports"]) == 4
         # self-check residuals go to the manifest, never to results.*
         checks = json.loads((out / "manifest.json").read_text())["checks"]
-        assert set(checks) == {"identity_residual_max", "trace_identity_max"}
+        assert set(checks) == {"identity_residual_max", "trace_identity_max",
+                               "min_eig_xx_min", "min_eig_yy_min"}
         assert 0.0 < checks["identity_residual_max"] <= 1e-6
         assert 0.0 <= checks["trace_identity_max"] <= 1e-10
         assert "checks" not in summary
         assert all("checks" not in report for report in summary["reports"])
+        assert main(args + ["--out", str(rerun)]) == 0
+        for name in ("results.csv", "results.json"):
+            assert (out / name).read_bytes() == (rerun / name).read_bytes()
+
+    def test_local_law_factors_once_per_pair_conditioning_in_manifest(self, tmp_path,
+                                                                      monkeypatch):
+        seen = []
+        real = scc_core.whitened_cross
+        monkeypatch.setattr(scc_core, "whitened_cross",
+                            lambda pair: seen.append(real(pair)) or seen[-1])
+        args = ["local-law-sweep", "--seed", "4", "--override", "n=40",
+                "--override", "trials=3", "--override", "e_points=2",
+                "--override", "eta_points=2"]
+        out, rerun = tmp_path / "ll", tmp_path / "ll-rerun"
+        assert main(args + ["--out", str(out)]) == 0
+        assert len(seen) == 3                   # trials, not trials x points
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        for key in ("xx", "yy"):
+            value = checks[f"min_eig_{key}_min"]
+            assert 0.0 < value < math.inf
+            assert value == min(getattr(wc, f"min_eig_{key}") for wc in seen)
+        assert "min_eig" not in (out / "results.json").read_text()
         assert main(args + ["--out", str(rerun)]) == 0
         for name in ("results.csv", "results.json"):
             assert (out / name).read_bytes() == (rerun / name).read_bytes()

@@ -67,6 +67,15 @@ class TestGoeReference:
         c = goe_reference(100, 20, k_max=2, seed=6)
         assert not np.array_equal(a.values, c.values)
 
+    def test_memoized_read_only(self):
+        a = goe_reference(100, 20, k_max=2, seed=5)
+        b = goe_reference(100, 20, k_max=2, seed=5)
+        assert a is not b
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, edge_stats._goe_values.__wrapped__(100, 20, 2, 5))
+        with pytest.raises(ValueError):
+            a.values[0, 0] = 0.0
+
     def test_ordering_and_shape(self):
         samples = goe_reference(200, 25, k_max=3, seed=1)
         assert samples.values.shape == (25, 3)

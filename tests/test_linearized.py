@@ -1,5 +1,7 @@
 """Linearization matrix, resolvent routes, and finite-size deviation reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from scclab import (
     ParameterError,
     blocks_via_schur,
     build_H,
+    canonical_factor,
     ccc_eigenvalues,
     local_law_errors,
     make_model,
@@ -271,3 +274,69 @@ class TestLocalLawReport:
         op = np.linalg.norm(bundle.G - pi_dense(pi), 2)
         assert rep.aniso_err <= op * (1.0 + 1e-12)
         assert rep.entrywise_err <= op * (1.0 + 1e-12)
+
+
+class TestPanels:
+    @pytest.mark.parametrize("pair_name", ["small_pair", "medium_pair"])
+    @pytest.mark.parametrize("panel", [None, 7, 10 ** 6])
+    def test_schur_and_residual_match_dense(self, request, monkeypatch, pair_name, panel):
+        # 7 divides none of p, q, n of either pair; 10**6 exceeds d
+        pair = request.getfixturevalue(pair_name)
+        if panel is not None:
+            monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
+        for z in (complex(0.3, 0.5), complex(0.7, 0.1)):
+            schur = blocks_via_schur(pair, z)
+            direct = resolvent(pair, z)
+            assert np.abs(schur.G - direct.G).max() <= 1e-12 * np.abs(direct.G).max()
+            lin = build_H(pair, z)
+            H, eye = lin.matrix, np.eye(lin.dim)
+            scale = (np.abs(H) @ np.abs(schur.G)).max()
+            wrong = schur.G.copy()
+            wrong[-1, -1] += 1e-3                 # one entry, in the last panel
+            for G in (schur.G, wrong):
+                dense = np.abs(H @ G - eye).max()
+                structured = linearized_resolvent._identity_residual(lin, G)
+                assert abs(structured - dense) <= 1e-14 * scale
+            assert linearized_resolvent._identity_residual(lin, wrong) > 1e-6
+
+    def test_shared_factor_matches_fresh_reports(self, medium_pair):
+        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        factor = canonical_factor(medium_pair)
+        for z in (complex(0.3, 0.1), complex(0.5, 0.4), complex(0.8, 1.0)):
+            shared = local_law_errors(medium_pair, model, z, factor=factor)
+            fresh = local_law_errors(medium_pair, model, z)
+            a, b = shared.to_json_dict(), fresh.to_json_dict()
+            assert a.keys() == b.keys()
+            for key in ("entrywise_err", "aniso_err", "psi", "phi_n"):
+                assert a[key] == pytest.approx(b[key], abs=1e-13)
+            assert np.allclose(a["avg_err"], b["avg_err"], rtol=0.0, atol=1e-13)
+            for group in ("benchmarks", "sectors"):
+                for key, value in b[group].items():
+                    assert a[group][key] == pytest.approx(value, abs=1e-13)
+            for key, value in fresh.checks.items():
+                assert shared.checks[key] == pytest.approx(value, abs=1e-13)
+
+    def test_factor_must_match_pair_and_route(self, small_pair, medium_pair):
+        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        z = complex(0.5, 0.4)
+        with pytest.raises(ParameterError):
+            blocks_via_schur(medium_pair, z, canonical_factor(small_pair))
+        with pytest.raises(ParameterError):
+            local_law_errors(medium_pair, model, z, route="direct",
+                             factor=canonical_factor(medium_pair))
+
+
+def test_local_law_peak_memory_near_size_of_g():
+    # the Schur route allocates G and only panel-sized temporaries besides
+    pair = sample_gaussian(120, 80, 400, seed=3)
+    model = make_model(0.3, 0.2)
+    z = complex(0.5, 0.3)
+    local_law_errors(pair, model, z)            # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        local_law_errors(pair, model, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = pair.p + pair.q + 2 * pair.n
+    assert peak <= 1.3 * 16 * d * d, f"peak {peak / (16 * d * d):.2f} x the size of G"

@@ -9,6 +9,7 @@ from scclab import (
     DataPair,
     PairMeta,
     SingularityError,
+    canonical_factor,
     ccc_eigenvalues,
     classical_locations,
     det_characterization_residual,
@@ -131,6 +132,26 @@ class TestSpectrumOracle:
         wc = whitened_cross(pair)
         assert np.max(np.abs(wc.whiten_xx @ Sxx @ wc.whiten_xx.T - np.eye(pair.p))) < 1e-12
         assert np.max(np.abs(wc.whiten_yy @ Syy @ wc.whiten_yy.T - np.eye(pair.q))) < 1e-12
+
+
+class TestCanonicalFactor:
+    @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
+    def test_canonical_weights(self, name, request):
+        # A and B whiten their Gram blocks and diagonalize the cross block
+        pair = request.getfixturevalue(name)
+        factor = canonical_factor(pair)
+        Sxx, Syy, Sxy = sample_covariances(pair)
+        A, B, q = factor.A, factor.B, pair.q
+        assert np.abs(A.T @ Sxx @ A - np.eye(pair.p)).max() < 1e-12
+        assert np.abs(B.T @ Syy @ B - np.eye(q)).max() < 1e-12
+        cross = A.T @ Sxy @ B
+        assert np.abs(cross[:q] - np.diag(factor.sv)).max() < 1e-12
+        assert np.abs(cross[q:]).max() < 1e-12
+        spectrum = ccc_eigenvalues(pair)
+        assert np.abs(factor.lam_q - spectrum.eigenvalues).max() < 1e-14
+        assert np.array_equal(factor.lam_p[q:], np.zeros(pair.p - q))
+        assert (factor.min_eig_xx, factor.min_eig_yy) == (spectrum.min_eig_xx,
+                                                          spectrum.min_eig_yy)
 
 
 class TestDetCharacterization:
