@@ -4,6 +4,10 @@ The square-root conventions here are load-bearing: every limit formula in
 the package evaluates sqrt(w) on the branch with nonnegative imaginary
 part, and z**(1/2) on the branch that is positive imaginary for z < 0.
 Both agree with the principal branch on the upper half plane.
+
+tridiagonal_top finds the top eigenvalues of a batch of symmetric
+tridiagonal matrices by Sturm-count multisection in plain numpy, so the
+GOE edge reference needs no scipy.linalg.
 """
 
 from __future__ import annotations
@@ -11,6 +15,105 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+_EPS = np.finfo(float).eps
+_POINTS = 2         # trial points per interval and sweep
+_ROWS = 64          # matrix rows whose pivots are held, and counted, at once
+_MAX_SWEEPS = 64    # 3**64 is far beyond the 2/eps a converging bracket needs
+
+
+def tridiagonal_top(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """The k largest eigenvalues, descending, of each tridiagonal in a batch.
+
+    diag is (batch, n) and off (batch, n - 1); row b holds the diagonal
+    and off-diagonal of matrix b.  Each eigenvalue is bracketed from the
+    Gershgorin bounds and the bracket cut into _POINTS + 1 pieces per
+    sweep; the number of eigenvalues below a point x is the number of
+    negative pivots d_i = (a_i - x) - b_{i-1}**2 / d_{i-1} of T - x = L D L'.
+    A bracket stops moving once it is narrower than
+    2 eps max(|lo|, |hi|) + eps |T| (|T| the Gershgorin norm, the default
+    tolerance of LAPACK's stebz), so each result depends on its own matrix
+    only; sweeps end when all have stopped, and the midpoints are returned.
+
+    A zero pivot is left to IEEE arithmetic (Demmel, Dhillon and Ren,
+    ETNA 1995): b**2 / +0 = +inf makes the next pivot -inf and the one
+    after a - x again.  A pivot of -0.0 counts as negative and is followed
+    by +inf, so either signed zero adds one to the count.  b**2 is kept at
+    least the smallest subnormal so that 0 / 0 never occurs; off-diagonals
+    must stay below 1e154 so that b**2 is finite.
+    """
+    n = diag.shape[1]
+    radius = np.zeros_like(diag)
+    radius[:, :-1] += np.abs(off)
+    radius[:, 1:] += np.abs(off)
+    lower = (diag - radius).min(axis=1)
+    upper = (diag + radius).max(axis=1)
+    norm = np.maximum(np.abs(lower), np.abs(upper))
+    # widen as stebz does, so rounding in the count cannot leave the bracket
+    lower -= 2.0 * n * _EPS * norm
+    upper += 2.0 * n * _EPS * norm
+
+    # trial points are laid out (eigenvalue, point, matrix)
+    lo = np.repeat(lower[None, :], k, axis=0)
+    hi = np.repeat(upper[None, :], k, axis=0)
+    index = (n - 1 - np.arange(k))[:, None, None]      # ascending index of the j-th largest
+    fractions = (np.arange(1, _POINTS + 1) / (_POINTS + 1))[None, :, None]
+    diag_rows = np.ascontiguousarray(diag.T)
+    off2_rows = np.ascontiguousarray(np.maximum(off * off, np.finfo(float).smallest_subnormal).T)
+    for _ in range(_MAX_SWEEPS):
+        gap = hi - lo
+        # a converged bracket stays put, so no matrix's result depends on the batch
+        active = gap > 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + _EPS * norm
+        if not active.any():
+            break
+        x = lo[:, None, :] + gap[:, None, :] * fractions
+        below = _negative_pivots(diag_rows, off2_rows, x.reshape(-1)).reshape(x.shape)
+        # points with at most index eigenvalues below them lie below the eigenvalue
+        cut = (below <= index).sum(axis=1)[:, None, :]
+        grid = np.concatenate([lo[:, None, :], x, hi[:, None, :]], axis=1)
+        lo = np.where(active, np.take_along_axis(grid, cut, axis=1)[:, 0], lo)
+        hi = np.where(active, np.take_along_axis(grid, cut + 1, axis=1)[:, 0], hi)
+    return ((lo + hi) / 2.0).T
+
+
+def _negative_pivots(diag_rows: np.ndarray, off2_rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of negative pivots of T_b - x, for many shifts x of each matrix T_b.
+
+    diag_rows (n, batch) and off2_rows (n - 1, batch) hold the diagonals
+    and squared off-diagonals row by row, and x the shifts flattened as
+    (group, matrix).  Each row's entries are repeated across the groups
+    _ROWS rows at a time, so every per-row step is one contiguous divide
+    and subtract.
+    """
+    n, batch = diag_rows.shape
+    shape = (-1, x.size // batch, batch)
+    rows = min(_ROWS, n)
+    pivots, off2 = np.empty((rows, x.size)), np.empty((rows, x.size))
+    negative, quotient = np.empty((rows, x.size), dtype=bool), np.empty(x.size)
+    counts = np.zeros(x.size, dtype=np.intp)
+    divide, subtract = np.divide, np.subtract
+    carry = None
+    with np.errstate(divide="ignore"):      # a zero pivot divides by zero on purpose
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            block, coupling = pivots[: stop - start], off2[: stop - start]
+            np.copyto(block.reshape(shape), diag_rows[start:stop, None, :])
+            block -= x
+            # coupling[r] joins row start + r to the row before it
+            first = 1 if start == 0 else 0
+            np.copyto(coupling[first:].reshape(shape),
+                      off2_rows[start + first - 1: stop - 1, None, :])
+            pairs = iter(zip(block, coupling))
+            if carry is None:
+                carry = next(pairs)[0]
+            for pivot, b2 in pairs:
+                divide(b2, carry, quotient)
+                subtract(pivot, quotient, pivot)
+                carry = pivot
+            signs = np.signbit(block, out=negative[: stop - start])
+            counts += np.add.reduce(signs, axis=0, dtype=np.uint8)     # rows < 256
+            carry = carry.copy()
+    return counts
 
 
 def sqrt_upper(w: complex) -> complex:

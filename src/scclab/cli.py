@@ -102,7 +102,8 @@ def _run_spectrum(config: ExperimentConfig, out: Path) -> dict:
         "lambda_plus": model.lambda_plus,
     }
     _write_json(out / "results.json", summary)
-    return summary
+    return summary | {"checks": {"min_eig_xx_min": result.min_eig_xx,
+                                 "min_eig_yy_min": result.min_eig_yy}}
 
 
 def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:

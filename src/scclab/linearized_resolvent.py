@@ -43,7 +43,7 @@ precision self-tests of any computed G.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -367,8 +367,13 @@ class LocalLawReport:
         }
 
 
+@lru_cache(maxsize=4)
 def _test_vectors(layout: IndexLayout, n_vectors: int, seed: int) -> np.ndarray:
-    """Columns: random global unit vectors, per-block unit vectors, basis vectors."""
+    """Columns: random global unit vectors, per-block unit vectors, basis vectors.
+
+    Every (E, eta) point of a sweep uses the same set, so it is built once
+    per (layout, n_vectors, seed) and shared read-only.
+    """
     rng = np.random.default_rng(seed)
     d = layout.dim
     cols = []
@@ -384,7 +389,9 @@ def _test_vectors(layout: IndexLayout, n_vectors: int, seed: int) -> np.ndarray:
         v = np.zeros(d)
         v[pos] = 1.0
         cols.append(v)
-    return np.array(cols).T
+    vectors = np.array(cols).T
+    vectors.setflags(write=False)
+    return vectors
 
 
 def local_law_errors(pair: DataPair, model: SpectralModel, z,

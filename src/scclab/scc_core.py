@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,14 +63,21 @@ def sample_covariances(pair: DataPair):
 
 @dataclass(eq=False)
 class WhitenedCross:
-    """Whitened cross matrix with its singular values and conditioning diagnostics."""
+    """Whitened cross matrix with its singular values and conditioning diagnostics.
+
+    The singular values are taken on first use, so a caller that needs
+    the full SVD (canonical_factor) does not pay for a values-only one.
+    """
 
     matrix: np.ndarray          # Wx Sxy Wy', p x q
     whiten_xx: np.ndarray       # Wx = Lx**(-1), so Wx Sxx Wx' = I
     whiten_yy: np.ndarray
-    singular_values: np.ndarray
     min_eig_xx: float
     min_eig_yy: float
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        return np.linalg.svd(self.matrix, compute_uv=False)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -106,7 +114,6 @@ def whitened_cross(pair: DataPair) -> WhitenedCross:
         matrix=matrix,
         whiten_xx=Wx,
         whiten_yy=Wy,
-        singular_values=np.linalg.svd(matrix, compute_uv=False),
         min_eig_xx=min_xx,
         min_eig_yy=min_yy,
     )

@@ -3,14 +3,17 @@
 Each one recomputes, by a different or more explicit path, an object the
 library evaluates in a leaner form: the m3 root of the closed quadratic,
 the dense block-constant limit matrix, the inverse of its 2x2 kernel,
-the un-inverted coupling kernel of the linearization, and a classical
-location found by a bracketed root finder one target at a time.
+the un-inverted coupling kernel of the linearization, a classical
+location found by a bracketed root finder one target at a time, and the
+top eigenvalues of tridiagonal GOE draws by LAPACK's bisection (stebz),
+one trial at a time.
 """
 
 import math
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import eigvalsh_tridiagonal
 
 from scclab import NumericalError, SpectralModel, stieltjes
 from scclab._linalg import sqrt_upper, sqrt_z
@@ -95,3 +98,27 @@ def classical_location_brentq(model: SpectralModel, j: int, q: int) -> float:
     a = 0.5 * (model.lambda_minus + model.lambda_plus)
     r = 0.5 * (model.lambda_plus - model.lambda_minus)
     return a + r * math.cos(theta)
+
+
+def tridiagonal_top_stebz(diag, off, k: int) -> np.ndarray:
+    """The k largest eigenvalues, descending, of each tridiagonal by stebz."""
+    n = np.shape(diag)[1]
+    return np.array([eigvalsh_tridiagonal(a, b, select="i", select_range=(n - k, n - 1))[::-1]
+                     for a, b in zip(diag, off)])
+
+
+def goe_values_stebz(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarray:
+    """Rescaled top GOE eigenvalues drawn and solved one trial at a time.
+
+    The per-trial streams and the rescaling are those of
+    edge_stats._goe_values; only the eigensolver differs.
+    """
+    values = []
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(2, trial))))
+        diag = rng.standard_normal(n_goe) * math.sqrt(2.0)
+        off = np.sqrt(rng.chisquare(np.arange(n_goe - 1, 0, -1)))
+        top = tridiagonal_top_stebz(diag[None], off[None], k_max)[0] / math.sqrt(n_goe)
+        values.append(n_goe ** (2.0 / 3.0) * (top - 2.0))
+    return np.array(values)

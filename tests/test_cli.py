@@ -314,6 +314,7 @@ class TestMain:
     @pytest.mark.parametrize("kind, overrides", [
         ("tw-edge", ["n=60", "trials=6", "k_max=2"]),
         ("rigidity-scaling", ["n0=40", "trials=3", "factors=[1,2]"]),
+        ("spectrum", ["n=100"]),
     ])
     def test_conditioning_in_manifest_only(self, tmp_path, kind, overrides):
         args = [kind, "--seed", "3"]

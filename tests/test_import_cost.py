@@ -1,12 +1,13 @@
 """The CLI pays at import only for the scipy modules its runs use.
 
-Classical locations come from a numpy bisection and quadrature imports
-scipy.integrate on first use, so neither importing the CLI nor computing
-classical locations nor writing a manifest may load the root finder, the
-quadrature or the special functions they pull in.  Each check runs in a
-fresh interpreter, because this test process has imported them already.
+Classical locations come from a numpy bisection, the GOE edge reference
+from a numpy Sturm-count solver, and quadrature imports scipy.integrate
+on first use, so neither importing the CLI, nor computing classical
+locations, nor a run of any kind but density-table may load the root
+finder, the quadrature, the special functions they pull in, or
+scipy.linalg.  Each check runs in a fresh interpreter, because this test
+process has imported them already.
 """
-
 import json
 import os
 import subprocess
@@ -17,16 +18,28 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 _PROBE = """
 import json, sys
-HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special")
+from pathlib import Path
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg")
 loaded = {}
 import scclab.cli
 loaded["import scclab.cli"] = [m for m in HEAVY if m in sys.modules]
 from scclab import classical_locations, make_model
 classical_locations(make_model(0.3, 0.2), 160)
 loaded["classical_locations q=160"] = [m for m in HEAVY if m in sys.modules]
-if scclab.cli.main(["quantiles", "--override", "q=40", "--out", sys.argv[1]]) != 0:
-    sys.exit("quantiles run failed")
-loaded["quantiles run"] = [m for m in HEAVY if m in sys.modules]
+RUNS = {
+    "quantiles": ["q=40"],
+    "tw-edge": ["n=40", "trials=4"],
+    "rigidity-scaling": ["n0=40", "trials=3", "factors=[1,2]"],
+    "local-law-sweep": ["n=40", "trials=1", "e_points=1", "eta_points=1"],
+    "spectrum": ["n=40"],
+}
+for kind, overrides in RUNS.items():
+    args = [kind, "--out", str(Path(sys.argv[1]) / kind)]
+    for item in overrides:
+        args += ["--override", item]
+    if scclab.cli.main(args) != 0:
+        sys.exit(kind + " run failed")
+    loaded[kind + " run"] = [m for m in HEAVY if m in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -37,5 +50,6 @@ def test_no_heavy_scipy_on_cli_path(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"import scclab.cli": [], "classical_locations q=160": [],
-                      "quantiles run": []}
+    assert loaded == {step: [] for step in (
+        "import scclab.cli", "classical_locations q=160", "quantiles run", "tw-edge run",
+        "rigidity-scaling run", "local-law-sweep run", "spectrum run")}

@@ -265,6 +265,20 @@ class TestLocalLawReport:
         assert rep.checks["identity_residual"] == bundle.identity_residual
         assert rep.checks["trace_identity"] == bundle.trace_identity_residual < 1e-10
 
+    def test_test_vectors_built_once_per_pair(self, medium_pair):
+        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        factor = canonical_factor(medium_pair)
+        linearized_resolvent._test_vectors.cache_clear()
+        for z in (complex(0.4, 0.3), complex(0.6, 0.5), complex(0.6, 0.5)):
+            local_law_errors(medium_pair, model, z, factor=factor)
+        info = linearized_resolvent._test_vectors.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        layout = build_H(medium_pair, complex(0.4, 0.3)).layout
+        vectors = linearized_resolvent._test_vectors(layout, 24, 0)
+        assert not vectors.flags.writeable
+        with pytest.raises(ValueError):
+            vectors[0, 0] = 1.0
+
     def test_aniso_bounded_by_operator_norm(self, medium_pair):
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         z = complex(0.5, 0.4)

@@ -20,6 +20,7 @@ from scclab import (
     whitened_cross,
     write_spectrum_csv,
 )
+from scclab import scc_core
 
 
 def _pair_from(X, Y):
@@ -152,6 +153,21 @@ class TestCanonicalFactor:
         assert np.array_equal(factor.lam_p[q:], np.zeros(pair.p - q))
         assert (factor.min_eig_xx, factor.min_eig_yy) == (spectrum.min_eig_xx,
                                                           spectrum.min_eig_yy)
+
+    def test_one_svd_per_factor(self, small_pair, monkeypatch):
+        # whitened_cross takes its values-only SVD lazily, which the full one replaces
+        svds, whitened = [], []
+        svd, real_whitened = np.linalg.svd, scc_core.whitened_cross
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **kw: svds.append(kw) or svd(*a, **kw))
+        monkeypatch.setattr(scc_core, "whitened_cross",
+                            lambda pair: whitened.append(pair) or real_whitened(pair))
+        canonical_factor(small_pair)
+        assert len(svds) == 1 and len(whitened) == 1
+        wc = real_whitened(small_pair)
+        assert len(svds) == 1
+        assert wc.singular_values is wc.singular_values
+        assert len(svds) == 2 and svds[-1] == {"compute_uv": False}
 
 
 class TestDetCharacterization:

@@ -1,0 +1,142 @@
+"""The numpy Sturm-count solver for the top eigenvalues of tridiagonals.
+
+LAPACK's bisection (stebz, through scipy) is the oracle, one matrix at a
+time.  The tolerance is fixed from the dtype before any comparison: each
+eigenvalue may differ by at most 4 eps |T|_1, |T|_1 the largest absolute
+row sum of the matrix.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from scclab import _linalg, edge_stats, goe_reference
+from scclab._linalg import _negative_pivots, tridiagonal_top
+from oracles import goe_values_stebz, tridiagonal_top_stebz
+
+EPS = np.finfo(float).eps
+
+
+def _norm1(diag, off):
+    radius = np.zeros_like(diag)
+    radius[:, :-1] += np.abs(off)
+    radius[:, 1:] += np.abs(off)
+    return (np.abs(diag) + radius).max(axis=1)
+
+
+def _assert_matches_stebz(diag, off, k):
+    diag, off = np.atleast_2d(diag).astype(float), np.atleast_2d(off).astype(float)
+    got = tridiagonal_top(diag, off, k)
+    want = tridiagonal_top_stebz(diag, off, k)
+    assert got.shape == want.shape == (diag.shape[0], k)
+    bound = 4.0 * EPS * _norm1(diag, off)[:, None]
+    assert np.all(np.abs(got - want) <= bound)
+    assert np.all(np.diff(got, axis=1) <= 0.0)
+    return got
+
+
+def _goe_tridiagonals(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    diag = rng.standard_normal((batch, n)) * math.sqrt(2.0)
+    off = np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1), size=(batch, n - 1)))
+    return diag, off
+
+
+@pytest.mark.parametrize("n, k", [
+    (2, 1), (5, 1), (5, 3), (5, 4), (40, 1), (40, 3), (40, 39),
+    (400, 1), (400, 3), (400, 399),
+])
+def test_goe_draws_match_stebz(n, k):
+    diag, off = _goe_tridiagonals(n, 6, seed=n + k)
+    _assert_matches_stebz(diag, off, k)
+
+
+def test_wilkinson_near_double_pairs():
+    # W21+: its top eigenvalues come in pairs that agree to about 1e-13
+    diag = np.abs(np.arange(21) - 10.0)
+    off = np.ones(20)
+    got = _assert_matches_stebz(diag, off, 21)[0]
+    assert 0.0 < got[0] - got[1] < 1e-12
+    assert got[1] - got[2] > 0.5
+
+
+def test_zero_diagonal_hits_eigenvalue_zero(monkeypatch):
+    # symmetric Gershgorin bounds put the middle of three trial points
+    # exactly at 0, an eigenvalue of the odd-sized matrix: the count meets
+    # a zero pivot
+    monkeypatch.setattr(_linalg, "_POINTS", 3)
+    points = []
+    monkeypatch.setattr(_linalg, "_negative_pivots",
+                        lambda d, o, x: points.append(x.copy()) or _negative_pivots(d, o, x))
+    got = _assert_matches_stebz(np.zeros(7), np.ones(6), 7)[0]
+    assert any(np.any(x == 0.0) for x in points)
+    assert np.abs(got[3]) <= 4.0 * EPS * 2.0
+
+
+def test_tiny_off_diagonals_leave_the_diagonal():
+    diag = np.array([[3.0, -1.0, 2.5, 0.0, 7.0, -4.0]])
+    got = _assert_matches_stebz(diag, np.full((1, 5), 1e-150), 6)
+    assert np.abs(got[0] - np.sort(diag[0])[::-1]).max() <= 4.0 * EPS * 7.0
+
+
+def test_zero_pivot_count_is_exact():
+    # tridiag(1, 1, 1) of size 3 has eigenvalues 1 - sqrt(2), 1, 1 + sqrt(2);
+    # at x = 1 the first pivot is exactly zero and the next one -inf
+    x = np.array([1.0 - math.sqrt(2.0) - 1e-9, 0.0, 1.0, 2.0, 3.0])
+    assert _negative_pivots(np.ones((3, 1)), np.ones((2, 1)), x).tolist() == [0, 1, 1, 2, 3]
+    diag, off = np.ones((1, 3)), np.ones((1, 2))
+    _assert_matches_stebz(diag, off, 3)
+
+
+def test_counts_match_dense_eigenvalues():
+    diag, off = _goe_tridiagonals(30, 4, seed=3)
+    x = np.linspace(-15.0, 15.0, 11)
+    counts = _negative_pivots(np.ascontiguousarray(diag.T), np.ascontiguousarray((off * off).T),
+                              np.repeat(x, 4)).reshape(x.size, 4)
+    for b in range(4):
+        dense = np.diag(diag[b]) + np.diag(off[b], 1) + np.diag(off[b], -1)
+        eigs = np.linalg.eigvalsh(dense)
+        assert counts[:, b].tolist() == [int(np.sum(eigs < v)) for v in x]
+
+
+def test_zero_matrix_stops():
+    assert np.array_equal(tridiagonal_top(np.zeros((2, 4)), np.zeros((2, 3)), 2),
+                          np.zeros((2, 2)))
+
+
+def test_result_independent_of_batch():
+    diag, off = _goe_tridiagonals(50, 5, seed=8)
+    together = tridiagonal_top(diag, off, 3)
+    for b in range(5):
+        assert np.array_equal(tridiagonal_top(diag[b:b + 1], off[b:b + 1], 3), together[b:b + 1])
+
+
+def test_row_blocks_do_not_change_counts(monkeypatch):
+    diag, off = _goe_tridiagonals(45, 3, seed=4)
+    full = tridiagonal_top(diag, off, 3)
+    monkeypatch.setattr(_linalg, "_ROWS", 7)       # 7 divides neither 45 nor 44
+    assert np.array_equal(tridiagonal_top(diag, off, 3), full)
+
+
+class TestGoeReference:
+    @pytest.mark.parametrize("args", [(400, 100, 3, 1), (60, 40, 3, 2), (2, 5, 1, 0)])
+    def test_matches_stebz_path(self, args):
+        values = goe_reference(*args).values
+        assert np.abs(values - goe_values_stebz(*args)).max() <= 1e-12
+
+    def test_trial_blocks_do_not_change_values(self, monkeypatch):
+        full = edge_stats._goe_values.__wrapped__(30, 20, 3, 4)
+        monkeypatch.setattr(edge_stats, "_GOE_BLOCK", 7)
+        assert np.array_equal(edge_stats._goe_values.__wrapped__(30, 20, 3, 4), full)
+
+    def test_memory_does_not_grow_with_trials(self):
+        edge_stats._goe_values.__wrapped__(40, 3, 3, 5)     # warm imports and caches
+        tracemalloc.start()
+        try:
+            edge_stats._goe_values.__wrapped__(400, 2000, 3, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
