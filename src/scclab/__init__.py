@@ -49,7 +49,6 @@ from .scc_core import (
     rigidity_profile,
     sample_covariances,
     whitened_cross,
-    write_spectrum_csv,
 )
 from .linearized_resolvent import (
     LinearizationMatrix,
@@ -86,7 +85,7 @@ __all__ = [
     "truncate_center_rescale",
     "SpectrumResult", "WhitenedCross", "CanonicalFactor",
     "sample_covariances", "whitened_cross", "canonical_factor", "ccc_eigenvalues",
-    "det_characterization_residual", "rigidity_profile", "write_spectrum_csv",
+    "det_characterization_residual", "rigidity_profile",
     "LinearizationMatrix", "ResolventBundle", "LocalLawReport",
     "build_H", "resolvent", "blocks_via_schur", "local_law_errors",
     "ExperimentConfig", "EdgeSamples", "ExperimentReport",

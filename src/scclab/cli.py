@@ -1,10 +1,11 @@
 """Command line driver for the laboratory's experiments.
 
 Each subcommand runs one experiment kind end-to-end: it validates the
-configuration (reporting every violated constraint and writing nothing
-on failure), executes, and writes results.csv, results.json, and a
-manifest.json with the full configuration echo next to them.  Outputs
-are a pure function of the configuration, so re-running a manifest's
+configuration (reporting every violated constraint), computes, and only
+then writes results.csv, results.json, and a manifest.json with the full
+configuration echo next to them.  A run that fails writes no results,
+only diagnostics.json on a numerical failure.  Every kind's runner is a
+pure function of the configuration, so re-running a manifest's
 configuration reproduces the result files byte for byte.
 
 Exit codes: 0 success, 2 validation failure (including an unreadable or
@@ -18,7 +19,6 @@ import csv
 import dataclasses
 import json
 import os
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -37,7 +37,7 @@ from .edge_stats import (
 )
 from .errors import DomainError, NumericalError, ParameterError
 from .linearized_resolvent import local_law_errors
-from .scc_core import canonical_factor, ccc_eigenvalues, write_spectrum_csv
+from .scc_core import canonical_factor, ccc_eigenvalues, rigidity_profile
 from .spectral_model import classical_locations, density, make_model, support_mass
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -53,60 +53,58 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _run_density_table(config: ExperimentConfig, out: Path) -> dict:
+def _run_density_table(config: ExperimentConfig):
     model = make_model(config.c1, config.c2)
     xs = np.linspace(model.lambda_minus, model.lambda_plus, config.x_points)
     fs = density(model, xs)
     rows = [(repr(float(x)), repr(float(f))) for x, f in zip(xs, fs)]
-    _write_csv(out / "results.csv", ("x", "density"), rows)
-    summary = {
+    results = {
         "lambda_minus": model.lambda_minus,
         "lambda_plus": model.lambda_plus,
         "c_tw": model.c_tw,
         "mass": support_mass(model),
         "points": config.x_points,
     }
-    _write_json(out / "results.json", summary)
-    return summary
+    return ("x", "density"), rows, results, None
 
 
-def _run_quantiles(config: ExperimentConfig, out: Path) -> dict:
+def _run_quantiles(config: ExperimentConfig):
     model = make_model(config.c1, config.c2)
     gamma = classical_locations(model, config.q)
     rows = [(j + 1, repr(float(g))) for j, g in enumerate(gamma)]
-    _write_csv(out / "results.csv", ("j", "gamma"), rows)
-    summary = {
+    results = {
         "q": config.q,
         "gamma_first": float(gamma[0]),
         "gamma_last": float(gamma[-1]),
         "lambda_plus": model.lambda_plus,
         "monotone": bool(np.all(np.diff(gamma) < 0)) if config.q > 1 else True,
     }
-    _write_json(out / "results.json", summary)
-    return summary
+    return ("j", "gamma"), rows, results, None
 
 
-def _run_spectrum(config: ExperimentConfig, out: Path) -> dict:
+def _run_spectrum(config: ExperimentConfig):
     n = config.n
     p, q = config.dims()
     model = config.model()
     pair = sample_pair(config.law, p, q, n, config.seed,
                        beta=config.beta, c_phi=config.c_phi)
     result = ccc_eigenvalues(pair)
-    write_spectrum_csv(result, model, out / "results.csv")
-    summary = {
+    gamma = classical_locations(model, q)
+    dev = rigidity_profile(result, model, keep_fraction=1.0)
+    rows = [(i + 1, repr(float(lam)), repr(float(g)), repr(float(d)))
+            for i, (lam, g, d) in enumerate(zip(result.eigenvalues, gamma, dev))]
+    results = {
         "n": n, "p": p, "q": q,
         "top_eigenvalues": [float(x) for x in result.eigenvalues[: min(5, q)]],
         "min_eig_xx": result.min_eig_xx,
         "min_eig_yy": result.min_eig_yy,
         "lambda_plus": model.lambda_plus,
     }
-    _write_json(out / "results.json", summary)
-    return summary | {"checks": {"min_eig_xx_min": result.min_eig_xx,
-                                 "min_eig_yy_min": result.min_eig_yy}}
+    checks = {"min_eig_xx_min": result.min_eig_xx, "min_eig_yy_min": result.min_eig_yy}
+    return ("index", "lambda", "gamma", "normalized_deviation"), rows, results, checks
 
 
-def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
+def _run_local_law_sweep(config: ExperimentConfig):
     n = config.n
     p, q = config.dims()
     model = config.model()
@@ -140,34 +138,32 @@ def _run_local_law_sweep(config: ExperimentConfig, out: Path) -> dict:
                              repr(rep.benchmarks["averaged"])))
                 reports.append(rep.to_json_dict() | {"trial": trial})
                 point_checks.append(rep.checks)
-    _write_csv(out / "results.csv", header, rows)
     worst = max(r["entrywise_err"] / r["benchmarks"]["entrywise"] for r in reports)
-    summary = {
+    results = {
         "n": n, "p": p, "q": q, "trials": config.trials,
         "grid": {"E": [float(e) for e in es], "eta": [float(e) for e in etas]},
         "worst_entrywise_over_benchmark": worst,
         "reports": reports,
     }
-    _write_json(out / "results.json", summary)
     checks = {f"{key}_max": max(c[key] for c in point_checks)
               for key in ("identity_residual", "trace_identity")}
     checks["min_eig_xx_min"] = min(xx for xx, _ in conditioning)
     checks["min_eig_yy_min"] = min(yy for _, yy in conditioning)
-    return summary | {"checks": checks}
+    return header, rows, results, checks
 
 
-def _write_report(report: ExperimentReport, out: Path) -> dict:
-    _write_csv(out / "results.csv", report.csv_header, report.csv_rows)
-    _write_json(out / "results.json", report.to_json_dict())
-    return report.metrics | {"checks": report.checks}
+def _report_outputs(report: ExperimentReport):
+    return report.csv_header, report.csv_rows, report.to_json_dict(), report.checks
 
 
-def _run_tw_edge(config: ExperimentConfig, out: Path) -> dict:
-    return _write_report(tw_experiment(config), out)
+# the drivers are looked up by their module-global names at call time, so
+# a caller that rebinds those names (a tracer, a test) sees every run
+def _run_tw_edge(config: ExperimentConfig):
+    return _report_outputs(tw_experiment(config))
 
 
-def _run_rigidity(config: ExperimentConfig, out: Path) -> dict:
-    return _write_report(rigidity_experiment(config), out)
+def _run_rigidity(config: ExperimentConfig):
+    return _report_outputs(rigidity_experiment(config))
 
 
 _RUNNERS = {
@@ -197,41 +193,39 @@ def _environment() -> dict:
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
-    """Validate, execute, and write results plus manifest.  Returns a summary.
+    """Validate, compute, then write results plus manifest.  Returns results.json's payload.
 
-    A runner may return its self-check residuals or conditioning under
-    "checks"; they go to the manifest only, as does the "environment"
-    (library versions, BLAS, CPU count, *_NUM_THREADS settings), so
-    results.* stay a function of the config.
+    Each kind's runner maps the config to (csv header, csv rows,
+    results.json payload, checks or None) and writes nothing, so a run
+    that raises leaves no output behind.  The checks (self-check
+    residuals, conditioning) go to the manifest only, as do the
+    "environment" (library versions, BLAS, CPU count, *_NUM_THREADS
+    settings) and the timings, so results.* stay a function of the
+    config.
     """
     violations = validate(config)
     if violations:
         raise ParameterError("; ".join(violations))
-    out = Path(out_dir)
-    missing = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    try:
-        summary = _RUNNERS[config.kind](config, out)
-    except (ParameterError, DomainError):
-        # exit code 2 promises no outputs: drop what this run created
-        if missing:
-            shutil.rmtree(missing[-1])
-        raise
-    elapsed = time.perf_counter() - start
-    checks = summary.pop("checks", None)
+    header, rows, results, checks = _RUNNERS[config.kind](config)
+    out = Path(out_dir)
+    write_start = time.perf_counter()
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "results.csv", header, rows)
+    _write_json(out / "results.json", results)
+    end = time.perf_counter()
     manifest = {
-        "config": dataclasses.asdict(config) | {"factors": list(config.factors)},
+        "config": dataclasses.asdict(config),
         "code_version": __version__,
         "seed": config.seed,
-        "timings": {"total_s": elapsed},
+        "timings": {"total_s": end - start, "write_s": end - write_start},
         "environment": _environment(),
         "outputs": ["results.csv", "results.json"],
     }
     if checks is not None:
         manifest["checks"] = checks
     _write_json(out / "manifest.json", manifest)
-    return summary
+    return results
 
 
 def _parse_override(text: str):
@@ -289,7 +283,7 @@ def main(argv=None) -> int:
 
     out_dir = args.out if args.out is not None else Path(f"out-{config.kind}")
     try:
-        summary = run(config, out_dir)
+        results = run(config, out_dir)
     except (ParameterError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
@@ -300,11 +294,11 @@ def main(argv=None) -> int:
             "error": type(exc).__name__,
             "message": str(exc),
             "achieved": getattr(exc, "achieved", None),
-            "config": dataclasses.asdict(config) | {"factors": list(config.factors)},
+            "config": dataclasses.asdict(config),
         })
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    keys = ", ".join(sorted(summary)[:6])
+    keys = ", ".join(sorted(results)[:6])
     print(f"wrote {out_dir}/results.csv, results.json, manifest.json (summary keys: {keys})")
     return 0
 

@@ -104,17 +104,9 @@ class EdgeSamples:
     """
 
     values: np.ndarray
-    n: int
-    k_max: int
-    law: str
-    seed: int
     failures: int = 0
     min_eig_xx: float = math.inf
     min_eig_yy: float = math.inf
-
-    @property
-    def trials(self) -> int:
-        return self.values.shape[0]
 
 
 def derived_seed(seed: int, *key: int) -> int:
@@ -153,8 +145,7 @@ def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> Edg
         raise ParameterError(f"n_goe = {n_goe} too small for k_max = {k_max}")
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
-    return EdgeSamples(values=_goe_values(n_goe, trials, k_max, seed), n=n_goe,
-                       k_max=k_max, law="goe", seed=seed, failures=0)
+    return EdgeSamples(values=_goe_values(n_goe, trials, k_max, seed))
 
 
 def ks_two_sample(a, b) -> float:
@@ -232,8 +223,7 @@ def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
         values.append(tw_rescale(result, model, config.k_max))
         failures += retries
         min_xx, min_yy = min(min_xx, result.min_eig_xx), min(min_yy, result.min_eig_yy)
-    return EdgeSamples(values=np.array(values), n=config.n, k_max=config.k_max,
-                       law=config.law, seed=config.seed, failures=failures,
+    return EdgeSamples(values=np.array(values), failures=failures,
                        min_eig_xx=min_xx, min_eig_yy=min_yy)
 
 

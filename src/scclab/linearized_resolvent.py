@@ -42,7 +42,7 @@ precision self-tests of any computed G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -65,6 +65,7 @@ __all__ = [
 
 _RESIDUAL_LIMIT = 1e-6
 _PANEL = 128
+_N_RANDOM_VECTORS = 24    # seeded global unit vectors in the anisotropic test set
 
 
 def _panels(start: int, stop: int) -> list[slice]:
@@ -351,33 +352,22 @@ class LocalLawReport:
     checks: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "z": [self.z.real, self.z.imag],
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "entrywise_err": self.entrywise_err,
-            "aniso_err": self.aniso_err,
-            "avg_err": list(self.avg_err),
-            "psi": self.psi,
-            "phi_n": self.phi_n,
-            "benchmarks": dict(self.benchmarks),
-            "sectors": dict(self.sectors),
-            "route": self.route,
-        }
+        d = asdict(self)
+        del d["checks"]
+        return d | {"z": [self.z.real, self.z.imag]}
 
 
 @lru_cache(maxsize=4)
-def _test_vectors(layout: IndexLayout, n_vectors: int, seed: int) -> np.ndarray:
+def _test_vectors(layout: IndexLayout, seed: int) -> np.ndarray:
     """Columns: random global unit vectors, per-block unit vectors, basis vectors.
 
     Every (E, eta) point of a sweep uses the same set, so it is built once
-    per (layout, n_vectors, seed) and shared read-only.
+    per (layout, seed) and shared read-only.
     """
     rng = np.random.default_rng(seed)
     d = layout.dim
     cols = []
-    for _ in range(n_vectors):
+    for _ in range(_N_RANDOM_VECTORS):
         v = rng.standard_normal(d)
         cols.append(v / np.linalg.norm(v))
     for a in (1, 2, 3, 4):
@@ -395,7 +385,7 @@ def _test_vectors(layout: IndexLayout, n_vectors: int, seed: int) -> np.ndarray:
 
 
 def local_law_errors(pair: DataPair, model: SpectralModel, z,
-                     n_vectors: int = 24, seed: int = 0, route: str = "schur",
+                     seed: int = 0, route: str = "schur",
                      epsilon: float = 0.05,
                      factor: CanonicalFactor | None = None) -> LocalLawReport:
     """Measure entrywise, anisotropic, and averaged deviations of G from the limit.
@@ -443,7 +433,7 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     off = layout.p + layout.q
     sectors["paired34"] = float(np.abs(diff[off + mu, off + layout.n + mu]).max())
 
-    vectors = _test_vectors(layout, n_vectors, seed)
+    vectors = _test_vectors(layout, seed)
     quad_forms = _real_times(vectors.T, diff) @ vectors
     aniso = float(np.abs(quad_forms).max())
 

@@ -29,7 +29,6 @@ exposes as a smallest-singular-value residual check.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +48,6 @@ __all__ = [
     "ccc_eigenvalues",
     "det_characterization_residual",
     "rigidity_profile",
-    "write_spectrum_csv",
 ]
 
 _CLAMP_TOL = 1e-12
@@ -228,14 +226,3 @@ def rigidity_profile(result: SpectrumResult, model: SpectralModel,
     keep = int(np.floor(keep_fraction * q))
     return d[:keep]
 
-
-def write_spectrum_csv(result: SpectrumResult, model: SpectralModel, path) -> None:
-    """One row per eigenvalue: index, lambda, gamma, normalized_deviation."""
-    gamma = classical_locations(model, result.q)
-    dev = rigidity_profile(result, model, keep_fraction=1.0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "lambda", "gamma", "normalized_deviation"])
-        for i in range(result.q):
-            writer.writerow([i + 1, repr(float(result.eigenvalues[i])),
-                             repr(float(gamma[i])), repr(float(dev[i]))])

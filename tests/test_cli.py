@@ -1,5 +1,6 @@
 """Command line driver: validation, execution, reproducibility, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -7,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from scclab import DomainError, cli, scc_core
+from scclab import (
+    DomainError,
+    NumericalError,
+    ccc_eigenvalues,
+    classical_locations,
+    cli,
+    make_model,
+    sample_gaussian,
+    scc_core,
+)
 from scclab.cli import ExperimentConfig, build_config, main, validate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -123,6 +133,7 @@ class TestMain:
         assert manifest["outputs"] == ["results.csv", "results.json"]
         assert "code_version" in manifest
         assert manifest["timings"]["total_s"] >= 0.0
+        assert 0.0 <= manifest["timings"]["write_s"] <= manifest["timings"]["total_s"]
 
     @pytest.mark.parametrize("kind, overrides", [
         ("density-table", ["x_points=5"]),
@@ -139,6 +150,8 @@ class TestMain:
         for item in overrides:
             args += ["--override", item]
         assert main(args) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "manifest.json", "results.csv", "results.json"]
         env = json.loads((out / "manifest.json").read_text())["environment"]
         assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "threads"}
         assert set(env["blas"]) == {"name", "version"}
@@ -147,6 +160,22 @@ class TestMain:
         assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
         results = json.loads((out / "results.json").read_text())
         assert not {"environment", "numpy", "scipy", "blas", "threads"} & set(results)
+
+    def test_spectrum_csv_format_and_round_trip(self, tmp_path):
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--out", str(out), "--seed", "5", "--override", "n=100",
+                     "--override", "c1=0.4", "--override", "c2=0.2"]) == 0
+        res = ccc_eigenvalues(sample_gaussian(40, 20, 100, seed=5))
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["index", "lambda", "gamma", "normalized_deviation"]
+        assert len(rows) == 1 + res.q
+        # repr round trip preserves the eigenvalues bit for bit
+        for i, row in enumerate(rows[1:]):
+            assert int(row[0]) == i + 1
+            assert float(row[1]) == res.eigenvalues[i]
+        gamma = classical_locations(make_model(0.4, 0.2), res.q)
+        assert float(rows[1][2]) == gamma[0]
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["spectrum", "--seed", "3", "--override", "n=100"]
@@ -165,8 +194,7 @@ class TestMain:
         assert "c1 + c2" in capsys.readouterr().err
 
     def test_mid_run_domain_error_exit_2_no_outputs(self, tmp_path, monkeypatch):
-        def failing(config, out):
-            (out / "results.csv").write_text("partial\n")
+        def failing(config):
             raise DomainError("injected mid-run failure")
 
         monkeypatch.setitem(cli._RUNNERS, "quantiles", failing)
@@ -178,6 +206,18 @@ class TestMain:
         existing.mkdir()
         assert main(["quantiles", "--out", str(existing)]) == 2
         assert existing.is_dir()
+        assert not any(existing.iterdir())
+
+    def test_mid_run_numerical_error_exit_3_only_diagnostics(self, tmp_path, monkeypatch):
+        def failing(config):
+            raise NumericalError("injected mid-run failure", achieved=0.5)
+
+        monkeypatch.setitem(cli._RUNNERS, "quantiles", failing)
+        out = tmp_path / "q"
+        assert main(["quantiles", "--out", str(out)]) == 3
+        assert [f.name for f in out.iterdir()] == ["diagnostics.json"]
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "NumericalError" and diag["achieved"] == 0.5
 
     def test_bad_override_exit_2(self, tmp_path):
         out = tmp_path / "bad"

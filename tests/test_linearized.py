@@ -1,5 +1,7 @@
 """Linearization matrix, resolvent routes, and finite-size deviation reports."""
 
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -188,6 +190,8 @@ class TestLocalLawReport:
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         rep = local_law_errors(medium_pair, model, complex(0.5, 0.4))
         d = rep.to_json_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(rep)} - {"checks"}
+        json.dumps(d)
         assert d["z"] == [0.5, 0.4]
         assert d["n"] == 100 and d["p"] == 40 and d["q"] == 20
         assert len(d["avg_err"]) == 5
@@ -252,7 +256,7 @@ class TestLocalLawReport:
         diff = bundle.G - pi_dense(pi_limit(model, z, pair.p, pair.q, pair.n))
         layout = bundle.layout
         assert rep.entrywise_err == pytest.approx(np.abs(diff).max(), rel=1e-12)
-        vectors = linearized_resolvent._test_vectors(layout, 24, 0)
+        vectors = linearized_resolvent._test_vectors(layout, 0)
         aniso = np.abs(vectors.T @ diff @ vectors).max()
         assert rep.aniso_err == pytest.approx(aniso, rel=1e-12)
         for a in (1, 2, 3, 4):
@@ -274,7 +278,7 @@ class TestLocalLawReport:
         info = linearized_resolvent._test_vectors.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         layout = build_H(medium_pair, complex(0.4, 0.3)).layout
-        vectors = linearized_resolvent._test_vectors(layout, 24, 0)
+        vectors = linearized_resolvent._test_vectors(layout, 0)
         assert not vectors.flags.writeable
         with pytest.raises(ValueError):
             vectors[0, 0] = 1.0

@@ -1,7 +1,5 @@
 """Squared canonical correlation spectra and their diagnostics."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from scclab import (
     sample_covariances,
     sample_gaussian,
     whitened_cross,
-    write_spectrum_csv,
 )
 from scclab import scc_core
 
@@ -230,20 +227,3 @@ class TestRigidity:
             count = int((res.eigenvalues >= gamma[j - 1]).sum())
             assert abs(count - (j - 1)) <= 3
 
-
-class TestSpectrumCsv:
-    def test_format_and_round_trip(self, medium_pair, tmp_path):
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
-        res = ccc_eigenvalues(medium_pair)
-        path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(res, model, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["index", "lambda", "gamma", "normalized_deviation"]
-        assert len(rows) == 1 + res.q
-        # repr round trip preserves the eigenvalues bit for bit
-        for i, row in enumerate(rows[1:]):
-            assert int(row[0]) == i + 1
-            assert float(row[1]) == res.eigenvalues[i]
-        gamma = classical_locations(model, res.q)
-        assert float(rows[1][2]) == gamma[0]
