@@ -33,7 +33,6 @@ from .spectral_model import (
 from .sampler import (
     DataPair,
     PairMeta,
-    TailSpec,
     sample_bounded,
     sample_gaussian,
     sample_heavy_tail,
@@ -80,7 +79,7 @@ __all__ = [
     "make_model", "support_edges", "density", "support_mass",
     "classical_location", "classical_locations", "stieltjes", "sc_residuals",
     "pi_limit", "psi_control",
-    "DataPair", "PairMeta", "TailSpec",
+    "DataPair", "PairMeta",
     "sample_gaussian", "sample_bounded", "sample_heavy_tail",
     "truncate_center_rescale",
     "SpectrumResult", "WhitenedCross", "CanonicalFactor",

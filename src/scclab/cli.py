@@ -35,7 +35,7 @@ from .edge_stats import (
     sample_pair,
     tw_experiment,
 )
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError, reject
 from .linearized_resolvent import local_law_errors
 from .scc_core import canonical_factor, ccc_eigenvalues, rigidity_profile
 from .spectral_model import classical_locations, density, make_model, support_mass
@@ -203,9 +203,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     settings) and the timings, so results.* stay a function of the
     config.
     """
-    violations = validate(config)
-    if violations:
-        raise ParameterError("; ".join(violations))
+    reject(validate(config))
     start = time.perf_counter()
     header, rows, results, checks = _RUNNERS[config.kind](config)
     out = Path(out_dir)
@@ -262,7 +260,7 @@ def main(argv=None) -> int:
     for kind in KINDS:
         sp = sub.add_parser(kind, help=f"run the {kind} experiment")
         sp.add_argument("--config", type=Path, default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None, help="unsigned 64-bit master seed")
+        sp.add_argument("--seed", type=int, default=None, help="master seed in [0, 2**64)")
         sp.add_argument("--out", type=Path, default=None, help="output directory")
         sp.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config field")

@@ -1,9 +1,19 @@
 """One flat configuration for every experiment kind, and its validator.
 
 `validate` collects every violated constraint, so a run reports them all
-at once and writes nothing.  Constraints the library also enforces when
-it is called directly (aspect ratios, sampler laws) are taken from the
-module that enforces them, so both routes apply the same rule.
+at once and writes nothing.  Each constraint is one function returning
+its violation messages, kept in the module that enforces it when the
+library is called directly, and `validate` only concatenates their lists:
+
+- entry law, tail exponent beta, dimensions 0 < p, q < n, seed and
+  truncation exponent c_phi: `sampler`;
+- aspect ratios (at the nominal c1, c2 and at p/n, q/n for every size n
+  a kind samples) and the local law's spectral window: `spectral_model`;
+- edge depth k_max and GOE reference size n_goe: this module, for
+  `edge_stats`.
+
+The remaining rules (kind, field types, trial counts, rigidity sizes and
+grids) concern configs only and are written here, inside `validate`.
 """
 
 from __future__ import annotations
@@ -13,8 +23,8 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .sampler import LAWS
-from .spectral_model import SpectralModel, aspect_ratio_violations, make_model
+from .sampler import dims_violations, law_violations, seed_violations, truncation_violations
+from .spectral_model import SpectralModel, aspect_ratio_violations, make_model, window_violations
 
 __all__ = ["KINDS", "ExperimentConfig", "build_config", "validate"]
 
@@ -108,6 +118,36 @@ def _type_violations(config: ExperimentConfig) -> list[str]:
     return v
 
 
+def k_max_violations(k_max: int, q: int) -> list[str]:
+    """The violated edge-depth constraint 1 <= k_max <= q, if any."""
+    return [] if 1 <= k_max <= q else [f"k_max must lie in [1, q={q}], got {k_max}"]
+
+
+def goe_size_violations(n_goe: int, k_max: int) -> list[str]:
+    """The violated GOE reference size constraint n_goe >= k_max + 1, if any."""
+    return [] if n_goe >= k_max + 1 else [f"n_goe = {n_goe} too small for k_max = {k_max}"]
+
+
+def _size_violations(config: ExperimentConfig) -> list[str]:
+    """Dimension and aspect-ratio violations at every size n the kind samples at.
+
+    Runs build their limit model at p/n, q/n, so the aspect-ratio rule
+    must hold there as well as at the nominal c1, c2.
+    """
+    if config.kind == "rigidity-scaling":
+        sizes = [config.n0 * f for f in config.factors]
+    elif config.kind in ("spectrum", "local-law-sweep", "tw-edge"):
+        sizes = [config.n]
+    else:
+        return []
+    v = []
+    for n in sizes:
+        p, q = config.dims(n)
+        v += dims_violations(p, q, n) or [
+            f"at n = {n}, p = {p}, q = {q}: {m}" for m in aspect_ratio_violations(p / n, q / n)]
+    return v
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Collect every violated constraint; an empty list means runnable."""
     if config.kind not in KINDS:
@@ -116,32 +156,17 @@ def validate(config: ExperimentConfig) -> list[str]:
     if v:
         # the range checks below compare numbers and would fail on these
         return v
-    v = aspect_ratio_violations(config.c1, config.c2)
-    if not (0 <= config.seed < 2 ** 64):
-        v.append(f"seed must be an unsigned 64-bit integer, got {config.seed}")
-    if config.law not in LAWS:
-        v.append(f"law {config.law!r} is not one of {LAWS}")
-    if config.law == "pareto":
-        if config.beta is None:
-            v.append("law 'pareto' requires beta")
-        elif not config.beta > 2.0:
-            v.append(f"tail exponent must satisfy beta > 2, got beta={config.beta}")
-    if config.c_phi is not None and not (0.0 < config.c_phi < 0.5):
-        v.append(f"truncation exponent must satisfy 0 < c_phi < 1/2, got {config.c_phi}")
+    v = aspect_ratio_violations(config.c1, config.c2) or _size_violations(config)
+    v += seed_violations(config.seed) + law_violations(config.law, config.beta)
+    if config.c_phi is not None:
+        v += truncation_violations(config.c_phi)
 
-    if config.kind in ("spectrum", "local-law-sweep", "tw-edge"):
-        p, q = config.dims()
-        if config.n < 4 or p < 1 or q < 1 or p >= config.n or q >= config.n:
-            v.append(
-                f"dimensions must satisfy 0 < p, q < n, got p={p}, q={q}, n={config.n}"
-            )
-        elif config.kind == "tw-edge" and not (1 <= config.k_max <= q):
-            v.append(f"k_max must lie in [1, q={q}], got {config.k_max}")
     if config.kind == "tw-edge":
+        v += k_max_violations(config.k_max, config.dims()[1])
         if config.trials < 2:
             v.append(f"tw-edge needs trials >= 2, got {config.trials}")
-        if config.n_goe is not None and config.n_goe < config.k_max + 1:
-            v.append(f"n_goe = {config.n_goe} too small for k_max = {config.k_max}")
+        if config.n_goe is not None:
+            v += goe_size_violations(config.n_goe, config.k_max)
     if config.kind == "rigidity-scaling":
         if config.trials < 3:
             v.append(f"rigidity-scaling needs trials >= 3, got {config.trials}")
@@ -157,25 +182,10 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.kind == "density-table" and config.x_points < 2:
         v.append(f"density table needs at least 2 points, got {config.x_points}")
     if config.kind == "local-law-sweep":
-        if not (0.0 < config.epsilon < 1.0):
-            v.append(f"spectral window parameter must lie in (0, 1), got {config.epsilon}")
-        else:
-            eta_floor = config.n ** (-1.0 + config.epsilon)
-            if config.eta_min < eta_floor:
-                v.append(
-                    f"eta_min = {config.eta_min} below the admissible floor "
-                    f"n^(-1+eps) = {eta_floor:.4e} of the spectral window"
-                )
-            if config.eta_max > 1.0 / config.epsilon:
-                v.append(
-                    f"eta_max = {config.eta_max} above the admissible ceiling "
-                    f"1/eps = {1.0 / config.epsilon:.4e} of the spectral window"
-                )
-            if not (config.epsilon <= config.e_min <= config.e_max <= 1.0):
-                v.append(
-                    f"energy range [{config.e_min}, {config.e_max}] must lie inside "
-                    f"[eps, 1] = [{config.epsilon}, 1]"
-                )
+        v += window_violations(config.n, config.epsilon, config.e_min, config.e_max,
+                               config.eta_min, config.eta_max)
+        if config.e_min > config.e_max:
+            v.append(f"e_min {config.e_min} exceeds e_max {config.e_max}")
         if config.eta_min > config.eta_max:
             v.append(f"eta_min {config.eta_min} exceeds eta_max {config.eta_max}")
         if config.e_points < 1 or config.eta_points < 1:

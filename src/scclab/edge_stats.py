@@ -37,11 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import tridiagonal_top
-from .config import ExperimentConfig, validate
-from .errors import NumericalError, ParameterError, ScclabError
+from .config import ExperimentConfig, goe_size_violations, k_max_violations, validate
+from .errors import NumericalError, ParameterError, ScclabError, reject
 from .sampler import (
-    LAWS,
     DataPair,
+    law_violations,
     sample_bounded,
     sample_gaussian,
     sample_heavy_tail,
@@ -72,16 +72,13 @@ _GOE_BLOCK = 256    # trials whose tridiagonals are solved in one batch
 def sample_pair(law: str, p: int, q: int, n: int, seed: int,
                 beta: float | None = None, c_phi: float | None = None) -> DataPair:
     """Dispatch to the named sampler, optionally applying the truncation pipeline."""
+    reject(law_violations(law, beta))
     if law == "gaussian":
         pair = sample_gaussian(p, q, n, seed)
-    elif law in ("rademacher", "uniform"):
-        pair = sample_bounded(p, q, n, seed, law=law)
     elif law == "pareto":
-        if beta is None:
-            raise ParameterError("law 'pareto' requires a tail exponent beta")
         pair = sample_heavy_tail(p, q, n, seed, beta)
     else:
-        raise ParameterError(f"unknown law {law!r}; choose from {LAWS}")
+        pair = sample_bounded(p, q, n, seed, law=law)
     if c_phi is not None:
         pair = truncate_center_rescale(pair, c_phi)
     return pair
@@ -89,8 +86,7 @@ def sample_pair(law: str, p: int, q: int, n: int, seed: int,
 
 def tw_rescale(result: SpectrumResult, model: SpectralModel, k_max: int = 3) -> np.ndarray:
     """Edge-rescaled top eigenvalues n**(2/3) (lambda_k - lambda_plus) / c_tw."""
-    if not (1 <= k_max <= result.q):
-        raise ParameterError(f"k_max must lie in [1, q], got {k_max} with q={result.q}")
+    reject(k_max_violations(k_max, result.q))
     lam = result.eigenvalues[:k_max]
     return result.n ** (2.0 / 3.0) * (lam - model.lambda_plus) / model.c_tw
 
@@ -141,8 +137,7 @@ def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> Edg
     returns a fresh EdgeSamples whose values are the one read-only array
     drawn for those arguments.
     """
-    if n_goe < k_max + 1:
-        raise ParameterError(f"n_goe = {n_goe} too small for k_max = {k_max}")
+    reject(goe_size_violations(n_goe, k_max))
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
     return EdgeSamples(values=_goe_values(n_goe, trials, k_max, seed))
@@ -183,9 +178,7 @@ class ExperimentReport:
 def _require_valid(config: ExperimentConfig, kind: str) -> None:
     if config.kind != kind:
         raise ParameterError(f"expected a {kind!r} config, got kind {config.kind!r}")
-    violations = validate(config)
-    if violations:
-        raise ParameterError("; ".join(violations))
+    reject(validate(config))
 
 
 def _resampled_spectrum(config: ExperimentConfig, n: int,

@@ -2,7 +2,9 @@
 
 Every rejection carries enough context to state which constraint failed
 and with what value, so callers (and the command line driver) can report
-violations without re-deriving them.
+violations without re-deriving them.  Each constraint is one function that
+returns its violation messages; an entry point passes their concatenation
+to reject().
 """
 
 from __future__ import annotations
@@ -48,3 +50,9 @@ class SingularityError(NumericalError):
     def __init__(self, message, min_eigenvalue):
         super().__init__(message, achieved=min_eigenvalue)
         self.min_eigenvalue = min_eigenvalue
+
+
+def reject(violations: list[str], error: type[ScclabError] = ParameterError) -> None:
+    """Raise error with every violation message, joined by "; ", if there are any."""
+    if violations:
+        raise error("; ".join(violations))

@@ -37,7 +37,8 @@ satisfy, for every realization and in exact arithmetic,
 
 with c1 = p/n, c2 = q/n and m the q-normalized trace of the resolvent of
 the q x q correlation product.  These identities are used as machine-
-precision self-tests of any computed G.
+precision self-tests of any computed G; local_law_errors raises when
+either is violated by more than 1e-10.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._linalg import IndexLayout, kernel_inverse_2x2, sqrt_z
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError, reject
 from .sampler import DataPair
 from .scc_core import CanonicalFactor, canonical_factor
-from .spectral_model import SpectralModel, pi_limit, psi_control, stieltjes
+from .spectral_model import (SpectralModel, pi_limit, psi_control, stieltjes,
+                             window_violations)
 
 __all__ = [
     "LinearizationMatrix",
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-6
+_TRACE_LIMIT = 1e-10        # for the trace identities, at every z of the spectral window
 _PANEL = 128
 _N_RANDOM_VECTORS = 24    # seeded global unit vectors in the anisotropic test set
 
@@ -224,11 +227,10 @@ def _identity_residual(lin: LinearizationMatrix, G: np.ndarray) -> float:
     return worst
 
 
-def _enforce_residual(residual: float, z: complex) -> float:
-    if residual > _RESIDUAL_LIMIT:
+def _enforce(check: str, residual: float, limit: float, z: complex) -> float:
+    if residual > limit:
         raise NumericalError(
-            f"resolvent identity residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:.0e} "
-            f"at z = {z}",
+            f"{check} residual {residual:.3e} exceeds {limit:.0e} at z = {z}",
             achieved=residual,
         )
     return residual
@@ -247,7 +249,8 @@ def resolvent(pair: DataPair, z) -> ResolventBundle:
         G = np.linalg.inv(lin.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"linearization not invertible at z = {lin.z}: {exc}") from exc
-    residual = _enforce_residual(_identity_residual(lin, G), lin.z)
+    residual = _enforce("resolvent identity", _identity_residual(lin, G),
+                        _RESIDUAL_LIMIT, lin.z)
     m1, m2, m3, m4 = _partial_traces(G, layout)
     Syy = pair.Y @ pair.Y.T
     m = complex(np.trace(G[layout.sl2, layout.sl2] @ Syy)) / layout.q
@@ -314,7 +317,8 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None) -
     G[idx, n + idx] += sz
     G[n + idx, idx] += sz
 
-    residual = _enforce_residual(_identity_residual(lin, G), z)
+    residual = _enforce("resolvent identity", _identity_residual(lin, G),
+                        _RESIDUAL_LIMIT, z)
     m1, m2, m3, m4 = _partial_traces(G, layout)
     m = complex(np.mean(1.0 / (lam_q - z)))
     return ResolventBundle(
@@ -396,20 +400,13 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     test set: seeded uniform unit vectors, one unit vector supported on
     each coordinate block, and representative standard basis vectors (the
     full basis-pair sweep is the entrywise error).  factor, from
-    canonical_factor(pair), goes to the Schur route.
+    canonical_factor(pair), goes to the Schur route.  A z outside the
+    window raises a DomainError, and a trace-identity residual above
+    1e-10 a NumericalError.
     """
     z = complex(z)
     n = pair.n
-    if not (epsilon <= z.real <= 1.0):
-        raise DomainError(
-            f"Re z = {z.real} outside the spectral window [{epsilon}, 1]"
-        )
-    eta_floor = n ** (-1.0 + epsilon)
-    if not (eta_floor <= z.imag <= 1.0 / epsilon):
-        raise DomainError(
-            f"Im z = {z.imag} outside the admissible range "
-            f"[n^(-1+eps), 1/eps] = [{eta_floor:.3e}, {1.0 / epsilon:.3e}]"
-        )
+    reject(window_violations(n, epsilon, z.real, z.real, z.imag, z.imag), DomainError)
     if route == "schur":
         bundle = blocks_via_schur(pair, z, factor)
     elif route == "direct" and factor is None:
@@ -417,6 +414,8 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     else:
         raise ParameterError(f"route must be 'schur', or 'direct' without a factor; "
                              f"got {route!r}")
+    trace_residual = _enforce("trace identity", bundle.trace_identity_residual,
+                              _TRACE_LIMIT, z)
     layout = bundle.layout
     # the bundle is private to this call, so G becomes G - Pi in place
     diff = bundle.G
@@ -447,7 +446,7 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     ]
 
     psi = psi_control(model, z, n)
-    phi_n = pair.meta.phi_n if pair.meta and pair.meta.phi_n is not None else n ** -0.5
+    phi_n = pair.meta.phi_n if pair.meta.phi_n is not None else n ** -0.5
     benchmarks = {
         "entrywise": phi_n + psi,
         "averaged": 1.0 / (n * z.imag),
@@ -466,5 +465,5 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
         sectors=sectors,
         route=route,
         checks={"identity_residual": bundle.identity_residual,
-                "trace_identity": bundle.trace_identity_residual},
+                "trace_identity": trace_residual},
     )

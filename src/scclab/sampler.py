@@ -17,24 +17,30 @@ re-keyed row by row rather than built anew for each row.
 
 The truncation pipeline clips the unit-scale entries at n**(1/2 - c_phi)
 (equivalently: clips the 1/sqrt(n)-scale entries at n**(-c_phi)), zeroing
-anything larger, then recenters and rescales by the exact mean and
-standard deviation of the clipped base law so the output again has mean
-zero and entry variance exactly 1/n with bounded support of order
-n**(-c_phi).
+anything larger, then rescales by the exact standard deviation of the
+clipped base law (every law is symmetric, so the clipped mean is zero) so
+the output again has mean zero and entry variance exactly 1/n with
+bounded support of order n**(-c_phi).
+
+_LAWS is the one law registry: each law's row draw, support level and
+clipped standard deviation.  This module owns the rules on what it is
+given (the law and its tail exponent, the dimensions, the seed and the
+truncation exponent), each as a *_violations function that
+config.validate reuses; they stay out of __all__.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, reject
 
 __all__ = [
     "LAWS",
-    "TailSpec",
     "PairMeta",
     "DataPair",
     "sample_gaussian",
@@ -43,43 +49,84 @@ __all__ = [
     "truncate_center_rescale",
 ]
 
-_GAUSSIAN = "gaussian"
-_RADEMACHER = "rademacher"
-_UNIFORM = "uniform"
-_PARETO = "pareto"
-LAWS = (_GAUSSIAN, _RADEMACHER, _UNIFORM, _PARETO)
-
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class TailSpec:
-    """Symmetric Pareto-type tail: P(|u| > t) = (t / scale)**(-beta) for t >= scale."""
+def _signs(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
 
-    beta: float
-    scale: float
 
-    def __post_init__(self):
-        if not self.beta > 2.0:
-            raise ParameterError(
-                f"tail exponent must exceed 2 for a finite variance, got beta={self.beta}"
-            )
-        expected = math.sqrt((self.beta - 2.0) / self.beta)
-        if abs(self.scale - expected) > 1e-12:
-            raise ParameterError(
-                f"scale {self.scale} does not normalize the variance to 1 "
-                f"(expected {expected})"
-            )
+def _pareto_row(rng: np.random.Generator, n: int, beta: float) -> np.ndarray:
+    u = rng.random(n)
+    return math.sqrt((beta - 2.0) / beta) * u ** (-1.0 / beta) * _signs(rng, n)
 
-    @classmethod
-    def make(cls, beta: float) -> "TailSpec":
-        scale = math.sqrt((beta - 2.0) / beta) if beta > 2.0 else math.nan
-        return cls(beta=beta, scale=scale)
 
-    @property
-    def satisfies_edge_tail_condition(self) -> bool:
-        # t**4 P(|u| >= t) -> 0 iff beta > 4
-        return self.beta > 4.0
+def _pareto_clipped_std(T: float, beta: float) -> float:
+    t0 = math.sqrt((beta - 2.0) / beta)
+    if T < t0:
+        return 0.0
+    return math.sqrt(max(1.0 - beta * t0 ** beta * T ** (2.0 - beta) / (beta - 2.0), 0.0))
+
+
+class _Law(NamedTuple):
+    draw: Callable          # (rng, n, beta) -> one row of unit-variance entries
+    scale: float | None     # support level on the unit scale; None when unbounded
+    clipped_std: Callable   # (T, beta) -> standard deviation of u 1{|u| <= T}
+
+
+# Every law is symmetric, so u 1{|u| <= T} has mean 0 and only its second
+# moment needs a formula.  The Gaussian "support level" is the conventional
+# scale at which its unbounded entries concentrate.
+_LAWS = {
+    "gaussian": _Law(
+        lambda rng, n, beta: rng.standard_normal(n), 1.0,
+        lambda T, beta: math.sqrt(math.erf(T / math.sqrt(2.0))
+                                  - T * math.sqrt(2.0 / math.pi) * math.exp(-T * T / 2.0))),
+    "rademacher": _Law(
+        lambda rng, n, beta: _signs(rng, n), 1.0,
+        lambda T, beta: 1.0 if T >= 1.0 else 0.0),
+    "uniform": _Law(
+        lambda rng, n, beta: (2.0 * rng.random(n) - 1.0) * _UNIFORM_HALF_WIDTH,
+        _UNIFORM_HALF_WIDTH,
+        lambda T, beta: (1.0 if T >= _UNIFORM_HALF_WIDTH
+                         else math.sqrt(T ** 3 / (3.0 * _UNIFORM_HALF_WIDTH)))),
+    "pareto": _Law(_pareto_row, None, _pareto_clipped_std),
+}
+LAWS = tuple(_LAWS)
+
+
+def law_violations(law: str, beta: float | None) -> list[str]:
+    """Every violated entry-law constraint; an empty list means the law can be drawn."""
+    if law not in LAWS:
+        return [f"unknown law {law!r}; known laws: {LAWS}"]
+    if law != "pareto":
+        return []
+    if beta is None:
+        return ["law 'pareto' requires beta"]
+    if not 2.0 < beta:
+        return [f"tail exponent must satisfy beta > 2 for a finite variance, got beta={beta}"]
+    return []
+
+
+def dims_violations(p: int, q: int, n: int) -> list[str]:
+    """The violated dimension constraint 0 < p, q < n, if any."""
+    if 0 < p < n and 0 < q < n:
+        return []
+    return [f"dimensions must satisfy 0 < p, q < n, got p={p}, q={q}, n={n}"]
+
+
+def seed_violations(seed: int) -> list[str]:
+    """The violated seed constraint, if any: the seed is one 64-bit key word."""
+    if 0 <= seed < 2 ** 64:
+        return []
+    return [f"seed must be an unsigned 64-bit integer, got {seed}"]
+
+
+def truncation_violations(c_phi: float) -> list[str]:
+    """The violated truncation-exponent constraint, if any."""
+    if 0.0 < c_phi < 0.5:
+        return []
+    return [f"truncation exponent must satisfy 0 < c_phi < 1/2, got {c_phi}"]
 
 
 @dataclass(frozen=True)
@@ -119,29 +166,8 @@ class DataPair:
         return self.X.shape[1]
 
 
-def _validate_dims(p: int, q: int, n: int, seed: int):
-    if not (0 < p < n and 0 < q < n):
-        raise ParameterError(f"dimensions must satisfy 0 < p, q < n, got p={p}, q={q}, n={n}")
-    if not (0 <= seed < 2 ** 64):
-        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
-
-
-def _draw_row(rng: np.random.Generator, n: int, distribution: str, tail: TailSpec | None):
-    if distribution == _GAUSSIAN:
-        return rng.standard_normal(n)
-    if distribution == _RADEMACHER:
-        return rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
-    if distribution == _UNIFORM:
-        return (2.0 * rng.random(n) - 1.0) * _UNIFORM_HALF_WIDTH
-    if distribution == _PARETO:
-        u = rng.random(n)
-        signs = rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
-        return tail.scale * u ** (-1.0 / tail.beta) * signs
-    raise ParameterError(f"unknown distribution tag {distribution!r}")
-
-
-def _fill_matrix(p: int, n: int, seed: int, matrix_id: int, distribution: str,
-                 tail: TailSpec | None) -> np.ndarray:
+def _fill_matrix(p: int, n: int, seed: int, matrix_id: int, draw: Callable,
+                 beta: float | None) -> np.ndarray:
     bit_gen = np.random.Philox(key=0)
     rng = np.random.Generator(bit_gen)
     key = np.array([0, seed], dtype=np.uint64)      # (low, high) words of the key
@@ -152,16 +178,18 @@ def _fill_matrix(p: int, n: int, seed: int, matrix_id: int, distribution: str,
     for row in range(p):
         key[0] = (matrix_id << 32) | row
         bit_gen.state = fresh       # copied in: the stream of Philox(key=...) for this row
-        out[row] = _draw_row(rng, n, distribution, tail)
+        out[row] = draw(rng, n, beta)
     out *= 1.0 / math.sqrt(n)
     return out
 
 
-def _sample(p, q, n, seed, distribution, tail=None, phi_n=None, beta=None) -> DataPair:
-    _validate_dims(p, q, n, seed)
-    X = _fill_matrix(p, n, seed, 0, distribution, tail)
-    Y = _fill_matrix(q, n, seed, 1, distribution, tail)
-    meta = PairMeta(distribution=distribution, seed=seed, phi_n=phi_n, beta=beta)
+def _sample(p: int, q: int, n: int, seed: int, law: str, beta: float | None = None) -> DataPair:
+    reject(dims_violations(p, q, n) + seed_violations(seed) + law_violations(law, beta))
+    draw, scale, _ = _LAWS[law]
+    X = _fill_matrix(p, n, seed, 0, draw, beta)
+    Y = _fill_matrix(q, n, seed, 1, draw, beta)
+    phi_n = None if scale is None else scale * n ** -0.5
+    meta = PairMeta(distribution=law, seed=seed, phi_n=phi_n, beta=beta)
     return DataPair(X=X, Y=Y, meta=meta)
 
 
@@ -171,74 +199,44 @@ def sample_gaussian(p: int, q: int, n: int, seed: int) -> DataPair:
     The recorded support level is the conventional n**(-1/2): Gaussian
     entries are unbounded but concentrate at that scale.
     """
-    return _sample(p, q, n, seed, _GAUSSIAN, phi_n=n ** -0.5)
+    return _sample(p, q, n, seed, "gaussian")
 
 
-def sample_bounded(p: int, q: int, n: int, seed: int, law: str = _RADEMACHER) -> DataPair:
+def sample_bounded(p: int, q: int, n: int, seed: int, law: str = "rademacher") -> DataPair:
     """Bounded-entry pair; law is "rademacher" or "uniform"."""
-    if law == _RADEMACHER:
-        return _sample(p, q, n, seed, _RADEMACHER, phi_n=n ** -0.5)
-    if law == _UNIFORM:
-        return _sample(p, q, n, seed, _UNIFORM, phi_n=_UNIFORM_HALF_WIDTH * n ** -0.5)
-    raise ParameterError(f"bounded law must be 'rademacher' or 'uniform', got {law!r}")
+    if law not in ("rademacher", "uniform"):
+        raise ParameterError(f"bounded law must be 'rademacher' or 'uniform', got {law!r}")
+    return _sample(p, q, n, seed, law)
 
 
 def sample_heavy_tail(p: int, q: int, n: int, seed: int, beta: float) -> DataPair:
     """Symmetric Pareto-type entries with tail exponent beta (> 2)."""
-    tail = TailSpec.make(beta)
-    return _sample(p, q, n, seed, _PARETO, tail=tail, phi_n=None, beta=beta)
-
-
-def _truncated_moments(distribution: str, threshold: float, beta: float | None):
-    """Exact mean and standard deviation of u * 1{|u| <= threshold}.
-
-    Every law in LAWS is symmetric, so the mean is 0 and only the clipped
-    second moment needs care; any other tag is rejected.
-    """
-    T = threshold
-    if distribution == _GAUSSIAN:
-        var = math.erf(T / math.sqrt(2.0)) - T * math.sqrt(2.0 / math.pi) * math.exp(-T * T / 2.0)
-        return 0.0, math.sqrt(var)
-    if distribution == _RADEMACHER:
-        return (0.0, 1.0) if T >= 1.0 else (0.0, 0.0)
-    if distribution == _UNIFORM:
-        if T >= _UNIFORM_HALF_WIDTH:
-            return 0.0, 1.0
-        return 0.0, math.sqrt(T ** 3 / (3.0 * _UNIFORM_HALF_WIDTH))
-    if distribution == _PARETO:
-        t0 = math.sqrt((beta - 2.0) / beta)
-        if T < t0:
-            return 0.0, 0.0
-        var = 1.0 - beta * t0 ** beta * T ** (2.0 - beta) / (beta - 2.0)
-        return 0.0, math.sqrt(max(var, 0.0))
-    raise ParameterError(
-        f"no truncated moments for distribution {distribution!r}; known laws: {LAWS}"
-    )
+    return _sample(p, q, n, seed, "pareto", beta)
 
 
 def truncate_center_rescale(pair: DataPair, c_phi: float) -> DataPair:
     """Clip entries at n**(-c_phi), recenter, and restore variance 1/n.
 
     Works on the unit-variance scale: u = sqrt(n) x is zeroed where
-    |u| > n**(1/2 - c_phi), standardized by the exact moments of the
-    clipped base law, and scaled back by 1/sqrt(n).
+    |u| > n**(1/2 - c_phi), standardized by the exact standard deviation
+    of the clipped base law (its mean is 0), and scaled back by 1/sqrt(n).
     """
-    if not (0.0 < c_phi < 0.5):
-        raise ParameterError(f"truncation exponent must satisfy 0 < c_phi < 1/2, got {c_phi}")
+    law, beta = pair.meta.distribution, pair.meta.beta
+    reject(truncation_violations(c_phi) + law_violations(law, beta))
     n = pair.n
     threshold = n ** (0.5 - c_phi)
     sqrt_n = math.sqrt(n)
-    mean, std = _truncated_moments(pair.meta.distribution, threshold, pair.meta.beta)
+    std = _LAWS[law].clipped_std(threshold, beta)
     if std <= 0.0:
         raise ParameterError(
             f"truncation at level {threshold:.3e} removes all mass of "
-            f"{pair.meta.distribution!r}: degenerate scale"
+            f"{law!r}: degenerate scale"
         )
 
     def transform(M: np.ndarray) -> np.ndarray:
         u = M * sqrt_n
         clipped = np.where(np.abs(u) <= threshold, u, 0.0)
-        return (clipped - mean) / (std * sqrt_n)
+        return clipped / (std * sqrt_n)
 
     X = transform(pair.X)
     Y = transform(pair.Y)

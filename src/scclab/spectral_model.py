@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import sqrt_upper, sqrt_z
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError, reject
 
 __all__ = [
     "SpectralModel",
@@ -113,7 +113,7 @@ class SpectralModel:
     c_tw: float
 
     def __post_init__(self):
-        _require_aspect_ratios(self.c1, self.c2)
+        reject(aspect_ratio_violations(self.c1, self.c2))
         lm, lp = support_edges(self.c1, self.c2)
         if abs(lm - self.lambda_minus) > 1e-12 or abs(lp - self.lambda_plus) > 1e-12:
             raise ParameterError("support edges inconsistent with aspect ratios")
@@ -129,15 +129,31 @@ def aspect_ratio_violations(c1: float, c2: float) -> list[str]:
     return violations
 
 
-def _require_aspect_ratios(c1: float, c2: float) -> None:
-    violations = aspect_ratio_violations(c1, c2)
-    if violations:
-        raise ParameterError("; ".join(violations))
+def window_violations(n: int, epsilon: float, e_min: float, e_max: float,
+                      eta_min: float, eta_max: float) -> list[str]:
+    """Every point z = E + i eta of [e_min, e_max] x [eta_min, eta_max] outside the window.
+
+    The local law's spectral window is eps <= E <= 1 and
+    n**(-1+eps) <= eta <= 1/eps, for a window parameter 0 < eps < 1.  A
+    single z passes its real part twice and its imaginary part twice.
+    """
+    if not (0.0 < epsilon < 1.0):
+        return [f"spectral window parameter must lie in (0, 1), got {epsilon}"]
+    violations = [f"E = {E} outside the spectral window [eps, 1] = [{epsilon}, 1]"
+                  for E in sorted({e_min, e_max}) if not (epsilon <= E <= 1.0)]
+    eta_floor = n ** (-1.0 + epsilon)
+    if eta_min < eta_floor:
+        violations.append(f"eta = {eta_min} below the admissible floor "
+                          f"n^(-1+eps) = {eta_floor:.4e} of the spectral window")
+    if eta_max > 1.0 / epsilon:
+        violations.append(f"eta = {eta_max} above the admissible ceiling "
+                          f"1/eps = {1.0 / epsilon:.4e} of the spectral window")
+    return violations
 
 
 def make_model(c1: float, c2: float) -> SpectralModel:
     """Validate the aspect ratios and precompute the spectral constants."""
-    _require_aspect_ratios(c1, c2)
+    reject(aspect_ratio_violations(c1, c2))
     lm, lp = support_edges(c1, c2)
     c_tw = ((lp ** 2) * ((1.0 - lp) ** 2) / math.sqrt(c1 * c2 * (1.0 - c1) * (1.0 - c2))) ** (1.0 / 3.0)
     return SpectralModel(c1=c1, c2=c2, lambda_minus=lm, lambda_plus=lp, c_tw=c_tw)

@@ -1,6 +1,7 @@
 """Command line driver: validation, execution, reproducibility, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,12 +12,20 @@ import pytest
 from scclab import (
     DomainError,
     NumericalError,
+    ParameterError,
     ccc_eigenvalues,
     classical_locations,
     cli,
+    goe_reference,
+    linearized_resolvent,
+    local_law_errors,
     make_model,
     sample_gaussian,
+    sample_heavy_tail,
+    sample_pair,
     scc_core,
+    truncate_center_rescale,
+    tw_rescale,
 )
 from scclab.cli import ExperimentConfig, build_config, main, validate
 
@@ -77,12 +86,67 @@ class TestValidate:
         assert any("n_goe = 3 too small for k_max = 3" in m for m in msgs)
         assert any("trials >= 2" in m for m in msgs)
 
+    @pytest.mark.parametrize("kind, size", [
+        ("spectrum", "n"), ("tw-edge", "n"), ("local-law-sweep", "n"),
+        ("rigidity-scaling", "n0"),
+    ])
+    def test_aspect_ratios_checked_at_run_sizes(self, kind, size):
+        # nominal c1 + c2 = 0.99, but p/n + q/n = 5/10 + 5/10 = 1 at n = 10,
+        # the ratios every run builds its limit model at
+        cfg = ExperimentConfig(kind=kind, c1=0.5, c2=0.49, **{size: 10})
+        msgs = validate(cfg)
+        assert any(m.startswith("at n = 10, p = 5, q = 5:") and "c1 + c2 < 1" in m
+                   for m in msgs)
+
     def test_mistyped_fields_all_reported(self):
         cfg = ExperimentConfig(kind="spectrum", n=60.5, c1="wide", seed=True)
         msgs = validate(cfg)
         assert len(msgs) == 3
         assert any(m.startswith("n must be an integer") for m in msgs)
         assert any(m.startswith("c1 must be a real number") for m in msgs)
+
+
+def _gaussian(p=3, q=2, n=10):
+    return sample_gaussian(p, q, n, seed=0)
+
+
+def _local_law(z, epsilon=0.05):
+    pair = _gaussian(30, 20, 100)
+    return local_law_errors(pair, make_model(0.3, 0.2), z, epsilon=epsilon)
+
+
+class TestOneMessagePerRule:
+    """validate reports a rule in the words the library raises it with."""
+
+    @pytest.mark.parametrize("kind, fields, error, library_call", [
+        ("spectrum", {"c1": 0.6, "c2": 0.5}, ParameterError, lambda: make_model(0.6, 0.5)),
+        ("spectrum", {"n": 2}, ParameterError, lambda: _gaussian(1, 0, 2)),
+        ("spectrum", {"seed": -1}, ParameterError,
+         lambda: sample_gaussian(3, 2, 10, seed=-1)),
+        ("spectrum", {"law": "nope"}, ParameterError, lambda: sample_pair("nope", 3, 2, 10, 0)),
+        ("spectrum", {"law": "pareto"}, ParameterError,
+         lambda: sample_pair("pareto", 3, 2, 10, 0)),
+        ("spectrum", {"law": "pareto", "beta": 2.0}, ParameterError,
+         lambda: sample_heavy_tail(3, 2, 10, 0, beta=2.0)),
+        ("spectrum", {"c_phi": 0.6}, ParameterError,
+         lambda: truncate_center_rescale(_gaussian(), 0.6)),
+        ("tw-edge", {"n": 60, "k_max": 13}, ParameterError,
+         lambda: tw_rescale(ccc_eigenvalues(_gaussian(18, 12, 60)), make_model(0.3, 0.2), 13)),
+        ("tw-edge", {"n_goe": 3, "k_max": 3}, ParameterError, lambda: goe_reference(3, 10, 3)),
+        ("local-law-sweep", {"n": 100, "eta_min": 1e-5}, DomainError,
+         lambda: _local_law(complex(0.5, 1e-5))),
+        ("local-law-sweep", {"n": 100, "eta_max": 100.0}, DomainError,
+         lambda: _local_law(complex(0.5, 100.0))),
+        ("local-law-sweep", {"n": 100, "e_min": 0.01}, DomainError,
+         lambda: _local_law(complex(0.01, 0.5))),
+        ("local-law-sweep", {"n": 100, "epsilon": 1.5}, DomainError,
+         lambda: _local_law(complex(0.5, 0.5), epsilon=1.5)),
+    ], ids=["aspect", "dims", "seed", "law", "beta-missing", "beta", "c_phi", "k_max",
+            "n_goe", "eta-floor", "eta-ceiling", "energy", "epsilon"])
+    def test_same_text(self, kind, fields, error, library_call):
+        with pytest.raises(error) as info:
+            library_call()
+        assert validate(ExperimentConfig(kind=kind, **fields)) == [str(info.value)]
 
 
 class TestBundledConfigs:
@@ -218,6 +282,30 @@ class TestMain:
         assert [f.name for f in out.iterdir()] == ["diagnostics.json"]
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "NumericalError" and diag["achieved"] == 0.5
+
+    def test_law_of_wrong_type_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert main(["spectrum", "--out", str(out), "--override", 'law=["gaussian"]']) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "known laws" in err
+
+    def test_trace_identity_failure_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
+        real = linearized_resolvent.blocks_via_schur
+
+        def perturbed(*args):
+            bundle = real(*args)
+            return dataclasses.replace(bundle, m4=bundle.m4 + 1e-6)
+
+        monkeypatch.setattr(linearized_resolvent, "blocks_via_schur", perturbed)
+        out = tmp_path / "ll"
+        assert main(["local-law-sweep", "--out", str(out), "--override", "n=40",
+                     "--override", "trials=1", "--override", "e_points=1",
+                     "--override", "eta_points=1"]) == 3
+        assert [f.name for f in out.iterdir()] == ["diagnostics.json"]
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "NumericalError" and "trace identity" in diag["message"]
+        assert diag["achieved"] == pytest.approx(1e-6, rel=1e-3)
 
     def test_bad_override_exit_2(self, tmp_path):
         out = tmp_path / "bad"

@@ -228,6 +228,23 @@ class TestLocalLawReport:
         with pytest.raises(DomainError):
             local_law_errors(medium_pair, model, complex(0.5, 50.0))   # Im above 1/eps
 
+    @pytest.mark.parametrize("route, assemble", [("schur", "blocks_via_schur"),
+                                                 ("direct", "resolvent")])
+    def test_trace_identities_enforced(self, medium_pair, monkeypatch, route, assemble):
+        # a bundle whose traces break the exact identities by 1e-8 is
+        # rejected, though its identity residual is fine
+        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        real = getattr(linearized_resolvent, assemble)
+
+        def perturbed(*args):
+            bundle = real(*args)
+            return dataclasses.replace(bundle, m3=bundle.m3 + 1e-8)
+
+        monkeypatch.setattr(linearized_resolvent, assemble, perturbed)
+        with pytest.raises(NumericalError, match="trace identity") as info:
+            local_law_errors(medium_pair, model, complex(0.5, 0.4), route=route)
+        assert info.value.achieved == pytest.approx(1e-8, rel=1e-3)
+
     def test_unknown_route_rejected(self, medium_pair):
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         with pytest.raises(ParameterError):

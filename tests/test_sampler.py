@@ -10,7 +10,6 @@ from scclab import (
     DataPair,
     PairMeta,
     ParameterError,
-    TailSpec,
     sample_bounded,
     sample_gaussian,
     sample_heavy_tail,
@@ -123,21 +122,40 @@ class TestMoments:
         assert abs(np.corrcoef(pair.X[0], pair.X[1])[0, 1]) <= 0.05
 
 
-class TestTailSpec:
+class TestHeavyTail:
+    @staticmethod
+    def _unit_entries(beta, seed):
+        # about 1e6 draws on the unit-variance scale
+        pair = sample_heavy_tail(999, 1, 1000, seed=seed, beta=beta)
+        return np.abs(pair.X) * math.sqrt(pair.n)
+
     def test_edge_condition_boundary(self):
-        assert TailSpec.make(4.5).satisfies_edge_tail_condition
-        assert not TailSpec.make(4.0).satisfies_edge_tail_condition
-        assert not TailSpec.make(3.0).satisfies_edge_tail_condition
+        # t**4 P(|u| > t) -> 0 exactly when beta > 4.  From t = 2 to t = 6 it
+        # falls by 42 % in expectation at beta = 4.5, stays put at the
+        # boundary beta = 4 and triples at beta = 3; the relative noise at
+        # t = 6 is at most 12 %.
+        def tail_ratio(beta):
+            u = self._unit_entries(beta, 11)
+            return (6.0 ** 4 * (u > 6.0).mean()) / (2.0 ** 4 * (u > 2.0).mean())
+
+        assert tail_ratio(4.5) < 0.8
+        assert 0.8 < tail_ratio(4.0) < 1.25
+        assert tail_ratio(3.0) > 2.0
 
     def test_variance_normalizing_scale(self):
-        spec = TailSpec.make(4.5)
-        assert spec.scale == pytest.approx(math.sqrt(2.5 / 4.5))
+        # the law starts at t0 = sqrt((beta - 2)/beta), the scale that makes
+        # the variance one (test_heavy_tail_variance checks the variance)
+        u = self._unit_entries(4.5, 5)
+        t0 = math.sqrt(2.5 / 4.5)
+        assert u.min() >= t0 * (1.0 - 1e-12)
+        assert u.min() == pytest.approx(t0, rel=1e-4)
 
     def test_invalid_exponent(self):
-        with pytest.raises(ParameterError):
-            TailSpec.make(2.0)
-        with pytest.raises(ParameterError):
-            TailSpec(beta=5.0, scale=0.3)
+        for beta in (2.0, 1.5, float("nan")):
+            with pytest.raises(ParameterError, match="beta > 2"):
+                sample_heavy_tail(5, 3, 20, seed=0, beta=beta)
+        with pytest.raises(ParameterError, match="requires beta"):
+            sample_heavy_tail(5, 3, 20, seed=0, beta=None)
 
 
 class TestTruncation:
