@@ -96,13 +96,16 @@ class EdgeSamples:
     """Rescaled edge statistics, one row per trial, one column per k.
 
     min_eig_xx and min_eig_yy are the smallest Gram-block eigenvalues over
-    the accepted spectra (infinite when no spectrum was taken).
+    the accepted spectra (infinite when no spectrum was taken); model is
+    the limit model whose lambda_plus and c_tw rescaled the values (None
+    for the GOE reference).
     """
 
     values: np.ndarray
     failures: int = 0
     min_eig_xx: float = math.inf
     min_eig_yy: float = math.inf
+    model: SpectralModel | None = None
 
 
 def derived_seed(seed: int, *key: int) -> int:
@@ -217,7 +220,7 @@ def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
         failures += retries
         min_xx, min_yy = min(min_xx, result.min_eig_xx), min(min_yy, result.min_eig_yy)
     return EdgeSamples(values=np.array(values), failures=failures,
-                       min_eig_xx=min_xx, min_eig_yy=min_yy)
+                       min_eig_xx=min_xx, min_eig_yy=min_yy, model=model)
 
 
 def _check_failure_budget(failures: int, trials: int) -> None:
@@ -247,7 +250,6 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     tail_sd = math.sqrt(max(tail_goe * (1.0 - tail_goe), 1.0 / config.trials) / config.trials)
     heavy_flag = tail_ccc > tail_goe + 2.0 * tail_sd + 2.0 / config.trials
 
-    model = config.model()
     metrics = {
         "ccc_mean": [float(m) for m in ccc.values.mean(axis=0)],
         "ccc_var": [float(v) for v in ccc.values.var(axis=0, ddof=1)],
@@ -258,8 +260,8 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
         "upper_tail_mass_ccc": tail_ccc,
         "upper_tail_mass_goe": tail_goe,
         "heavy_upper_tail": bool(heavy_flag),
-        "lambda_plus": model.lambda_plus,
-        "c_tw": model.c_tw,
+        "lambda_plus": ccc.model.lambda_plus,
+        "c_tw": ccc.model.c_tw,
     }
     p, q = config.dims()
     params = {

@@ -5,17 +5,16 @@ eigenvalues of
 
     C = Sxx**(-1/2) Sxy Syy**(-1) Syx Sxx**(-1/2),
 
-with Sxx = X X', Syy = Y Y', Sxy = X Y'.  They are computed here as the
-squared singular values of the whitened cross matrix Wx Sxy Wy', where
-Wx = Lx**(-1) and Wy = Ly**(-1) are the inverse Cholesky factors
-(Sxx = Lx Lx').  Any whitening W with W S W' = I differs from S**(-1/2)
-by an orthogonal factor on the left, so the singular values are those of
-Sxx**(-1/2) Sxy Syy**(-1/2), and the spectrum stays in [0, 1] up to
-roundoff.  Only the singular values are computed, except by
-canonical_factor, which keeps the full SVD (the canonical weight
-vectors) for the Schur route of the local law.  The companion q x q
-product has the same nonzero spectrum; the p x p version carries p - q
-extra zeros.
+with Sxx = X X', Syy = Y Y', Sxy = X Y'.  They are computed here from
+the whitened cross matrix M = Lx**(-1) Sxy Ly**(-T), where Sxx = Lx Lx'
+and Syy = Ly Ly' are Cholesky factorizations; M comes from two linear
+solves, so no inverse is formed.  Any whitening W with W S W' = I
+differs from S**(-1/2) by an orthogonal factor on the left, so M has the
+singular values of Sxx**(-1/2) Sxy Syy**(-1/2), and the spectrum stays
+in [0, 1] up to roundoff.  The spectrum is the eigenvalues (values only)
+of the smaller Gram matrix of M, M'M for p >= q; the p x p version
+carries p - q extra zeros.  Only canonical_factor takes a full SVD of M
+(the canonical weight vectors), for the Schur route of the local law.
 
 Before whitening, the eigenvalues (values only) of Sxx and Syy are
 checked against a relative floor of 1e-10; a block below it raises
@@ -30,7 +29,6 @@ exposes as a smallest-singular-value residual check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,30 +59,27 @@ def sample_covariances(pair: DataPair):
 
 @dataclass(eq=False)
 class WhitenedCross:
-    """Whitened cross matrix with its singular values and conditioning diagnostics.
+    """Whitened cross matrix with its Cholesky factors and conditioning diagnostics."""
 
-    The singular values are taken on first use, so a caller that needs
-    the full SVD (canonical_factor) does not pay for a values-only one.
-    """
-
-    matrix: np.ndarray          # Wx Sxy Wy', p x q
-    whiten_xx: np.ndarray       # Wx = Lx**(-1), so Wx Sxx Wx' = I
-    whiten_yy: np.ndarray
+    matrix: np.ndarray          # Lx**(-1) Sxy Ly**(-T), p x q
+    chol_xx: np.ndarray         # Lx, lower triangular, Lx Lx' = Sxx
+    chol_yy: np.ndarray
     min_eig_xx: float
     min_eig_yy: float
 
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
-
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Squared singular values, descending: the q-dim spectrum."""
-        return self.singular_values ** 2
+        """Eigenvalues of the smaller Gram matrix of the whitened cross matrix, descending.
+
+        These are its min(p, q) squared singular values: the spectrum.
+        """
+        M = self.matrix
+        gram = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
+        return np.linalg.eigvalsh(gram)[::-1]
 
 
 def _whitener(S: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse Cholesky factor of a Gram block and its smallest eigenvalue.
+    """Cholesky factor of a Gram block and its smallest eigenvalue.
 
     Raises SingularityError when the smallest eigenvalue falls below
     1e-10 times the largest, reporting the offending value.
@@ -97,21 +92,18 @@ def _whitener(S: np.ndarray) -> tuple[np.ndarray, float]:
             f"vs max {w_max:.3e} (relative floor {_SINGULAR_FLOOR:.1e})",
             min_eigenvalue=w_min,
         )
-    # numpy's inverse rather than scipy's triangular one: scipy's LAPACK
-    # runs on its own BLAS thread pool, and alternating two pools in the
-    # per-trial loop made n = 800 spectra several times slower on 2 threads
-    return np.linalg.inv(np.linalg.cholesky(S)), w_min
+    return np.linalg.cholesky(S), w_min
 
 
 def whitened_cross(pair: DataPair) -> WhitenedCross:
     Sxx, Syy, Sxy = sample_covariances(pair)
-    Wx, min_xx = _whitener(Sxx)
-    Wy, min_yy = _whitener(Syy)
-    matrix = Wx @ Sxy @ Wy.T
+    Lx, min_xx = _whitener(Sxx)
+    Ly, min_yy = _whitener(Syy)
+    matrix = np.linalg.solve(Ly, np.linalg.solve(Lx, Sxy).T).T
     return WhitenedCross(
         matrix=matrix,
-        whiten_xx=Wx,
-        whiten_yy=Wy,
+        chol_xx=Lx,
+        chol_yy=Ly,
         min_eig_xx=min_xx,
         min_eig_yy=min_yy,
     )
@@ -121,7 +113,7 @@ def whitened_cross(pair: DataPair) -> WhitenedCross:
 class CanonicalFactor:
     """The full SVD M = U diag(sv) V' of a pair's whitened cross matrix.
 
-    The columns of A = Wx' U and B = Wy' V are the sample canonical
+    The columns of A = Lx**(-T) U and B = Ly**(-T) V are the sample canonical
     weight vectors: A' Sxx A = I, B' Syy B = I and A' Sxy B = diag(sv).
     lam_p and lam_q are sv**2 zero-padded to p and q entries; min_eig_*
     are whitened_cross's conditioning.
@@ -143,7 +135,8 @@ def canonical_factor(pair: DataPair) -> CanonicalFactor:
     U, sv, Vt = np.linalg.svd(wc.matrix)
     lam = sv ** 2
     return CanonicalFactor(
-        pair=pair, A=wc.whiten_xx.T @ U, B=wc.whiten_yy.T @ Vt.T, sv=sv,
+        pair=pair, A=np.linalg.solve(wc.chol_xx.T, U),
+        B=np.linalg.solve(wc.chol_yy.T, Vt.T), sv=sv,
         lam_p=np.concatenate([lam, np.zeros(pair.p - len(sv))]),
         lam_q=np.concatenate([lam, np.zeros(pair.q - len(sv))]),
         min_eig_xx=wc.min_eig_xx, min_eig_yy=wc.min_eig_yy,

@@ -104,6 +104,7 @@ class SpectralModel:
 
     c_tw is the edge rescaling constant: n**(2/3) (lambda_1 - lambda_plus) / c_tw
     converges to the same law as the rescaled top eigenvalue of a GOE matrix.
+    make_model validates the ratios and derives the constants.
     """
 
     c1: float
@@ -111,12 +112,6 @@ class SpectralModel:
     lambda_minus: float
     lambda_plus: float
     c_tw: float
-
-    def __post_init__(self):
-        reject(aspect_ratio_violations(self.c1, self.c2))
-        lm, lp = support_edges(self.c1, self.c2)
-        if abs(lm - self.lambda_minus) > 1e-12 or abs(lp - self.lambda_plus) > 1e-12:
-            raise ParameterError("support edges inconsistent with aspect ratios")
 
 
 def aspect_ratio_violations(c1: float, c2: float) -> list[str]:

@@ -4,9 +4,9 @@ Each one recomputes, by a different or more explicit path, an object the
 library evaluates in a leaner form: the m3 root of the closed quadratic,
 the dense block-constant limit matrix, the inverse of its 2x2 kernel,
 the un-inverted coupling kernel of the linearization, a classical
-location found by a bracketed root finder one target at a time, and the
+location found by a bracketed root finder one target at a time, the
 top eigenvalues of tridiagonal GOE draws by LAPACK's bisection (stebz),
-one trial at a time.
+one trial at a time, and random signs by numpy's bounded-integer draw.
 """
 
 import math
@@ -71,6 +71,11 @@ def pi_kernel_inverse(model: SpectralModel, z) -> np.ndarray:
         [1.0 - (z - 1.0) * quad.m1, -1.0 / sz],
         [-1.0 / sz, 1.0 - (z - 1.0) * quad.m2],
     ])
+
+
+def integer_signs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random signs from rng.integers(0, 2, n), which the sampler's raw-bit signs equal."""
+    return rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
 
 
 def kernel_2x2(z: complex) -> np.ndarray:

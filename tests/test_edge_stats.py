@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from scclab import config as config_module
 from scclab import edge_stats
 from scclab import (
     ExperimentConfig,
@@ -168,6 +169,16 @@ class TestTwExperiment:
         assert rep.metrics["failures"] == 0
         d = rep.to_json_dict()
         assert set(d) == {"kind", "params", "metrics"}
+
+    def test_model_built_once_per_run(self, monkeypatch):
+        built, real = [], config_module.make_model
+        monkeypatch.setattr(config_module, "make_model",
+                            lambda *a: built.append(a) or real(*a))
+        cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=3, law="gaussian",
+                               seed=8)
+        rep = tw_experiment(cfg)
+        assert built == [(18 / 60, 12 / 60)]
+        assert rep.metrics["lambda_plus"] == make_model(18 / 60, 12 / 60).lambda_plus
 
     def test_conditioning_is_minimum_over_trials(self):
         cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=5, law="gaussian",

@@ -15,6 +15,9 @@ from scclab import (
     sample_heavy_tail,
     truncate_center_rescale,
 )
+from scclab import sampler
+
+from oracles import integer_signs
 
 
 def _sample(law, p, q, n, seed):
@@ -65,6 +68,17 @@ class TestDeterminism:
         pair = _sample(law, 12, 7, 40, seed=2 ** 63 + 12345)
         digest = hashlib.sha256(pair.X.tobytes() + pair.Y.tobytes()).hexdigest()
         assert digest == _PINNED_DIGESTS[law]
+
+    @pytest.mark.parametrize("law", ["rademacher", "pareto"])
+    @pytest.mark.parametrize("dims", [(5, 3, 41), (2, 1, 3), (5, 3, 40)])
+    def test_signs_match_integer_draw(self, law, dims, monkeypatch):
+        # the raw-bit signs are the bits rng.integers(0, 2, n) consumes; odd n
+        # leaves half of the last raw word unused, which the pins do not cover
+        pair = _sample(law, *dims, seed=2 ** 63 + 12345)
+        monkeypatch.setattr(sampler, "_signs", integer_signs)
+        reference = _sample(law, *dims, seed=2 ** 63 + 12345)
+        assert np.array_equal(pair.X, reference.X)
+        assert np.array_equal(pair.Y, reference.Y)
 
     def test_x_and_y_streams_distinct(self):
         pair = sample_gaussian(5, 5, 40, seed=9)

@@ -125,11 +125,32 @@ class TestSpectrumOracle:
 
     @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
     def test_whiteners_whiten(self, name, request):
+        # the whiteners are lower Cholesky factors, L L' = S, and the cross
+        # matrix is Lx**(-1) Sxy Ly**(-T)
+        pair = request.getfixturevalue(name)
+        Sxx, Syy, Sxy = sample_covariances(pair)
+        wc = whitened_cross(pair)
+        for L, S in ((wc.chol_xx, Sxx), (wc.chol_yy, Syy)):
+            assert np.array_equal(L, np.tril(L))
+            assert np.max(np.abs(L @ L.T - S)) < 1e-12
+        assert np.max(np.abs(wc.chol_xx @ wc.matrix @ wc.chol_yy.T - Sxy)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
+    def test_conditioning_is_the_exact_smallest_eigenvalue(self, name, request):
+        # min_eig_* are what the singularity guard read, bit for bit
         pair = request.getfixturevalue(name)
         Sxx, Syy, _ = sample_covariances(pair)
-        wc = whitened_cross(pair)
-        assert np.max(np.abs(wc.whiten_xx @ Sxx @ wc.whiten_xx.T - np.eye(pair.p))) < 1e-12
-        assert np.max(np.abs(wc.whiten_yy @ Syy @ wc.whiten_yy.T - np.eye(pair.q))) < 1e-12
+        res = ccc_eigenvalues(pair)
+        assert res.min_eig_xx == np.linalg.eigvalsh(Sxx)[0]
+        assert res.min_eig_yy == np.linalg.eigvalsh(Syy)[0]
+
+    def test_spectrum_has_min_p_q_entries(self):
+        # a pair with p < q keeps p values, from the p x p Gram matrix
+        pair = sample_gaussian(6, 10, 40, seed=3)
+        swapped = _pair_from(pair.Y, pair.X)
+        res = ccc_eigenvalues(pair)
+        assert res.eigenvalues.shape == (6,)
+        assert np.max(np.abs(res.eigenvalues - ccc_eigenvalues(swapped).eigenvalues[:6])) < 1e-13
 
 
 class TestCanonicalFactor:
@@ -152,19 +173,26 @@ class TestCanonicalFactor:
                                                           spectrum.min_eig_yy)
 
     def test_one_svd_per_factor(self, small_pair, monkeypatch):
-        # whitened_cross takes its values-only SVD lazily, which the full one replaces
-        svds, whitened = [], []
-        svd, real_whitened = np.linalg.svd, scc_core.whitened_cross
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda *a, **kw: svds.append(kw) or svd(*a, **kw))
-        monkeypatch.setattr(scc_core, "whitened_cross",
-                            lambda pair: whitened.append(pair) or real_whitened(pair))
+        # the spectrum takes no SVD and no inverse; the factor one full SVD
+        calls = {"svd": [], "inv": []}
+        for name, seen in calls.items():
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, real=real, seen=seen, **kw:
+                                seen.append(kw) or real(*a, **kw))
+        ccc_eigenvalues(small_pair)
+        assert calls == {"svd": [], "inv": []}
         canonical_factor(small_pair)
-        assert len(svds) == 1 and len(whitened) == 1
-        wc = real_whitened(small_pair)
-        assert len(svds) == 1
-        assert wc.singular_values is wc.singular_values
-        assert len(svds) == 2 and svds[-1] == {"compute_uv": False}
+        assert calls == {"svd": [{}], "inv": []}
+
+    def test_spectrum_goes_through_whitened_cross(self, small_pair, monkeypatch):
+        # ccc_eigenvalues looks whitened_cross up on the module, so a wrapper
+        # installed there (as a tracer does) sees every spectrum
+        seen, real = [], scc_core.whitened_cross
+        monkeypatch.setattr(scc_core, "whitened_cross",
+                            lambda pair: seen.append(pair) or real(pair))
+        ccc_eigenvalues(small_pair)
+        canonical_factor(small_pair)
+        assert seen == [small_pair, small_pair]
 
 
 class TestDetCharacterization:

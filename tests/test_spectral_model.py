@@ -79,6 +79,18 @@ class TestEdges:
         with pytest.raises(ParameterError):
             make_model(0.4, 0.0)       # degenerate ratio rejected for models
 
+    def test_model_built_by_one_pass(self, monkeypatch):
+        # make_model checks the ratios and derives the edges once
+        edges, checks = [], []
+        real_edges = spectral_model.support_edges
+        real_checks = spectral_model.aspect_ratio_violations
+        monkeypatch.setattr(spectral_model, "support_edges",
+                            lambda *a: edges.append(a) or real_edges(*a))
+        monkeypatch.setattr(spectral_model, "aspect_ratio_violations",
+                            lambda *a: checks.append(a) or real_checks(*a))
+        make_model(0.3, 0.2)
+        assert edges == [(0.3, 0.2)] and checks == [(0.3, 0.2)]
+
     def test_edges_inside_unit_interval(self):
         for c1, c2 in [(0.4, 0.2), (0.3, 0.2), (0.45, 0.45), (0.1, 0.05)]:
             lm, lp = support_edges(c1, c2)
