@@ -85,8 +85,11 @@ def sample_pair(law: str, p: int, q: int, n: int, seed: int,
 
 
 def tw_rescale(result: SpectrumResult, model: SpectralModel, k_max: int = 3) -> np.ndarray:
-    """Edge-rescaled top eigenvalues n**(2/3) (lambda_k - lambda_plus) / c_tw."""
-    reject(k_max_violations(k_max, result.q))
+    """Edge-rescaled top eigenvalues n**(2/3) (lambda_k - lambda_plus) / c_tw.
+
+    k_max is checked against the min(p, q) values the spectrum holds.
+    """
+    reject(k_max_violations(k_max, len(result.eigenvalues)))
     lam = result.eigenvalues[:k_max]
     return result.n ** (2.0 / 3.0) * (lam - model.lambda_plus) / model.c_tw
 

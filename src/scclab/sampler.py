@@ -13,9 +13,18 @@ Each row is its own counter-based Philox stream under the 128-bit key
 (seed, matrix, row) with a zero counter, so a row does not depend on the
 rows before it or on the matrix height, and a pair is bit-identical for
 a given (dimensions, seed, law) triple.  One bit generator per matrix is
-re-keyed row by row rather than built anew for each row.  Pareto and
-Rademacher signs are the top bits of the row's raw 32-bit halves, the
-same bits rng.integers(0, 2, n) would turn into signs.
+re-keyed row by row rather than built anew for each row.
+
+Apart from the Gaussian, whose ziggurat takes a varying number of words
+and fills each row in place through the Generator, a row is one
+random_raw call for exactly the 64-bit words the Generator would
+consume: n for uniform, (n + 1) // 2 for Rademacher and n + (n + 1) // 2
+for Pareto.  The words of up to 16 rows are then transformed at once
+into their rows: a uniform is (w >> 11) * 2**-53, as Generator.random
+makes it; a sign is bit 31 of each 32-bit half, low half first, the bits
+rng.integers(0, 2, n) turns into signs; and a Pareto entry is
+t0 u**(-1/beta) times a sign, its n uniforms before its signs.  The
+stream is that of the Generator calls, bit for bit.
 
 The truncation pipeline clips the unit-scale entries at n**(1/2 - c_phi)
 (equivalently: clips the 1/sqrt(n)-scale entries at n**(-c_phi)), zeroing
@@ -24,11 +33,12 @@ clipped base law (every law is symmetric, so the clipped mean is zero) so
 the output again has mean zero and entry variance exactly 1/n with
 bounded support of order n**(-c_phi).
 
-_LAWS is the one law registry: each law's row draw, support level and
-clipped standard deviation.  This module owns the rules on what it is
-given (the law and its tail exponent, the dimensions, the seed and the
-truncation exponent), each as a *_violations function that
-config.validate reuses; they stay out of __all__.
+_LAWS is the one law registry: each law's words per row and block
+transform, support level and clipped standard deviation.  This module
+owns the rules on what it is given (the law and its tail exponent, the
+dimensions, the seed and the truncation exponent), each as a
+*_violations function that config.validate reuses; they stay out of
+__all__.
 """
 
 from __future__ import annotations
@@ -52,21 +62,42 @@ __all__ = [
 ]
 
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
-_SIGNS = np.array([-1.0, 1.0])
+_BLOCK_ROWS = 16        # rows of raw words per block transform: bounds its temporaries
 
 
-def _signs(rng: np.random.Generator, n: int) -> np.ndarray:
-    # the draw rng.integers(0, 2, n) makes, without its per-call overhead:
-    # bit 31 of each 32-bit half of the raw words, low half first (the
-    # little-endian view fixes that order on any host).  A row's 32-bit
-    # buffer is empty here, and the unused half at odd n ends the row.
-    words = rng.bit_generator.random_raw((n + 1) // 2).astype("<u8", copy=False)
-    return _SIGNS.take(words.view("<u4")[:n] >> 31)
+def _unit_uniforms(words: np.ndarray, out: np.ndarray) -> None:
+    # Generator.random on each word: its top 53 bits, exact as a float, times 2**-53
+    np.right_shift(words, 11, out=out)
+    out *= 2.0 ** -53
 
 
-def _pareto_row(rng: np.random.Generator, n: int, beta: float) -> np.ndarray:
-    u = rng.random(n)
-    return math.sqrt((beta - 2.0) / beta) * u ** (-1.0 / beta) * _signs(rng, n)
+def _rademacher(words: np.ndarray, out: np.ndarray, scale: float, beta: float | None) -> None:
+    # +-scale from the bits rng.integers(0, 2, n) draws: bit 31 of each
+    # 32-bit half, low half first (the little-endian view fixes that order
+    # on any host), set meaning +; the unused half at odd n ends the row
+    np.right_shift(words.view("<u4")[:, :out.shape[1]], 31, out=out)
+    out *= 2.0 * scale
+    out -= scale
+
+
+def _uniform(words: np.ndarray, out: np.ndarray, scale: float, beta: float | None) -> None:
+    _unit_uniforms(words, out)
+    out *= 2.0
+    out -= 1.0
+    out *= _UNIFORM_HALF_WIDTH
+    out *= scale
+
+
+def _pareto(words: np.ndarray, out: np.ndarray, scale: float, beta: float) -> None:
+    # t0 u**(-1/beta) times a sign, then the scale: a sign times the scale
+    # is exact, so one product with +-scale rounds as the two did
+    n = out.shape[1]
+    _unit_uniforms(words[:, :n], out)
+    np.power(out, -1.0 / beta, out=out)
+    out *= math.sqrt((beta - 2.0) / beta)
+    signs = np.empty_like(out)
+    _rademacher(words[:, n:], signs, scale, beta)
+    out *= signs
 
 
 def _pareto_clipped_std(T: float, beta: float) -> float:
@@ -77,28 +108,29 @@ def _pareto_clipped_std(T: float, beta: float) -> float:
 
 
 class _Law(NamedTuple):
-    draw: Callable          # (rng, n, beta) -> one row of unit-variance entries
-    scale: float | None     # support level on the unit scale; None when unbounded
-    clipped_std: Callable   # (T, beta) -> standard deviation of u 1{|u| <= T}
+    words: Callable | None      # n -> raw 64-bit words per row; None: drawn row by row
+    transform: Callable | None  # (raw words, out rows, scale, beta): the entries into out
+    scale: float | None         # support level on the unit scale; None when unbounded
+    clipped_std: Callable       # (T, beta) -> standard deviation of u 1{|u| <= T}
 
 
 # Every law is symmetric, so u 1{|u| <= T} has mean 0 and only its second
 # moment needs a formula.  The Gaussian "support level" is the conventional
-# scale at which its unbounded entries concentrate.
+# scale at which its unbounded entries concentrate.  The Gaussian ziggurat
+# takes a varying number of words, so its rows come from the Generator.
 _LAWS = {
     "gaussian": _Law(
-        lambda rng, n, beta: rng.standard_normal(n), 1.0,
+        None, None, 1.0,
         lambda T, beta: math.sqrt(math.erf(T / math.sqrt(2.0))
                                   - T * math.sqrt(2.0 / math.pi) * math.exp(-T * T / 2.0))),
     "rademacher": _Law(
-        lambda rng, n, beta: _signs(rng, n), 1.0,
+        lambda n: (n + 1) // 2, _rademacher, 1.0,
         lambda T, beta: 1.0 if T >= 1.0 else 0.0),
     "uniform": _Law(
-        lambda rng, n, beta: (2.0 * rng.random(n) - 1.0) * _UNIFORM_HALF_WIDTH,
-        _UNIFORM_HALF_WIDTH,
+        lambda n: n, _uniform, _UNIFORM_HALF_WIDTH,
         lambda T, beta: (1.0 if T >= _UNIFORM_HALF_WIDTH
                          else math.sqrt(T ** 3 / (3.0 * _UNIFORM_HALF_WIDTH)))),
-    "pareto": _Law(_pareto_row, None, _pareto_clipped_std),
+    "pareto": _Law(lambda n: n + (n + 1) // 2, _pareto, None, _pareto_clipped_std),
 }
 LAWS = tuple(_LAWS)
 
@@ -174,29 +206,44 @@ class DataPair:
         return self.X.shape[1]
 
 
-def _fill_matrix(p: int, n: int, seed: int, matrix_id: int, draw: Callable,
+def _fill_matrix(p: int, n: int, seed: int, matrix_id: int, spec: _Law,
                  beta: float | None) -> np.ndarray:
     bit_gen = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_gen)
     key = [0, seed]             # (low, high) words of the key; plain ints set fastest
     zeros = [0, 0, 0, 0]
     fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    out = np.empty((p, n))
-    for row in range(p):
+
+    def rekey(row: int) -> None:
         key[0] = (matrix_id << 32) | row
         bit_gen.state = fresh       # copied in: the stream of Philox(key=...) for this row
-        out[row] = draw(rng, n, beta)
-    out *= 1.0 / math.sqrt(n)
+
+    scale = 1.0 / math.sqrt(n)
+    out = np.empty((p, n))
+    if spec.words is None:
+        rng = np.random.Generator(bit_gen)
+        for row in range(p):
+            rekey(row)
+            rng.standard_normal(out=out[row])
+        out *= scale
+        return out
+    width = spec.words(n)
+    raw = np.empty((min(p, _BLOCK_ROWS), width), dtype="<u8")
+    for start in range(0, p, _BLOCK_ROWS):
+        block = raw[:min(_BLOCK_ROWS, p - start)]
+        for i, words in enumerate(block):
+            rekey(start + i)
+            words[:] = bit_gen.random_raw(width)
+        spec.transform(block, out[start:start + len(block)], scale, beta)
     return out
 
 
 def _sample(p: int, q: int, n: int, seed: int, law: str, beta: float | None = None) -> DataPair:
     reject(dims_violations(p, q, n) + seed_violations(seed) + law_violations(law, beta))
-    draw, scale, _ = _LAWS[law]
-    X = _fill_matrix(p, n, seed, 0, draw, beta)
-    Y = _fill_matrix(q, n, seed, 1, draw, beta)
-    phi_n = None if scale is None else scale * n ** -0.5
+    spec = _LAWS[law]
+    X = _fill_matrix(p, n, seed, 0, spec, beta)
+    Y = _fill_matrix(q, n, seed, 1, spec, beta)
+    phi_n = None if spec.scale is None else spec.scale * n ** -0.5
     meta = PairMeta(distribution=law, seed=seed, phi_n=phi_n, beta=beta)
     return DataPair(X=X, Y=Y, meta=meta)
 

@@ -205,9 +205,13 @@ def rigidity_profile(result: SpectrumResult, model: SpectralModel,
     When the lower support edge is close to zero the guarantee only
     covers the upper (1 - eps) fraction of indices, so by default the
     bottom tenth is dropped whenever lambda_minus < 0.05; pass
-    keep_fraction explicitly to override.
+    keep_fraction explicitly to override.  The spectrum must hold all q
+    values, so p >= q.
     """
     q, n = result.q, result.n
+    if len(result.eigenvalues) != q:
+        raise ParameterError(f"rigidity needs all q = {q} eigenvalues (p >= q), "
+                             f"got {len(result.eigenvalues)}")
     if keep_fraction is None:
         keep_fraction = 0.9 if model.lambda_minus < 0.05 else 1.0
     if not (0.0 < keep_fraction <= 1.0):

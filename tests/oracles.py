@@ -6,7 +6,8 @@ the dense block-constant limit matrix, the inverse of its 2x2 kernel,
 the un-inverted coupling kernel of the linearization, a classical
 location found by a bracketed root finder one target at a time, the
 top eigenvalues of tridiagonal GOE draws by LAPACK's bisection (stebz),
-one trial at a time, and random signs by numpy's bounded-integer draw.
+one trial at a time, random signs by numpy's bounded-integer draw, and
+whole sampler matrices drawn row by row by the Generator's own calls.
 """
 
 import math
@@ -76,6 +77,30 @@ def pi_kernel_inverse(model: SpectralModel, z) -> np.ndarray:
 def integer_signs(rng: np.random.Generator, n: int) -> np.ndarray:
     """n random signs from rng.integers(0, 2, n), which the sampler's raw-bit signs equal."""
     return rng.integers(0, 2, n).astype(float) * 2.0 - 1.0
+
+
+def reference_row(rng: np.random.Generator, law: str, n: int, beta=None) -> np.ndarray:
+    """One unit-variance row of the law, drawn by the Generator's own calls."""
+    if law == "gaussian":
+        return rng.standard_normal(n)
+    if law == "rademacher":
+        return integer_signs(rng, n)
+    if law == "uniform":
+        return (2.0 * rng.random(n) - 1.0) * math.sqrt(3.0)
+    u = rng.random(n)
+    return math.sqrt((beta - 2.0) / beta) * u ** (-1.0 / beta) * integer_signs(rng, n)
+
+
+def reference_matrix(p: int, n: int, seed: int, matrix_id: int, law: str,
+                     beta=None) -> np.ndarray:
+    """A sampler matrix drawn row by row, each row from a fresh keyed Philox.
+
+    Row i of matrix m is reference_row on Philox(key=(seed << 64) | (m << 32) | i),
+    scaled by 1/sqrt(n); X is matrix 0 and Y matrix 1.
+    """
+    rows = [reference_row(np.random.Generator(np.random.Philox(
+        key=(seed << 64) | (matrix_id << 32) | row)), law, n, beta) for row in range(p)]
+    return np.array(rows) * (1.0 / math.sqrt(n))
 
 
 def kernel_2x2(z: complex) -> np.ndarray:

@@ -20,6 +20,7 @@ from scclab import (
     make_model,
     run_edge_trials,
     rigidity_experiment,
+    sample_gaussian,
     sample_pair,
     tw_experiment,
     tw_rescale,
@@ -50,6 +51,13 @@ class TestRescale:
             tw_rescale(res, model_thin, k_max=3)
         with pytest.raises(ParameterError):
             tw_rescale(res, model_thin, k_max=0)
+
+    def test_k_max_checked_against_the_spectrum(self, model_thin):
+        # with p < q the spectrum holds p values, so k_max is bounded by p
+        res = ccc_eigenvalues(sample_gaussian(6, 10, 40, seed=3))
+        with pytest.raises(ParameterError, match=r"\[1, q=6\], got 8"):
+            tw_rescale(res, model_thin, k_max=8)
+        assert tw_rescale(res, model_thin, k_max=6).shape == (6,)
 
 
 class TestSeeds:

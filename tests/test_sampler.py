@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scclab import (
 )
 from scclab import sampler
 
-from oracles import integer_signs
+from oracles import reference_matrix, reference_row
 
 
 def _sample(law, p, q, n, seed):
@@ -69,16 +70,47 @@ class TestDeterminism:
         digest = hashlib.sha256(pair.X.tobytes() + pair.Y.tobytes()).hexdigest()
         assert digest == _PINNED_DIGESTS[law]
 
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("dims", [(37, 21, 41), (2, 1, 3), (5, 3, 40)])
+    def test_matches_reference_draw(self, law, dims):
+        # the block transforms against the Generator's own calls, row by row:
+        # p = 37 spans two full blocks and a partial one, and odd n leaves
+        # half of the last sign word unused, which the pins do not cover
+        p, q, n = dims
+        seed = 2 ** 63 + 12345
+        pair = _sample(law, p, q, n, seed)
+        assert np.array_equal(pair.X, reference_matrix(p, n, seed, 0, law, beta=4.5))
+        assert np.array_equal(pair.Y, reference_matrix(q, n, seed, 1, law, beta=4.5))
+
     @pytest.mark.parametrize("law", ["rademacher", "pareto"])
     @pytest.mark.parametrize("dims", [(5, 3, 41), (2, 1, 3), (5, 3, 40)])
-    def test_signs_match_integer_draw(self, law, dims, monkeypatch):
-        # the raw-bit signs are the bits rng.integers(0, 2, n) consumes; odd n
-        # leaves half of the last raw word unused, which the pins do not cover
-        pair = _sample(law, *dims, seed=2 ** 63 + 12345)
-        monkeypatch.setattr(sampler, "_signs", integer_signs)
-        reference = _sample(law, *dims, seed=2 ** 63 + 12345)
-        assert np.array_equal(pair.X, reference.X)
-        assert np.array_equal(pair.Y, reference.Y)
+    def test_signs_match_integer_draw(self, law, dims):
+        # the raw-bit signs are the bits rng.integers(0, 2, n) consumes
+        p, q, n = dims
+        seed = 2 ** 63 + 12345
+        pair = _sample(law, p, q, n, seed)
+        assert np.array_equal(np.sign(pair.X),
+                              np.sign(reference_matrix(p, n, seed, 0, law, beta=4.5)))
+        assert np.array_equal(np.sign(pair.Y),
+                              np.sign(reference_matrix(q, n, seed, 1, law, beta=4.5)))
+
+    @pytest.mark.parametrize("law", ["rademacher", "uniform", "pareto"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41])
+    def test_row_words_end_where_the_draw_ends(self, law, n):
+        # random_raw(words(n)) leaves the Philox where the Generator's own row
+        # draw does; the sign draw also keeps the high half of its last word,
+        # held (has_uint32) at odd n, which the next row's re-keying drops
+        drawn, raw = np.random.Philox(key=3), np.random.Philox(key=3)
+        reference_row(np.random.Generator(drawn), law, n, beta=4.5)
+        last = int(raw.random_raw(sampler._LAWS[law].words(n))[-1])
+        after, expected = drawn.state, raw.state
+        for field in ("counter", "key"):
+            assert np.array_equal(after["state"][field], expected["state"][field])
+        assert np.array_equal(after["buffer"], expected["buffer"])
+        assert after["buffer_pos"] == expected["buffer_pos"]
+        signs = law != "uniform"
+        assert after["has_uint32"] == (signs and n % 2 == 1)
+        assert after["uinteger"] == (last >> 32 if signs else 0)
 
     def test_x_and_y_streams_distinct(self):
         pair = sample_gaussian(5, 5, 40, seed=9)
@@ -170,6 +202,23 @@ class TestHeavyTail:
                 sample_heavy_tail(5, 3, 20, seed=0, beta=beta)
         with pytest.raises(ParameterError, match="requires beta"):
             sample_heavy_tail(5, 3, 20, seed=0, beta=None)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("law", LAWS)
+    def test_traced_peak_near_the_pair(self, law):
+        # raw words are transformed a block of rows at a time, so the
+        # temporaries stay a fraction of the pair's 640 000 bytes
+        _sample(law, 120, 80, 400, seed=1)
+        tracemalloc.start()
+        try:
+            pair = _sample(law, 120, 80, 400, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = pair.X.nbytes + pair.Y.nbytes
+        assert size == 640_000
+        assert peak <= 1.5 * size
 
 
 class TestTruncation:

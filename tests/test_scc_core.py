@@ -6,6 +6,7 @@ import pytest
 from scclab import (
     DataPair,
     PairMeta,
+    ParameterError,
     SingularityError,
     canonical_factor,
     ccc_eigenvalues,
@@ -152,6 +153,16 @@ class TestSpectrumOracle:
         assert res.eigenvalues.shape == (6,)
         assert np.max(np.abs(res.eigenvalues - ccc_eigenvalues(swapped).eigenvalues[:6])) < 1e-13
 
+    def test_gaussian_trace_mean_is_exact(self):
+        # the sum of the squared canonical correlations is tr(P_X P_Y); for
+        # Gaussian X, E P_X = (p/n) I by rotation invariance, so E sum = pq/n
+        # exactly, for any independent Y
+        p, q, n, pairs = 24, 16, 80, 1000
+        sums = np.array([ccc_eigenvalues(sample_gaussian(p, q, n, seed)).eigenvalues.sum()
+                         for seed in range(pairs)])
+        standard_error = sums.std(ddof=1) / np.sqrt(pairs)
+        assert abs(sums.mean() - p * q / n) <= 4.0 * standard_error
+
 
 class TestCanonicalFactor:
     @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
@@ -244,6 +255,12 @@ class TestRigidity:
         res = ccc_eigenvalues(pair)
         prof = rigidity_profile(res, model)
         assert prof.max() < 20.0
+
+    def test_short_spectrum_rejected(self, model_thin):
+        # with p < q the spectrum holds p values, not the q the profile needs
+        res = ccc_eigenvalues(sample_gaussian(6, 10, 40, seed=3))
+        with pytest.raises(ParameterError, match="q = 10 eigenvalues"):
+            rigidity_profile(res, model_thin)
 
     def test_counting_function_tracks_quantiles(self):
         # the number of eigenvalues above the j-th classical location stays
