@@ -5,6 +5,11 @@ the package evaluates sqrt(w) on the branch with nonnegative imaginary
 part, and z**(1/2) on the branch that is positive imaginary for z < 0.
 Both agree with the principal branch on the upper half plane.
 
+IndexLayout owns the coordinate structure of the linearization: its four
+blocks, the paired factor coordinates and the in-place add of a 2x2
+kernel on them, which H, the Schur assembly of its resolvent and the
+limit matrix all go through.
+
 tridiagonal_top finds the top eigenvalues of a batch of symmetric
 tridiagonal matrices by Sturm-count multisection in plain numpy, so the
 GOE edge reference needs no scipy.linalg.
@@ -135,11 +140,14 @@ def sqrt_z(z: complex) -> complex:
 
 
 class IndexLayout(NamedTuple):
-    """Coordinate blocks of the (p+q+2n) linearization space.
+    """Coordinate structure of the (p+q+2n) linearization space.
 
-    rows/cols 0..p-1 hold the first data channel, p..p+q-1 the second,
-    then two n-blocks for the right factors.  mu and mu + n form the
-    paired coordinates of the last two blocks.
+    The one owner of H's coordinates.  blocks holds the four coordinate
+    blocks in order: the p rows of the first data channel, the q of the
+    second, then two n-blocks for the right factors.  paired holds the
+    index arrays (mu, mu + n), mu < n, of the paired coordinates of the
+    two factor blocks, on which H, G and the limit matrix carry a 2x2
+    kernel; add_kernel adds one in place.
     """
 
     p: int
@@ -151,25 +159,23 @@ class IndexLayout(NamedTuple):
         return self.p + self.q + 2 * self.n
 
     @property
-    def sl1(self) -> slice:
-        return slice(0, self.p)
+    def blocks(self) -> tuple[slice, slice, slice, slice]:
+        p, q, n = self
+        return (slice(0, p), slice(p, p + q), slice(p + q, p + q + n),
+                slice(p + q + n, p + q + 2 * n))
 
     @property
-    def sl2(self) -> slice:
-        return slice(self.p, self.p + self.q)
+    def paired(self) -> tuple[np.ndarray, np.ndarray]:
+        first = self.p + self.q + np.arange(self.n)
+        return first, first + self.n
 
-    @property
-    def sl3(self) -> slice:
-        return slice(self.p + self.q, self.p + self.q + self.n)
-
-    @property
-    def sl4(self) -> slice:
-        return slice(self.p + self.q + self.n, self.dim)
-
-    def block_slice(self, alpha: int) -> slice:
-        if alpha not in (1, 2, 3, 4):
-            raise ValueError(f"block index must be 1..4, got {alpha}")
-        return (self.sl1, self.sl2, self.sl3, self.sl4)[alpha - 1]
+    def add_kernel(self, M: np.ndarray, k00, k01, k11) -> None:
+        """M += [[k00, k01], [k01, k11]] on every paired coordinate, in place."""
+        first, second = self.paired
+        M[first, first] += k00
+        M[second, second] += k11
+        M[first, second] += k01
+        M[second, first] += k01
 
 
 def kernel_inverse_2x2(z: complex) -> np.ndarray:

@@ -9,6 +9,8 @@ to reject().
 
 from __future__ import annotations
 
+__all__ = ["ScclabError", "ParameterError", "DomainError", "NumericalError", "SingularityError"]
+
 
 class ScclabError(Exception):
     """Base class for all package-specific failures."""

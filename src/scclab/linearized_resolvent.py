@@ -14,11 +14,15 @@ is a squared sample canonical correlation exactly when det H(lam) = 0,
 and for Im z > 0 the resolvent G(z) = H(z)**(-1) exists and collects all
 of the whitened two-channel resolvent blocks at once.
 
-Two routes to G are implemented: a direct dense LU inversion of H, and a
-Schur-complement assembly from a pair's z-free canonical_factor (the
-whitening and the full SVD of the whitened cross matrix), which a sweep
-computes once and reuses at every z.  Agreement of the two routes is an
-end-to-end check of the block algebra.
+Two routes to G are implemented: blocks_via_schur, a Schur-complement
+assembly from a pair's z-free canonical_factor (the whitening and the
+full SVD of the whitened cross matrix), which a sweep computes once and
+reuses at every z; and resolvent(), a direct dense LU inversion of H.
+local_law_errors always uses the Schur route.  resolvent() is the dense
+reference: agreement of the two routes is an end-to-end check of the
+block algebra.  The coordinate blocks of H and G, and the 2x2 kernels
+on their paired coordinates, are written and read through
+_linalg.IndexLayout.
 
 Both routes check max |H G - I| over all d**2 entries (d = p+q+2n) and
 raise above 1e-6.  The product is formed afresh from X, Y and the kernel
@@ -124,18 +128,14 @@ class LinearizationMatrix:
     def matrix(self) -> np.ndarray:
         """The dense H(z): real for real z > 0, complex symmetric otherwise."""
         layout = self.layout
-        n, off = layout.n, layout.p + layout.q
+        s1, s2, s3, s4 = layout.blocks
         H = np.zeros((layout.dim, layout.dim), dtype=float if self.is_real else complex)
-        H[layout.sl1, layout.sl3] = self.X
-        H[layout.sl2, layout.sl4] = self.Y
-        H[layout.sl3, layout.sl1] = self.X.T
-        H[layout.sl4, layout.sl2] = self.Y.T
-        idx = off + np.arange(n)
+        H[s1, s3] = self.X
+        H[s2, s4] = self.Y
+        H[s3, s1] = self.X.T
+        H[s4, s2] = self.Y.T
         diag, cross = self.kernel_inverse
-        H[idx, idx] = diag
-        H[n + idx, n + idx] = diag
-        H[idx, n + idx] = cross
-        H[n + idx, idx] = cross
+        layout.add_kernel(H, diag, cross, diag)
         return H
 
     def row_blocks(self, G: np.ndarray, cols: slice):
@@ -144,13 +144,13 @@ class LinearizationMatrix:
         G's last axis must be contiguous.  Each block is a fresh array, so
         callers may overwrite it.
         """
-        layout = self.layout
-        G1, G2, G3, G4 = (G[layout.block_slice(a), cols] for a in (1, 2, 3, 4))
+        s1, s2, s3, s4 = self.layout.blocks
+        G1, G2, G3, G4 = (G[rows, cols] for rows in (s1, s2, s3, s4))
         diag, cross = self.kernel_inverse
-        yield layout.sl1, _real_times(self.X, G3)
-        yield layout.sl2, _real_times(self.Y, G4)
-        for rows, data, Gdata, own, other in ((layout.sl3, self.X, G1, G3, G4),
-                                              (layout.sl4, self.Y, G2, G4, G3)):
+        yield s1, _real_times(self.X, G3)
+        yield s2, _real_times(self.Y, G4)
+        for rows, data, Gdata, own, other in ((s3, self.X, G1, G3, G4),
+                                              (s4, self.Y, G2, G4, G3)):
             block = _real_times(data.T, Gdata)
             block += diag * own
             block += cross * other
@@ -209,11 +209,7 @@ class ResolventBundle:
 
 
 def _partial_traces(G: np.ndarray, layout: IndexLayout):
-    n = layout.n
-    return tuple(
-        complex(np.trace(G[layout.block_slice(a), layout.block_slice(a)])) / n
-        for a in (1, 2, 3, 4)
-    )
+    return tuple(complex(np.trace(G[sl, sl])) / layout.n for sl in layout.blocks)
 
 
 def _identity_residual(lin: LinearizationMatrix, G: np.ndarray) -> float:
@@ -253,7 +249,8 @@ def resolvent(pair: DataPair, z) -> ResolventBundle:
                         _RESIDUAL_LIMIT, lin.z)
     m1, m2, m3, m4 = _partial_traces(G, layout)
     Syy = pair.Y @ pair.Y.T
-    m = complex(np.trace(G[layout.sl2, layout.sl2] @ Syy)) / layout.q
+    s2 = layout.blocks[1]
+    m = complex(np.trace(G[s2, s2] @ Syy)) / layout.q
     return ResolventBundle(
         G=G, z=lin.z, layout=layout, m1=m1, m2=m2, m3=m3, m4=m4, m=m,
         identity_residual=residual, route="direct",
@@ -281,41 +278,38 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None) -
     elif factor.pair is not pair:
         raise ParameterError("the canonical factor belongs to a different pair")
     layout = lin.layout
-    p, q, n = layout
     lam_p, lam_q = factor.lam_p, factor.lam_q
     if min(np.abs(lam_p - z).min(), np.abs(lam_q - z).min()) < 1e-12:
         raise DomainError(f"z = {z} coincides with a sample eigenvalue")
     A, B, k = factor.A, factor.B, len(factor.sv)
     sz = sqrt_z(z)
     G = np.empty((layout.dim, layout.dim), dtype=complex)
+    s1, s2, s3, s4 = layout.blocks
+    data = slice(s1.start, s2.stop)     # the data corner's rows, and its columns
 
     def weighted_gram(left, weights, right):    # left diag(weights) right'
         return _real_times(left, np.multiply(weights[:, None], right.T, order="C"))
 
-    G[:p, :p] = weighted_gram(A, 1.0 / (lam_p - z), A)
+    G[s1, s1] = weighted_gram(A, 1.0 / (lam_p - z), A)
     cross = -factor.sv / (sz * (lam_q[:k] - z))
-    G[:p, p:p + q] = weighted_gram(A[:, :k], cross, B[:, :k])
-    G[p:p + q, :p] = G[:p, p:p + q].T
-    G[p:p + q, p:p + q] = weighted_gram(B, 1.0 / (lam_q - z), B)
+    G[s1, s2] = weighted_gram(A[:, :k], cross, B[:, :k])
+    G[s2, s1] = G[s1, s2].T
+    G[s2, s2] = weighted_gram(B, 1.0 / (lam_q - z), B)
 
     def apply_minus_kernel(cols: slice) -> None:
         # G[right, cols] = -K D' G[left, cols], with D' = diag(X', Y')
-        top = _real_times(pair.X.T, G[:p, cols])
-        bottom = _real_times(pair.Y.T, G[p:p + q, cols])
-        for rows, own, other in ((layout.sl3, top, bottom), (layout.sl4, bottom, top)):
+        top = _real_times(pair.X.T, G[s1, cols])
+        bottom = _real_times(pair.Y.T, G[s2, cols])
+        for rows, own, other in ((s3, top, bottom), (s4, bottom, top)):
             block = np.multiply(own, -z, out=G[rows, cols])
             block -= sz * other
 
-    for cols in _panels(0, p + q):
+    for cols in _panels(data.start, data.stop):
         apply_minus_kernel(cols)
-    for cols in _panels(p + q, layout.dim):
-        G[:p + q, cols] = G[cols, :p + q].T
+    for cols in _panels(data.stop, layout.dim):
+        G[data, cols] = G[cols, data].T
         apply_minus_kernel(cols)
-    idx = p + q + np.arange(n)
-    G[idx, idx] += z
-    G[n + idx, n + idx] += z
-    G[idx, n + idx] += sz
-    G[n + idx, idx] += sz
+    layout.add_kernel(G, z, sz, z)
 
     residual = _enforce("resolvent identity", _identity_residual(lin, G),
                         _RESIDUAL_LIMIT, z)
@@ -374,14 +368,13 @@ def _test_vectors(layout: IndexLayout, seed: int) -> np.ndarray:
     for _ in range(_N_RANDOM_VECTORS):
         v = rng.standard_normal(d)
         cols.append(v / np.linalg.norm(v))
-    for a in (1, 2, 3, 4):
-        sl = layout.block_slice(a)
+    for sl in layout.blocks:
         v = np.zeros(d)
         v[sl] = rng.standard_normal(sl.stop - sl.start)
         cols.append(v / np.linalg.norm(v))
-    for pos in (0, layout.p, layout.p + layout.q, layout.p + layout.q + layout.n):
+    for sl in layout.blocks:            # the first coordinate of each block
         v = np.zeros(d)
-        v[pos] = 1.0
+        v[sl.start] = 1.0
         cols.append(v)
     vectors = np.array(cols).T
     vectors.setflags(write=False)
@@ -389,8 +382,7 @@ def _test_vectors(layout: IndexLayout, seed: int) -> np.ndarray:
 
 
 def local_law_errors(pair: DataPair, model: SpectralModel, z,
-                     seed: int = 0, route: str = "schur",
-                     epsilon: float = 0.05,
+                     seed: int = 0, epsilon: float = 0.05,
                      factor: CanonicalFactor | None = None) -> LocalLawReport:
     """Measure entrywise, anisotropic, and averaged deviations of G from the limit.
 
@@ -399,38 +391,31 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     maximum of |u' (G - Pi) v| over all ordered pairs from a deterministic
     test set: seeded uniform unit vectors, one unit vector supported on
     each coordinate block, and representative standard basis vectors (the
-    full basis-pair sweep is the entrywise error).  factor, from
-    canonical_factor(pair), goes to the Schur route.  A z outside the
-    window raises a DomainError, and a trace-identity residual above
-    1e-10 a NumericalError.
+    full basis-pair sweep is the entrywise error).  G is always
+    assembled by blocks_via_schur, from factor (canonical_factor(pair))
+    when one is given and from a fresh factor otherwise; resolvent() is
+    the dense reference it is tested against.  A z outside the window
+    raises a DomainError, and a trace-identity residual above 1e-10 a
+    NumericalError.
     """
     z = complex(z)
     n = pair.n
     reject(window_violations(n, epsilon, z.real, z.real, z.imag, z.imag), DomainError)
-    if route == "schur":
-        bundle = blocks_via_schur(pair, z, factor)
-    elif route == "direct" and factor is None:
-        bundle = resolvent(pair, z)
-    else:
-        raise ParameterError(f"route must be 'schur', or 'direct' without a factor; "
-                             f"got {route!r}")
+    bundle = blocks_via_schur(pair, z, factor)
     trace_residual = _enforce("trace identity", bundle.trace_identity_residual,
                               _TRACE_LIMIT, z)
     layout = bundle.layout
     # the bundle is private to this call, so G becomes G - Pi in place
     diff = bundle.G
-    pi_limit(model, z, layout.p, layout.q, layout.n).subtract_from(diff)
+    pi_limit(model, z, *layout).subtract_from(diff)
 
     # one block at a time, so no |G - Pi| of the size of G is formed
     sectors = {}
-    for a in (1, 2, 3, 4):
-        for b in (1, 2, 3, 4):
-            block = diff[layout.block_slice(a), layout.block_slice(b)]
-            sectors[f"{a}{b}"] = float(np.abs(block).max())
+    for a, rows in enumerate(layout.blocks, 1):
+        for b, cols in enumerate(layout.blocks, 1):
+            sectors[f"{a}{b}"] = float(np.abs(diff[rows, cols]).max())
     entrywise = max(sectors.values())
-    mu = np.arange(layout.n)
-    off = layout.p + layout.q
-    sectors["paired34"] = float(np.abs(diff[off + mu, off + layout.n + mu]).max())
+    sectors["paired34"] = float(np.abs(diff[layout.paired]).max())
 
     vectors = _test_vectors(layout, seed)
     quad_forms = _real_times(vectors.T, diff) @ vectors
@@ -463,7 +448,6 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
         phi_n=float(phi_n),
         benchmarks=benchmarks,
         sectors=sectors,
-        route=route,
         checks={"identity_residual": bundle.identity_residual,
                 "trace_identity": trace_residual},
     )

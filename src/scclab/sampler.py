@@ -12,7 +12,7 @@ Pareto family exactly when beta > 4.
 Each row is its own counter-based Philox stream under the 128-bit key
 (seed, matrix, row) with a zero counter, so a row does not depend on the
 rows before it or on the matrix height, and a pair is bit-identical for
-a given (dimensions, seed, law) triple.  One bit generator per matrix is
+a given (dimensions, seed, law) triple.  One bit generator per pair is
 re-keyed row by row rather than built anew for each row.
 
 Apart from the Gaussian, whose ziggurat takes a varying number of words
@@ -206,9 +206,8 @@ class DataPair:
         return self.X.shape[1]
 
 
-def _fill_matrix(p: int, n: int, seed: int, matrix_id: int, spec: _Law,
-                 beta: float | None) -> np.ndarray:
-    bit_gen = np.random.Philox(key=0)
+def _fill_matrix(bit_gen: np.random.Philox, p: int, n: int, seed: int, matrix_id: int,
+                 spec: _Law, beta: float | None) -> np.ndarray:
     key = [0, seed]             # (low, high) words of the key; plain ints set fastest
     zeros = [0, 0, 0, 0]
     fresh = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
@@ -241,8 +240,9 @@ def _fill_matrix(p: int, n: int, seed: int, matrix_id: int, spec: _Law,
 def _sample(p: int, q: int, n: int, seed: int, law: str, beta: float | None = None) -> DataPair:
     reject(dims_violations(p, q, n) + seed_violations(seed) + law_violations(law, beta))
     spec = _LAWS[law]
-    X = _fill_matrix(p, n, seed, 0, spec, beta)
-    Y = _fill_matrix(q, n, seed, 1, spec, beta)
+    bit_gen = np.random.Philox(key=0)      # every row re-keys it, so X and Y share it
+    X = _fill_matrix(bit_gen, p, n, seed, 0, spec, beta)
+    Y = _fill_matrix(bit_gen, q, n, seed, 1, spec, beta)
     phi_n = None if spec.scale is None else spec.scale * n ** -0.5
     meta = PairMeta(distribution=law, seed=seed, phi_n=phi_n, beta=beta)
     return DataPair(X=X, Y=Y, meta=meta)

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import sqrt_upper, sqrt_z
+from ._linalg import IndexLayout, sqrt_upper, sqrt_z
 from .errors import DomainError, NumericalError, ParameterError, reject
 
 __all__ = [
@@ -372,38 +372,28 @@ def sc_residuals(model: SpectralModel, quad: StieltjesQuadruple, z) -> np.ndarra
 class PiDescriptor:
     """Block-constant limit of the linearized resolvent at one z.
 
-    Held by its distinct values, never as a dense d x d array.  The
-    matrix is diagonal except on the paired coordinates (mu, mu + n)
-    of the two factor blocks, where the off-diagonal value is h.  The
-    diagonal values are m1/c1 on the first p coordinates, m2/c2 on the
-    next q, then m3 and m4 on the two n-blocks.
+    Held by its distinct values on the layout's coordinates, never as a
+    dense d x d array.  The diagonal values are m1/c1 on the first data
+    block and m2/c2 on the second; the two factor blocks carry the
+    kernel [[m3, h], [h, m4]] on their paired coordinates (mu, mu + n)
+    and are zero elsewhere.
     """
 
     z: complex
-    p: int
-    q: int
-    n: int
+    layout: IndexLayout
     diag1: complex
     diag2: complex
     kernel: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.p + self.q + 2 * self.n
-
     def subtract_from(self, G: np.ndarray) -> None:
         """G -= the limit matrix, in place, touching only its nonzero entries."""
-        if G.shape != (self.dim, self.dim):
-            raise ParameterError(f"G has shape {G.shape}, expected {(self.dim, self.dim)}")
-        off = self.p + self.q
-        data = np.arange(off)
-        idx = off + np.arange(self.n)
-        G[data[: self.p], data[: self.p]] -= self.diag1
-        G[data[self.p:], data[self.p:]] -= self.diag2
-        G[idx, idx] -= self.kernel[0, 0]
-        G[self.n + idx, self.n + idx] -= self.kernel[1, 1]
-        G[idx, self.n + idx] -= self.kernel[0, 1]
-        G[self.n + idx, idx] -= self.kernel[1, 0]
+        layout = self.layout
+        if G.shape != (layout.dim, layout.dim):
+            raise ParameterError(f"G has shape {G.shape}, expected {(layout.dim, layout.dim)}")
+        for block, value in zip(layout.blocks, (self.diag1, self.diag2)):
+            diagonal = np.arange(block.start, block.stop)
+            G[diagonal, diagonal] -= value
+        layout.add_kernel(G, -self.kernel[0, 0], -self.kernel[0, 1], -self.kernel[1, 1])
 
 
 def pi_limit(model: SpectralModel, z, p: int, q: int, n: int) -> PiDescriptor:
@@ -422,9 +412,7 @@ def pi_limit(model: SpectralModel, z, p: int, q: int, n: int) -> PiDescriptor:
     kernel = np.array([[quad.m3, quad.h], [quad.h, quad.m4]])
     return PiDescriptor(
         z=z,
-        p=p,
-        q=q,
-        n=n,
+        layout=IndexLayout(p, q, n),
         diag1=quad.m1 / model.c1,
         diag2=quad.m2 / model.c2,
         kernel=kernel,

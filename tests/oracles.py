@@ -50,16 +50,17 @@ def solve_m3(model: SpectralModel, z) -> complex:
 
 def pi_dense(desc: PiDescriptor) -> np.ndarray:
     """The block-constant limit matrix of a descriptor as a dense d x d array."""
-    out = np.zeros((desc.dim, desc.dim), dtype=complex)
-    off = desc.p + desc.q
+    p, q, n = desc.layout
+    out = np.zeros((p + q + 2 * n, p + q + 2 * n), dtype=complex)
+    off = p + q
     data = np.arange(off)
-    idx = off + np.arange(desc.n)
-    out[data[: desc.p], data[: desc.p]] = desc.diag1
-    out[data[desc.p:], data[desc.p:]] = desc.diag2
+    idx = off + np.arange(n)
+    out[data[:p], data[:p]] = desc.diag1
+    out[data[p:], data[p:]] = desc.diag2
     out[idx, idx] = desc.kernel[0, 0]
-    out[desc.n + idx, desc.n + idx] = desc.kernel[1, 1]
-    out[idx, desc.n + idx] = desc.kernel[0, 1]
-    out[desc.n + idx, idx] = desc.kernel[1, 0]
+    out[n + idx, n + idx] = desc.kernel[1, 1]
+    out[idx, n + idx] = desc.kernel[0, 1]
+    out[n + idx, idx] = desc.kernel[1, 0]
     return out
 
 

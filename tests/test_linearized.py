@@ -25,7 +25,7 @@ from scclab import (
     stieltjes,
 )
 from scclab import linearized_resolvent
-from scclab._linalg import kernel_inverse_2x2
+from scclab._linalg import IndexLayout, kernel_inverse_2x2
 from oracles import kernel_2x2, pi_dense
 
 Z_POINTS = [complex(0.3, 0.5), complex(0.7, 0.1), complex(0.5, 1.0),
@@ -76,6 +76,29 @@ class TestBuild:
         assert np.array_equal(H[p: p + q, p + q + n:].real, small_pair.Y)
         # data corner is zero
         assert np.abs(H[: p + q, : p + q]).max() == 0.0
+
+    @pytest.mark.parametrize("z", [0.37, complex(0.37, 0.1)])
+    def test_kernel_inverse_placed(self, small_pair, z):
+        # the factor corner is the kernel inverse on every paired
+        # coordinate (mu, mu + n) and zero elsewhere, entry for entry
+        p, q, n = small_pair.p, small_pair.q, small_pair.n
+        H = build_H(small_pair, z).matrix
+        expected = np.kron(kernel_inverse_2x2(z), np.eye(n))
+        assert np.array_equal(H[p + q:, p + q:], expected)
+
+    def test_layout_coordinates(self):
+        layout = IndexLayout(5, 3, 7)
+        blocks = layout.blocks
+        assert [(b.start, b.stop) for b in blocks] == [(0, 5), (5, 8), (8, 15), (15, 22)]
+        assert layout.dim == 22
+        first, second = layout.paired
+        assert np.array_equal(first, np.arange(8, 15))
+        assert np.array_equal(second, np.arange(15, 22))
+        M = np.zeros((22, 22))
+        layout.add_kernel(M, 1.0, 2.0, 3.0)
+        expected = np.zeros((22, 22))
+        expected[8:, 8:] = np.kron([[1.0, 2.0], [2.0, 3.0]], np.eye(7))
+        assert np.array_equal(M, expected)
 
     def test_kernel_poles_rejected(self, small_pair):
         with pytest.raises(DomainError):
@@ -202,14 +225,6 @@ class TestLocalLawReport:
             v for k, v in rep.sectors.items() if k != "paired34"
         )
 
-    def test_routes_agree(self, medium_pair):
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
-        z = complex(0.5, 0.4)
-        a = local_law_errors(medium_pair, model, z, route="schur")
-        b = local_law_errors(medium_pair, model, z, route="direct")
-        assert a.entrywise_err == pytest.approx(b.entrywise_err, rel=1e-6)
-        assert a.aniso_err == pytest.approx(b.aniso_err, rel=1e-6)
-
     def test_deviations_are_small(self, medium_pair):
         # at eta of order one the deviations sit well below their benchmarks
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
@@ -228,8 +243,7 @@ class TestLocalLawReport:
         with pytest.raises(DomainError):
             local_law_errors(medium_pair, model, complex(0.5, 50.0))   # Im above 1/eps
 
-    @pytest.mark.parametrize("route, assemble", [("schur", "blocks_via_schur"),
-                                                 ("direct", "resolvent")])
+    @pytest.mark.parametrize("route, assemble", [("schur", "blocks_via_schur")])
     def test_trace_identities_enforced(self, medium_pair, monkeypatch, route, assemble):
         # a bundle whose traces break the exact identities by 1e-8 is
         # rejected, though its identity residual is fine
@@ -238,17 +252,13 @@ class TestLocalLawReport:
 
         def perturbed(*args):
             bundle = real(*args)
+            assert bundle.route == route
             return dataclasses.replace(bundle, m3=bundle.m3 + 1e-8)
 
         monkeypatch.setattr(linearized_resolvent, assemble, perturbed)
         with pytest.raises(NumericalError, match="trace identity") as info:
-            local_law_errors(medium_pair, model, complex(0.5, 0.4), route=route)
+            local_law_errors(medium_pair, model, complex(0.5, 0.4))
         assert info.value.achieved == pytest.approx(1e-8, rel=1e-3)
-
-    def test_unknown_route_rejected(self, medium_pair):
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
-        with pytest.raises(ParameterError):
-            local_law_errors(medium_pair, model, complex(0.5, 0.4), route="magic")
 
     def test_limit_objects_consistent(self, medium_pair):
         # the averaged deviations compare against the same transform values
@@ -262,23 +272,26 @@ class TestLocalLawReport:
         assert rep.avg_err[4] == pytest.approx(abs(bundle.m - limit.m), rel=1e-12)
 
     @pytest.mark.parametrize("pair_name", ["small_pair", "medium_pair"])
-    @pytest.mark.parametrize("route", ["schur", "direct"])
+    @pytest.mark.parametrize("route", ["schur"])
     def test_matches_dense_reference(self, request, pair_name, route):
         # reference: materialize G - Pi and sweep it densely
         pair = request.getfixturevalue(pair_name)
         model = make_model(pair.p / pair.n, pair.q / pair.n)
         z = complex(0.5, 0.4)
-        rep = local_law_errors(pair, model, z, route=route)
-        bundle = (blocks_via_schur if route == "schur" else resolvent)(pair, z)
+        rep = local_law_errors(pair, model, z)
+        assert rep.route == route
+        bundle = blocks_via_schur(pair, z)
         diff = bundle.G - pi_dense(pi_limit(model, z, pair.p, pair.q, pair.n))
         layout = bundle.layout
         assert rep.entrywise_err == pytest.approx(np.abs(diff).max(), rel=1e-12)
         vectors = linearized_resolvent._test_vectors(layout, 0)
         aniso = np.abs(vectors.T @ diff @ vectors).max()
         assert rep.aniso_err == pytest.approx(aniso, rel=1e-12)
+        p, q, n = pair.p, pair.q, pair.n
+        bounds = (0, p, p + q, p + q + n, p + q + 2 * n)
         for a in (1, 2, 3, 4):
             for b in (1, 2, 3, 4):
-                block = diff[layout.block_slice(a), layout.block_slice(b)]
+                block = diff[bounds[a - 1]:bounds[a], bounds[b - 1]:bounds[b]]
                 assert rep.sectors[f"{a}{b}"] == pytest.approx(np.abs(block).max(), rel=1e-12)
         off, mu = pair.p + pair.q, np.arange(pair.n)
         paired = np.abs(diff[off + mu, off + pair.n + mu]).max()
@@ -352,13 +365,13 @@ class TestPanels:
                 assert shared.checks[key] == pytest.approx(value, abs=1e-13)
 
     def test_factor_must_match_pair_and_route(self, small_pair, medium_pair):
+        # on the Schur route, called alone or by local_law_errors
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         z = complex(0.5, 0.4)
         with pytest.raises(ParameterError):
             blocks_via_schur(medium_pair, z, canonical_factor(small_pair))
         with pytest.raises(ParameterError):
-            local_law_errors(medium_pair, model, z, route="direct",
-                             factor=canonical_factor(medium_pair))
+            local_law_errors(medium_pair, model, z, factor=canonical_factor(small_pair))
 
 
 def test_local_law_peak_memory_near_size_of_g():

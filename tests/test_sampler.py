@@ -112,6 +112,16 @@ class TestDeterminism:
         assert after["has_uint32"] == (signs and n % 2 == 1)
         assert after["uinteger"] == (last >> 32 if signs else 0)
 
+    @pytest.mark.parametrize("law", LAWS)
+    def test_one_bit_generator_per_pair(self, law, monkeypatch):
+        # every row re-keys it from a fresh state, so X and Y share one
+        # Philox; test_matches_reference_draw checks the streams
+        built = []
+        real = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(k) or real(*a, **k))
+        _sample(law, 5, 3, 41, seed=7)
+        assert len(built) == 1
+
     def test_x_and_y_streams_distinct(self):
         pair = sample_gaussian(5, 5, 40, seed=9)
         assert not np.array_equal(pair.X, pair.Y)

@@ -302,6 +302,16 @@ class TestMatrixLimit:
         assert dense[0, 1] == 0.0
         assert dense[12, 13] == 0.0
 
+    def test_subtract_from_is_exact(self, model_wide):
+        # in place, on the layout's own coordinates, bit for bit the dense
+        # subtraction (p != q, so a swapped data block would show)
+        desc = pi_limit(model_wide, complex(0.5, 0.3), p=8, q=4, n=20)
+        rng = np.random.default_rng(5)
+        G = rng.standard_normal((52, 52)) + 1j * rng.standard_normal((52, 52))
+        expected = G - pi_dense(desc)
+        desc.subtract_from(G)
+        assert np.array_equal(G, expected)
+
     def test_bounded_norm_on_window(self, model_thin):
         # the limit stays order one uniformly over the spectral window
         for E in np.linspace(0.1, 1.0, 7):
