@@ -134,11 +134,6 @@ def sqrt_upper(w: complex) -> complex:
     return -r
 
 
-def sqrt_z(z: complex) -> complex:
-    """z**(1/2) with nonnegative imaginary part (positive real for z > 0)."""
-    return sqrt_upper(complex(z))
-
-
 class IndexLayout(NamedTuple):
     """Coordinate structure of the (p+q+2n) linearization space.
 
@@ -188,6 +183,6 @@ def kernel_inverse_2x2(z: complex) -> np.ndarray:
     if z == 0 or z == 1:
         raise ValueError(f"coupling kernel is singular at z = {z}")
     det = z * (z - 1)
-    sz = sqrt_z(z)
+    sz = sqrt_upper(z)
     return np.array([[z, -sz], [-sz, z]]) / det
 

@@ -6,7 +6,11 @@ then writes results.csv, results.json, and a manifest.json with the full
 configuration echo next to them.  A run that fails writes no results,
 only diagnostics.json on a numerical failure.  Every kind's runner is a
 pure function of the configuration, so re-running a manifest's
-configuration reproduces the result files byte for byte.
+configuration reproduces the result files byte for byte.  The three
+Monte Carlo kinds (local-law-sweep, tw-edge, rigidity-scaling) sample
+their pairs through edge_stats.TrialLog alike: a failed pair is
+resampled and counted in results.json's "failures", and more than one
+percent of failures aborts the run.
 
 Exit codes: 0 success, 2 validation failure (including an unreadable or
 malformed --config file), 3 numerical failure.
@@ -30,7 +34,7 @@ from . import __version__
 from .config import KINDS, ExperimentConfig, build_config, validate
 from .edge_stats import (
     ExperimentReport,
-    derived_seed,
+    TrialLog,
     rigidity_experiment,
     sample_pair,
     tw_experiment,
@@ -119,16 +123,12 @@ def _run_local_law_sweep(config: ExperimentConfig):
     rows = []
     reports = []
     point_checks = []
-    conditioning = []
+    log = TrialLog(config)
     for trial in range(config.trials):
-        seed_t = derived_seed(config.seed, 4, trial)
-        pair = sample_pair(config.law, p, q, n, seed_t,
-                           beta=config.beta, c_phi=config.c_phi)
-        factor = canonical_factor(pair)     # whiten and decompose once per pair
-        conditioning.append((factor.min_eig_xx, factor.min_eig_yy))
+        factor = log.draw(canonical_factor, n, 4, trial)    # whiten and decompose once per pair
         for E in es:
             for eta in etas:
-                rep = local_law_errors(pair, model, complex(E, eta), seed=config.seed,
+                rep = local_law_errors(factor.pair, model, complex(E, eta), seed=config.seed,
                                        epsilon=config.epsilon, factor=factor)
                 rows.append((trial, repr(float(E)), repr(float(eta)),
                              repr(rep.entrywise_err), repr(rep.aniso_err),
@@ -138,17 +138,16 @@ def _run_local_law_sweep(config: ExperimentConfig):
                              repr(rep.benchmarks["averaged"])))
                 reports.append(rep.to_json_dict() | {"trial": trial})
                 point_checks.append(rep.checks)
+    checks = log.checks(config.trials)
     worst = max(r["entrywise_err"] / r["benchmarks"]["entrywise"] for r in reports)
     results = {
-        "n": n, "p": p, "q": q, "trials": config.trials,
+        "n": n, "p": p, "q": q, "trials": config.trials, "failures": log.failures,
         "grid": {"E": [float(e) for e in es], "eta": [float(e) for e in etas]},
         "worst_entrywise_over_benchmark": worst,
         "reports": reports,
     }
-    checks = {f"{key}_max": max(c[key] for c in point_checks)
-              for key in ("identity_residual", "trace_identity")}
-    checks["min_eig_xx_min"] = min(xx for xx, _ in conditioning)
-    checks["min_eig_yy_min"] = min(yy for _, yy in conditioning)
+    checks |= {f"{key}_max": max(c[key] for c in point_checks)
+               for key in ("identity_residual", "trace_identity")}
     return header, rows, results, checks
 
 

@@ -9,8 +9,7 @@ library is called directly, and `validate` only concatenates their lists:
   truncation exponent c_phi: `sampler`;
 - aspect ratios (at the nominal c1, c2 and at p/n, q/n for every size n
   a kind samples) and the local law's spectral window: `spectral_model`;
-- edge depth k_max and GOE reference size n_goe: this module, for
-  `edge_stats`.
+- edge depth k_max: this module, for `edge_stats`.
 
 The remaining rules (kind, field types, trial counts, rigidity sizes and
 grids) concern configs only and are written here, inside `validate`.
@@ -37,11 +36,11 @@ KINDS = (
     "rigidity-scaling",
 )
 
-_INTEGER_FIELDS = ("n", "q", "trials", "k_max", "seed", "n_goe", "n0",
+_INTEGER_FIELDS = ("n", "q", "trials", "k_max", "seed", "n0",
                    "x_points", "e_points", "eta_points")
 _REAL_FIELDS = ("c1", "c2", "beta", "c_phi", "e_min", "e_max", "eta_min", "eta_max",
                 "epsilon")
-_OPTIONAL_FIELDS = ("n_goe", "beta", "c_phi")
+_OPTIONAL_FIELDS = ("beta", "c_phi")
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class ExperimentConfig:
     trials: int = 100
     k_max: int = 3
     seed: int = 0
-    n_goe: int | None = None
     n0: int = 200                     # rigidity base size
     factors: tuple = (1, 2, 4)
     x_points: int = 201               # density table resolution
@@ -123,11 +121,6 @@ def k_max_violations(k_max: int, q: int) -> list[str]:
     return [] if 1 <= k_max <= q else [f"k_max must lie in [1, q={q}], got {k_max}"]
 
 
-def goe_size_violations(n_goe: int, k_max: int) -> list[str]:
-    """The violated GOE reference size constraint n_goe >= k_max + 1, if any."""
-    return [] if n_goe >= k_max + 1 else [f"n_goe = {n_goe} too small for k_max = {k_max}"]
-
-
 def _size_violations(config: ExperimentConfig) -> list[str]:
     """Dimension and aspect-ratio violations at every size n the kind samples at.
 
@@ -165,8 +158,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         v += k_max_violations(config.k_max, config.dims()[1])
         if config.trials < 2:
             v.append(f"tw-edge needs trials >= 2, got {config.trials}")
-        if config.n_goe is not None:
-            v += goe_size_violations(config.n_goe, config.k_max)
     if config.kind == "rigidity-scaling":
         if config.trials < 3:
             v.append(f"rigidity-scaling needs trials >= 3, got {config.trials}")

@@ -22,10 +22,16 @@ multisection (_linalg.tridiagonal_top), which agrees with LAPACK's
 bisection to a few ulps and keeps scipy.linalg off the import path.
 
 Both drivers take the one ExperimentConfig and check it with its
-validator before sampling.  Trials are keyed by (experiment seed, trial
-index), so a run can be split or merged and still produce identical
-output; failed trials are resampled on a derived key and counted, and a
-failure rate above one percent aborts the experiment.
+validator before sampling.  Every Monte Carlo experiment of the
+laboratory, the CLI's local-law sweep included, samples its pairs
+through one TrialLog.  A trial's pair is keyed by the experiment seed,
+a tag of its kind, its trial index (after the size index for rigidity)
+and the retry, so a run can be split or merged and still produce
+identical output; a pair whose computation fails is resampled on the
+next retry and counted, and a failure rate above one percent aborts the
+experiment.  The TrialLog also keeps the smallest Gram-block eigenvalues
+over the accepted pairs, the conditioning every Monte Carlo manifest
+reports.
 """
 
 from __future__ import annotations
@@ -33,11 +39,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ._linalg import tridiagonal_top
-from .config import ExperimentConfig, goe_size_violations, k_max_violations, validate
+from .config import ExperimentConfig, k_max_violations, validate
 from .errors import NumericalError, ParameterError, ScclabError, reject
 from .sampler import (
     DataPair,
@@ -51,6 +58,7 @@ from .scc_core import SpectrumResult, ccc_eigenvalues, rigidity_profile
 from .spectral_model import SpectralModel, classical_locations
 
 __all__ = [
+    "TrialLog",
     "EdgeSamples",
     "ExperimentReport",
     "sample_pair",
@@ -98,22 +106,68 @@ def tw_rescale(result: SpectrumResult, model: SpectralModel, k_max: int = 3) -> 
 class EdgeSamples:
     """Rescaled edge statistics, one row per trial, one column per k.
 
-    min_eig_xx and min_eig_yy are the smallest Gram-block eigenvalues over
-    the accepted spectra (infinite when no spectrum was taken); model is
-    the limit model whose lambda_plus and c_tw rescaled the values (None
-    for the GOE reference).
+    trials is the TrialLog that sampled the rows and model the limit
+    model whose lambda_plus and c_tw rescaled them; both are None for the
+    GOE reference.
     """
 
     values: np.ndarray
-    failures: int = 0
-    min_eig_xx: float = math.inf
-    min_eig_yy: float = math.inf
+    trials: TrialLog | None = None
     model: SpectralModel | None = None
 
 
 def derived_seed(seed: int, *key: int) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+@dataclass(eq=False)
+class TrialLog:
+    """The trial policy of a Monte Carlo run: resample, count, budget.
+
+    failures counts the pairs whose computation failed; min_eig_xx and
+    min_eig_yy are the smallest Gram-block eigenvalues over the accepted
+    results (infinite before the first).
+    """
+
+    config: ExperimentConfig
+    failures: int = 0
+    min_eig_xx: float = math.inf
+    min_eig_yy: float = math.inf
+
+    def draw(self, compute: Callable, n: int, *key: int):
+        """The first compute(pair) that succeeds on the trial keyed by key.
+
+        Attempt r samples the pair of size n seeded by (seed, *key, r), so
+        a trial's result depends only on its key.  A ScclabError from
+        compute counts as a failure and resamples; _MAX_RETRIES failures
+        in a row abort the run.  The result, a SpectrumResult or a
+        CanonicalFactor, must carry min_eig_xx and min_eig_yy.
+        """
+        config = self.config
+        p, q = config.dims(n)
+        for retry in range(_MAX_RETRIES):
+            pair = sample_pair(config.law, p, q, n, derived_seed(config.seed, *key, retry),
+                               beta=config.beta, c_phi=config.c_phi)
+            try:
+                result = compute(pair)
+            except ScclabError:
+                self.failures += 1
+                continue
+            self.min_eig_xx = min(self.min_eig_xx, result.min_eig_xx)
+            self.min_eig_yy = min(self.min_eig_yy, result.min_eig_yy)
+            return result
+        raise NumericalError(f"trial {key[-1]} failed {_MAX_RETRIES} resampling attempts")
+
+    def checks(self, trials: int) -> dict:
+        """The conditioning minima; a NumericalError if failures exceed 1 % of trials."""
+        if self.failures > _FAILURE_BUDGET * trials:
+            raise NumericalError(
+                f"{self.failures} failed trials out of {trials} exceeds the "
+                f"{_FAILURE_BUDGET:.0%} budget",
+                achieved=self.failures / trials,
+            )
+        return {"min_eig_xx_min": self.min_eig_xx, "min_eig_yy_min": self.min_eig_yy}
 
 
 @functools.lru_cache(maxsize=8)
@@ -134,6 +188,11 @@ def _goe_values(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarray:
         values[block.start: block.stop] = n_goe ** (2.0 / 3.0) * (top / math.sqrt(n_goe) - 2.0)
     values.setflags(write=False)
     return values
+
+
+def goe_size_violations(n_goe: int, k_max: int) -> list[str]:
+    """The violated GOE reference size constraint n_goe >= k_max + 1, if any."""
+    return [] if n_goe >= k_max + 1 else [f"n_goe = {n_goe} too small for k_max = {k_max}"]
 
 
 def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> EdgeSamples:
@@ -187,25 +246,6 @@ def _require_valid(config: ExperimentConfig, kind: str) -> None:
     reject(validate(config))
 
 
-def _resampled_spectrum(config: ExperimentConfig, n: int,
-                        *key: int) -> tuple[SpectrumResult, int]:
-    """Spectrum of one trial at size n, and the number of failed attempts before it.
-
-    Attempt r samples the pair seeded by (seed, *key, r), so a trial's
-    spectrum depends only on its key.  A failed spectrum is resampled;
-    _MAX_RETRIES failures in a row abort the run.
-    """
-    p, q = config.dims(n)
-    for retry in range(_MAX_RETRIES):
-        pair = sample_pair(config.law, p, q, n, derived_seed(config.seed, *key, retry),
-                           beta=config.beta, c_phi=config.c_phi)
-        try:
-            return ccc_eigenvalues(pair), retry
-        except ScclabError:
-            continue
-    raise NumericalError(f"trial {key[-1]} failed {_MAX_RETRIES} resampling attempts")
-
-
 def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
     """Edge statistics for an explicit set of trial indices.
 
@@ -215,24 +255,10 @@ def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
     """
     _require_valid(config, "tw-edge")
     model = config.model()
-    values, failures = [], 0
-    min_xx = min_yy = math.inf
-    for trial in indices:
-        result, retries = _resampled_spectrum(config, config.n, 1, trial)
-        values.append(tw_rescale(result, model, config.k_max))
-        failures += retries
-        min_xx, min_yy = min(min_xx, result.min_eig_xx), min(min_yy, result.min_eig_yy)
-    return EdgeSamples(values=np.array(values), failures=failures,
-                       min_eig_xx=min_xx, min_eig_yy=min_yy, model=model)
-
-
-def _check_failure_budget(failures: int, trials: int) -> None:
-    if failures > _FAILURE_BUDGET * trials:
-        raise NumericalError(
-            f"{failures} failed trials out of {trials} exceeds the "
-            f"{_FAILURE_BUDGET:.0%} budget",
-            achieved=failures / trials,
-        )
+    log = TrialLog(config)
+    values = [tw_rescale(log.draw(ccc_eigenvalues, config.n, 1, trial), model, config.k_max)
+              for trial in indices]
+    return EdgeSamples(values=np.array(values), trials=log, model=model)
 
 
 def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -243,9 +269,8 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     below the fourth-moment condition tends to overshoot the edge).
     """
     ccc = run_edge_trials(config, range(config.trials))     # validates the config
-    _check_failure_budget(ccc.failures, config.trials)
-    n_goe = config.n_goe if config.n_goe is not None else config.n
-    goe = goe_reference(n_goe, config.trials, config.k_max, config.seed)
+    checks = ccc.trials.checks(config.trials)
+    goe = goe_reference(config.n, config.trials, config.k_max, config.seed)
 
     ks = [ks_two_sample(ccc.values[:, k], goe.values[:, k]) for k in range(config.k_max)]
     tail_ccc = float(np.mean(ccc.values[:, 0] > _UPPER_TAIL_CUT))
@@ -259,7 +284,7 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
         "goe_mean": [float(m) for m in goe.values.mean(axis=0)],
         "goe_var": [float(v) for v in goe.values.var(axis=0, ddof=1)],
         "ks": [float(k) for k in ks],
-        "failures": ccc.failures,
+        "failures": ccc.trials.failures,
         "upper_tail_mass_ccc": tail_ccc,
         "upper_tail_mass_goe": tail_goe,
         "heavy_upper_tail": bool(heavy_flag),
@@ -271,7 +296,7 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
         "n": config.n, "p": p, "q": q, "c1": config.c1, "c2": config.c2,
         "law": config.law, "beta": config.beta, "c_phi": config.c_phi,
         "trials": config.trials, "k_max": config.k_max, "seed": config.seed,
-        "n_goe": n_goe,
+        "n_goe": config.n,
     }
     rows = []
     for t in range(config.trials):
@@ -283,7 +308,7 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         kind="tw-edge", params=params, metrics=metrics,
         csv_header=("source", "trial", "k", "value"), csv_rows=rows,
-        checks={"min_eig_xx_min": ccc.min_eig_xx, "min_eig_yy_min": ccc.min_eig_yy},
+        checks=checks,
     )
 
 
@@ -305,16 +330,13 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     bulk_median, edge_median, profile_p95 = [], [], []
     rows = []
-    failures = 0
-    min_xx = min_yy = math.inf
+    log = TrialLog(config)
     for i_n, n in enumerate(ns):
         model = config.model(n)
         gamma = classical_locations(model, config.dims(n)[1])
         bulk, edge, prof = [], [], []
         for trial in range(config.trials):
-            result, retries = _resampled_spectrum(config, n, 3, i_n, trial)
-            failures += retries
-            min_xx, min_yy = min(min_xx, result.min_eig_xx), min(min_yy, result.min_eig_yy)
+            result = log.draw(ccc_eigenvalues, n, 3, i_n, trial)
             bulk.append(abs(result.eigenvalues[j_star - 1] - gamma[j_star - 1]))
             edge.append(abs(result.eigenvalues[0] - model.lambda_plus))
             prof.append(float(rigidity_profile(result, model).max()))
@@ -324,7 +346,7 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
         for t in range(config.trials):
             rows.append((n, t, repr(float(bulk[t])), repr(float(edge[t])), repr(float(prof[t]))))
 
-    _check_failure_budget(failures, config.trials * len(ns))
+    checks = log.checks(config.trials * len(ns))
 
     log_n = np.log(np.array(ns, dtype=float))
     bulk_slope = float(np.polyfit(log_n, np.log(bulk_median), 1)[0])
@@ -338,7 +360,7 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
         "profile_p95": profile_p95,
         "bulk_exponent": bulk_slope,
         "edge_exponent": edge_slope,
-        "failures": failures,
+        "failures": log.failures,
     }
     params = {
         "n0": config.n0, "factors": list(config.factors), "c1": config.c1,
@@ -349,5 +371,5 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
         kind="rigidity-scaling", params=params, metrics=metrics,
         csv_header=("n", "trial", "fixed_index_dev", "edge_dev", "profile_max"),
         csv_rows=rows,
-        checks={"min_eig_xx_min": min_xx, "min_eig_yy_min": min_yy},
+        checks=checks,
     )

@@ -10,9 +10,10 @@ two n-dimensional factor blocks through the 2x2 kernel
 where Kinv is the closed-form kernel inverse (z(z-1))**(-1)
 [[z, -z^(1/2)], [-z^(1/2), z]] acting on each paired coordinate (mu,
 mu + n); the kernel is never inverted numerically.  A real lam in (0, 1)
-is a squared sample canonical correlation exactly when det H(lam) = 0,
-and for Im z > 0 the resolvent G(z) = H(z)**(-1) exists and collects all
-of the whitened two-channel resolvent blocks at once.
+is a squared sample canonical correlation exactly when det H(lam) = 0
+(det_characterization_residual checks this through the smallest singular
+value of H(lam)), and for Im z > 0 the resolvent G(z) = H(z)**(-1) exists
+and collects all of the whitened two-channel resolvent blocks at once.
 
 Two routes to G are implemented: blocks_via_schur, a Schur-complement
 assembly from a pair's z-free canonical_factor (the whitening and the
@@ -52,7 +53,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._linalg import IndexLayout, kernel_inverse_2x2, sqrt_z
+from ._linalg import IndexLayout, kernel_inverse_2x2, sqrt_upper
 from .errors import DomainError, NumericalError, ParameterError, reject
 from .sampler import DataPair
 from .scc_core import CanonicalFactor, canonical_factor
@@ -64,6 +65,7 @@ __all__ = [
     "ResolventBundle",
     "LocalLawReport",
     "build_H",
+    "det_characterization_residual",
     "resolvent",
     "blocks_via_schur",
     "local_law_errors",
@@ -166,6 +168,19 @@ def build_H(pair: DataPair, z) -> LinearizationMatrix:
         raise DomainError(f"z = {z} lies below the real axis")
     return LinearizationMatrix(X=pair.X, Y=pair.Y, z=z,
                                layout=IndexLayout(pair.p, pair.q, pair.n))
+
+
+def det_characterization_residual(pair: DataPair, lam: float) -> float:
+    """Relative smallest singular value of the linearization at a real point.
+
+    For lam in (0, 1) that is a squared sample canonical correlation the
+    linearization matrix H(lam) is singular, so this residual (smallest
+    singular value over largest) vanishes to roundoff.
+    """
+    if not (0.0 < lam < 1.0):
+        raise ParameterError(f"determinant characterization needs 0 < lambda < 1, got {lam}")
+    sv = np.linalg.svd(build_H(pair, lam).matrix, compute_uv=False)
+    return float(sv[-1] / sv[0])
 
 
 @dataclass(eq=False)
@@ -282,7 +297,7 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None) -
     if min(np.abs(lam_p - z).min(), np.abs(lam_q - z).min()) < 1e-12:
         raise DomainError(f"z = {z} coincides with a sample eigenvalue")
     A, B, k = factor.A, factor.B, len(factor.sv)
-    sz = sqrt_z(z)
+    sz = sqrt_upper(z)
     G = np.empty((layout.dim, layout.dim), dtype=complex)
     s1, s2, s3, s4 = layout.blocks
     data = slice(s1.start, s2.stop)     # the data corner's rows, and its columns

@@ -20,10 +20,6 @@ Before whitening, the eigenvalues (values only) of Sxx and Syy are
 checked against a relative floor of 1e-10; a block below it raises
 SingularityError, and the smallest eigenvalues are reported as
 conditioning diagnostics.
-
-Each eigenvalue lambda in (0, 1) is also characterized as a zero of the
-determinant of the linearization matrix H(lambda), which this module
-exposes as a smallest-singular-value residual check.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ __all__ = [
     "whitened_cross",
     "canonical_factor",
     "ccc_eigenvalues",
-    "det_characterization_residual",
     "rigidity_profile",
 ]
 
@@ -179,22 +174,6 @@ def ccc_eigenvalues(pair: DataPair) -> SpectrumResult:
         min_eig_yy=wc.min_eig_yy,
         meta=pair.meta,
     )
-
-
-def det_characterization_residual(pair: DataPair, lam: float) -> float:
-    """Relative smallest singular value of the linearization at a real point.
-
-    For lam in (0, 1) that is a squared sample canonical correlation the
-    linearization matrix H(lam) is singular, so this residual (smallest
-    singular value over largest) vanishes to roundoff.
-    """
-    if not (0.0 < lam < 1.0):
-        raise ParameterError(f"determinant characterization needs 0 < lambda < 1, got {lam}")
-    from .linearized_resolvent import build_H
-
-    H = build_H(pair, lam).matrix
-    sv = np.linalg.svd(H, compute_uv=False)
-    return float(sv[-1] / sv[0])
 
 
 def rigidity_profile(result: SpectrumResult, model: SpectralModel,

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import IndexLayout, sqrt_upper, sqrt_z
+from ._linalg import IndexLayout, sqrt_upper
 from .errors import DomainError, NumericalError, ParameterError, reject
 
 __all__ = [
@@ -344,7 +344,7 @@ def stieltjes(model: SpectralModel, z) -> StieltjesQuadruple:
     m2 = core / (2.0 * (1.0 - c2) * z * (1.0 - z)) - c2 / ((1.0 - c2) * z)
     m3 = 0.5 * ((1.0 - 2.0 * c1) * z + c1 - c2 + s)
     m4 = 0.5 * ((1.0 - 2.0 * c2) * z + c2 - c1 + s)
-    h = 0.5 * sqrt_z(z) * (-z + (2.0 - c1 - c2) + s)
+    h = 0.5 * sqrt_upper(z) * (-z + (2.0 - c1 - c2) + s)
     m = (1.0 - c2) / c2 * m2
     return StieltjesQuadruple(m1=m1, m2=m2, m3=m3, m4=m4, h=h, m=m)
 

@@ -17,7 +17,7 @@ from scipy import optimize
 from scipy.linalg import eigvalsh_tridiagonal
 
 from scclab import NumericalError, SpectralModel, stieltjes
-from scclab._linalg import sqrt_upper, sqrt_z
+from scclab._linalg import sqrt_upper
 from scclab.spectral_model import PiDescriptor, _edge_sqrt, _tail_mass_at_angle
 
 
@@ -68,7 +68,7 @@ def pi_kernel_inverse(model: SpectralModel, z) -> np.ndarray:
     """Closed-form inverse of the limit's 2x2 kernel [[m3, h], [h, m4]] at z."""
     z = complex(z)
     quad = stieltjes(model, z)
-    sz = sqrt_z(z)
+    sz = sqrt_upper(z)
     return (1.0 / (z - 1.0)) * np.array([
         [1.0 - (z - 1.0) * quad.m1, -1.0 / sz],
         [-1.0 / sz, 1.0 - (z - 1.0) * quad.m2],
@@ -106,7 +106,7 @@ def reference_matrix(p: int, n: int, seed: int, matrix_id: int, law: str,
 
 def kernel_2x2(z: complex) -> np.ndarray:
     """The 2x2 coupling kernel [[z, z^(1/2)], [z^(1/2), z]]."""
-    sz = sqrt_z(z)
+    sz = sqrt_upper(z)
     return np.array([[z, sz], [sz, z]])
 
 

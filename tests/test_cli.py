@@ -7,16 +7,19 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scclab import (
     DomainError,
     NumericalError,
     ParameterError,
+    SingularityError,
+    canonical_factor,
     ccc_eigenvalues,
     classical_locations,
     cli,
-    goe_reference,
+    derived_seed,
     linearized_resolvent,
     local_law_errors,
     make_model,
@@ -80,12 +83,6 @@ class TestValidate:
         cfg = ExperimentConfig(kind="spectrum", c_phi=0.6)
         assert any("c_phi" in m for m in validate(cfg))
 
-    def test_goe_size_collected_with_other_violations(self):
-        cfg = ExperimentConfig(kind="tw-edge", n=60, n_goe=3, k_max=3, trials=1)
-        msgs = validate(cfg)
-        assert any("n_goe = 3 too small for k_max = 3" in m for m in msgs)
-        assert any("trials >= 2" in m for m in msgs)
-
     @pytest.mark.parametrize("kind, size", [
         ("spectrum", "n"), ("tw-edge", "n"), ("local-law-sweep", "n"),
         ("rigidity-scaling", "n0"),
@@ -132,7 +129,6 @@ class TestOneMessagePerRule:
          lambda: truncate_center_rescale(_gaussian(), 0.6)),
         ("tw-edge", {"n": 60, "k_max": 13}, ParameterError,
          lambda: tw_rescale(ccc_eigenvalues(_gaussian(18, 12, 60)), make_model(0.3, 0.2), 13)),
-        ("tw-edge", {"n_goe": 3, "k_max": 3}, ParameterError, lambda: goe_reference(3, 10, 3)),
         ("local-law-sweep", {"n": 100, "eta_min": 1e-5}, DomainError,
          lambda: _local_law(complex(0.5, 1e-5))),
         ("local-law-sweep", {"n": 100, "eta_max": 100.0}, DomainError,
@@ -142,7 +138,7 @@ class TestOneMessagePerRule:
         ("local-law-sweep", {"n": 100, "epsilon": 1.5}, DomainError,
          lambda: _local_law(complex(0.5, 0.5), epsilon=1.5)),
     ], ids=["aspect", "dims", "seed", "law", "beta-missing", "beta", "c_phi", "k_max",
-            "n_goe", "eta-floor", "eta-ceiling", "energy", "epsilon"])
+            "eta-floor", "eta-ceiling", "energy", "epsilon"])
     def test_same_text(self, kind, fields, error, library_call):
         with pytest.raises(error) as info:
             library_call()
@@ -406,6 +402,43 @@ class TestMain:
         assert main(args + ["--out", str(rerun)]) == 0
         for name in ("results.csv", "results.json"):
             assert (out / name).read_bytes() == (rerun / name).read_bytes()
+
+    # 100 pairs of one (E, eta) point each: the 1% budget allows one failure
+    SWEEP = ["local-law-sweep", "--seed", "6", "--override", "n=40",
+             "--override", "trials=100", "--override", "e_points=1",
+             "--override", "eta_points=1"]
+
+    @staticmethod
+    def _factor_failing_first(monkeypatch, count):
+        pairs = []
+
+        def flaky(pair):
+            pairs.append(pair)
+            if len(pairs) <= count:
+                raise SingularityError("injected singular block", min_eigenvalue=0.0)
+            return canonical_factor(pair)
+
+        monkeypatch.setattr(cli, "canonical_factor", flaky)
+        return pairs
+
+    def test_local_law_failed_pair_resampled_and_counted(self, tmp_path, monkeypatch):
+        pairs = self._factor_failing_first(monkeypatch, 1)
+        assert main(self.SWEEP + ["--out", str(tmp_path / "ll")]) == 0
+        summary = json.loads((tmp_path / "ll" / "results.json").read_text())
+        assert summary["failures"] == 1
+        assert len(summary["reports"]) == 100 and len(pairs) == 101
+        # the failed trial 0 is resampled on its retry-1 key
+        retry = sample_pair("gaussian", 12, 8, 40, derived_seed(6, 4, 0, 1))
+        assert np.array_equal(pairs[1].X, retry.X) and np.array_equal(pairs[1].Y, retry.Y)
+
+    def test_local_law_failure_budget_exit_3_only_diagnostics(self, tmp_path, monkeypatch):
+        self._factor_failing_first(monkeypatch, 2)
+        out = tmp_path / "ll"
+        assert main(self.SWEEP + ["--out", str(out)]) == 3
+        assert [f.name for f in out.iterdir()] == ["diagnostics.json"]
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert "2 failed trials out of 100" in diag["message"]
+        assert diag["achieved"] == 0.02
 
     def test_local_law_factors_once_per_pair_conditioning_in_manifest(self, tmp_path,
                                                                       monkeypatch):

@@ -13,6 +13,7 @@ from scclab import (
     NumericalError,
     ParameterError,
     SpectrumResult,
+    TrialLog,
     ccc_eigenvalues,
     derived_seed,
     goe_reference,
@@ -66,6 +67,42 @@ class TestSeeds:
         assert derived_seed(7, 1, 2, 3) != derived_seed(7, 1, 2, 4)
         assert derived_seed(7, 1, 2, 3) != derived_seed(8, 1, 2, 3)
         assert 0 <= derived_seed(7, 5) < 2 ** 64
+
+
+class TestTrialLog:
+    CONFIG = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, seed=8)
+
+    def test_failed_attempt_resampled_and_counted(self):
+        pairs, results = [], []
+
+        def fails_once(pair):
+            pairs.append(pair)
+            if len(pairs) == 1:
+                raise NumericalError("injected failure")
+            results.append(ccc_eigenvalues(pair))
+            return results[-1]
+
+        log = TrialLog(self.CONFIG)
+        assert log.draw(fails_once, 60, 1, 5) is results[0]
+        assert log.draw(fails_once, 60, 1, 6) is results[1]
+        # trial 5 is the pair on its retry-1 key; trial 6 succeeds at once
+        for pair, key in zip(pairs, [(1, 5, 0), (1, 5, 1), (1, 6, 0)]):
+            expected = sample_pair("gaussian", 18, 12, 60, derived_seed(8, *key))
+            assert np.array_equal(pair.X, expected.X) and np.array_equal(pair.Y, expected.Y)
+        assert log.failures == 1
+        assert (log.min_eig_xx, log.min_eig_yy) == (min(r.min_eig_xx for r in results),
+                                                    min(r.min_eig_yy for r in results))
+        assert log.checks(100) == {"min_eig_xx_min": log.min_eig_xx,
+                                   "min_eig_yy_min": log.min_eig_yy}
+        with pytest.raises(NumericalError, match="budget"):
+            log.checks(99)
+
+    def test_retries_exhausted(self):
+        def always_fails(pair):
+            raise NumericalError("injected failure")
+
+        with pytest.raises(NumericalError, match="trial 3 failed 50 resampling attempts"):
+            TrialLog(self.CONFIG).draw(always_fails, 60, 1, 3)
 
 
 class TestGoeReference:
@@ -237,8 +274,8 @@ class TestTwExperiment:
             raise AssertionError("sampled before validating")
 
         monkeypatch.setattr(edge_stats, "sample_pair", no_sampling)
-        cfg = ExperimentConfig("tw-edge", n=60, trials=1, n_goe=3, k_max=3)
-        with pytest.raises(ParameterError, match="trials >= 2.*n_goe = 3 too small"):
+        cfg = ExperimentConfig("tw-edge", n=60, trials=1, k_max=13)
+        with pytest.raises(ParameterError, match=r"\[1, q=12\], got 13.*trials >= 2"):
             tw_experiment(cfg)
         with pytest.raises(ParameterError, match="'tw-edge' config"):
             tw_experiment(ExperimentConfig("rigidity-scaling"))
