@@ -9,11 +9,13 @@ pure function of the configuration, so re-running a manifest's
 configuration reproduces the result files byte for byte.  The three
 Monte Carlo kinds (local-law-sweep, tw-edge, rigidity-scaling) sample
 their pairs through edge_stats.TrialLog alike: a failed pair is
-resampled and counted in results.json's "failures", and more than one
-percent of failures aborts the run.
+resampled and counted in results.json's "failures", and the failure
+that takes the count past one percent of the run's pairs stops the run
+there, with exit code 3.
 
 Exit codes: 0 success, 2 validation failure (including an unreadable or
-malformed --config file), 3 numerical failure.
+malformed --config file, or a config kind other than the subcommand),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def _run_local_law_sweep(config: ExperimentConfig):
     rows = []
     reports = []
     point_checks = []
-    log = TrialLog(config)
+    log = TrialLog(config, config.trials)
     for trial in range(config.trials):
         factor = log.draw(canonical_factor, n, 4, trial)    # whiten and decompose once per pair
         for E in es:
@@ -138,7 +140,7 @@ def _run_local_law_sweep(config: ExperimentConfig):
                              repr(rep.benchmarks["averaged"])))
                 reports.append(rep.to_json_dict() | {"trial": trial})
                 point_checks.append(rep.checks)
-    checks = log.checks(config.trials)
+    checks = log.checks()
     worst = max(r["entrywise_err"] / r["benchmarks"]["entrywise"] for r in reports)
     results = {
         "n": n, "p": p, "q": q, "trials": config.trials, "failures": log.failures,
@@ -267,14 +269,13 @@ def main(argv=None) -> int:
 
     try:
         raw = _read_config(args.config) if args.config is not None else {}
-        raw.pop("kind", None)
         if args.seed is not None:
             raw["seed"] = args.seed
         for item in args.override:
             key, value = _parse_override(item)
             raw[key] = value
         config = build_config(args.kind, raw)
-    except (ParameterError, TypeError) as exc:
+    except ParameterError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
 

@@ -88,13 +88,16 @@ class ExperimentConfig:
 
 
 def build_config(kind: str, raw: dict) -> ExperimentConfig:
+    """The config of the given kind with raw's fields; a kind in raw must be the same."""
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    raw = dict(raw)
-    raw["kind"] = kind
-    if "factors" in raw:
+    if raw.get("kind", kind) != kind:
+        raise ParameterError(f"config kind {raw['kind']!r} does not match the "
+                             f"requested kind {kind!r}")
+    raw = dict(raw, kind=kind)
+    if isinstance(raw.get("factors"), list):
         raw["factors"] = tuple(raw["factors"])
     return ExperimentConfig(**raw)
 
@@ -111,8 +114,11 @@ def _type_violations(config: ExperimentConfig) -> list[str]:
             value = getattr(config, name)
             if not _is_number(value, kind) and not (value is None and name in _OPTIONAL_FIELDS):
                 v.append(f"{name} must be {what}, got {value!r}")
-    if not all(_is_number(f, numbers.Integral) for f in config.factors):
-        v.append(f"factors must be integers, got {list(config.factors)}")
+    factors = config.factors
+    if not isinstance(factors, (list, tuple)):
+        v.append(f"factors must be a list of integers, got {factors!r}")
+    elif not all(_is_number(f, numbers.Integral) for f in factors):
+        v.append(f"factors must be a list of integers, got {list(factors)}")
     return v
 
 

@@ -28,15 +28,17 @@ through one TrialLog.  A trial's pair is keyed by the experiment seed,
 a tag of its kind, its trial index (after the size index for rigidity)
 and the retry, so a run can be split or merged and still produce
 identical output; a pair whose computation fails is resampled on the
-next retry and counted, and a failure rate above one percent aborts the
-experiment.  The TrialLog also keeps the smallest Gram-block eigenvalues
-over the accepted pairs, the conditioning every Monte Carlo manifest
-reports.
+next retry and counted.  The one bound on failures is a budget of one
+percent of the run's pair-trials: the failure that exceeds it aborts
+the experiment at once, and no trial after it is computed.  The
+TrialLog also keeps the smallest Gram-block eigenvalues over the
+accepted pairs, the conditioning every Monte Carlo manifest reports.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -71,7 +73,6 @@ __all__ = [
     "rigidity_experiment",
 ]
 
-_MAX_RETRIES = 50
 _FAILURE_BUDGET = 0.01
 _UPPER_TAIL_CUT = 3.0
 _GOE_BLOCK = 256    # trials whose tridiagonals are solved in one batch
@@ -125,12 +126,14 @@ def derived_seed(seed: int, *key: int) -> int:
 class TrialLog:
     """The trial policy of a Monte Carlo run: resample, count, budget.
 
-    failures counts the pairs whose computation failed; min_eig_xx and
-    min_eig_yy are the smallest Gram-block eigenvalues over the accepted
-    results (infinite before the first).
+    trials is the run's pair-trial count, which sets the failure budget
+    of one percent of it.  failures counts the pairs whose computation
+    failed; min_eig_xx and min_eig_yy are the smallest Gram-block
+    eigenvalues over the accepted results (infinite before the first).
     """
 
     config: ExperimentConfig
+    trials: int
     failures: int = 0
     min_eig_xx: float = math.inf
     min_eig_yy: float = math.inf
@@ -140,33 +143,34 @@ class TrialLog:
 
         Attempt r samples the pair of size n seeded by (seed, *key, r), so
         a trial's result depends only on its key.  A ScclabError from
-        compute counts as a failure and resamples; _MAX_RETRIES failures
-        in a row abort the run.  The result, a SpectrumResult or a
-        CanonicalFactor, must carry min_eig_xx and min_eig_yy.
+        compute counts as a failure and resamples; the failure that takes
+        failures past one percent of trials aborts the run with a
+        NumericalError, so a run tries at most floor(0.01 trials) + 1
+        failed pairs.  The result, a SpectrumResult or a CanonicalFactor,
+        must carry min_eig_xx and min_eig_yy.
         """
         config = self.config
         p, q = config.dims(n)
-        for retry in range(_MAX_RETRIES):
+        for retry in itertools.count():
             pair = sample_pair(config.law, p, q, n, derived_seed(config.seed, *key, retry),
                                beta=config.beta, c_phi=config.c_phi)
             try:
                 result = compute(pair)
             except ScclabError:
                 self.failures += 1
+                if self.failures > _FAILURE_BUDGET * self.trials:
+                    raise NumericalError(
+                        f"{self.failures} failed trials out of {self.trials} exceeds the "
+                        f"{_FAILURE_BUDGET:.0%} budget",
+                        achieved=self.failures / self.trials,
+                    )
                 continue
             self.min_eig_xx = min(self.min_eig_xx, result.min_eig_xx)
             self.min_eig_yy = min(self.min_eig_yy, result.min_eig_yy)
             return result
-        raise NumericalError(f"trial {key[-1]} failed {_MAX_RETRIES} resampling attempts")
 
-    def checks(self, trials: int) -> dict:
-        """The conditioning minima; a NumericalError if failures exceed 1 % of trials."""
-        if self.failures > _FAILURE_BUDGET * trials:
-            raise NumericalError(
-                f"{self.failures} failed trials out of {trials} exceeds the "
-                f"{_FAILURE_BUDGET:.0%} budget",
-                achieved=self.failures / trials,
-            )
+    def checks(self) -> dict:
+        """The conditioning minima over the accepted results."""
         return {"min_eig_xx_min": self.min_eig_xx, "min_eig_yy_min": self.min_eig_yy}
 
 
@@ -251,11 +255,14 @@ def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
 
     Per-trial seeds depend only on (experiment seed, trial index, retry),
     so splitting the index range across calls and concatenating the rows
-    in index order reproduces a single full run exactly.
+    in index order reproduces a single full run exactly.  The failure
+    budget is one percent of config.trials whatever the indices, so a
+    partial run stops only where the full run, whose failures include
+    the partial run's, would also stop.
     """
     _require_valid(config, "tw-edge")
     model = config.model()
-    log = TrialLog(config)
+    log = TrialLog(config, config.trials)
     values = [tw_rescale(log.draw(ccc_eigenvalues, config.n, 1, trial), model, config.k_max)
               for trial in indices]
     return EdgeSamples(values=np.array(values), trials=log, model=model)
@@ -269,7 +276,7 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     below the fourth-moment condition tends to overshoot the edge).
     """
     ccc = run_edge_trials(config, range(config.trials))     # validates the config
-    checks = ccc.trials.checks(config.trials)
+    checks = ccc.trials.checks()
     goe = goe_reference(config.n, config.trials, config.k_max, config.seed)
 
     ks = [ks_two_sample(ccc.values[:, k], goe.values[:, k]) for k in range(config.k_max)]
@@ -322,7 +329,8 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
     faster, n**(-1) up to logarithms, so the fixed index is what makes
     the edge exponent identifiable across the sweep.)  Medians over
     trials are fitted log-log against n.  Failed spectra are resampled
-    and counted; more than one percent of all trials aborts the sweep.
+    and counted; the failure that takes them past one percent of all
+    trials aborts the sweep.
     """
     _require_valid(config, "rigidity-scaling")
     ns = [config.n0 * f for f in config.factors]
@@ -330,7 +338,7 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     bulk_median, edge_median, profile_p95 = [], [], []
     rows = []
-    log = TrialLog(config)
+    log = TrialLog(config, config.trials * len(config.factors))
     for i_n, n in enumerate(ns):
         model = config.model(n)
         gamma = classical_locations(model, config.dims(n)[1])
@@ -346,7 +354,7 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
         for t in range(config.trials):
             rows.append((n, t, repr(float(bulk[t])), repr(float(edge[t])), repr(float(prof[t]))))
 
-    checks = log.checks(config.trials * len(ns))
+    checks = log.checks()
 
     log_n = np.log(np.array(ns, dtype=float))
     bulk_slope = float(np.polyfit(log_n, np.log(bulk_median), 1)[0])

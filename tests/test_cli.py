@@ -20,6 +20,7 @@ from scclab import (
     classical_locations,
     cli,
     derived_seed,
+    edge_stats,
     linearized_resolvent,
     local_law_errors,
     make_model,
@@ -101,6 +102,11 @@ class TestValidate:
         assert len(msgs) == 3
         assert any(m.startswith("n must be an integer") for m in msgs)
         assert any(m.startswith("c1 must be a real number") for m in msgs)
+
+    def test_non_list_factors_reported_with_the_rest(self):
+        cfg = build_config("rigidity-scaling", {"factors": 4, "n0": 60.5})
+        assert validate(cfg) == ["n0 must be an integer, got 60.5",
+                                 "factors must be a list of integers, got 4"]
 
 
 def _gaussian(p=3, q=2, n=10):
@@ -316,6 +322,7 @@ class TestMain:
         ("tw-edge", "k_max=2.5"),
         ("quantiles", "q=2.5"),
         ("rigidity-scaling", "factors=[1.5,2]"),
+        ("rigidity-scaling", "factors=4"),
     ])
     def test_non_integer_field_exit_2_no_outputs(self, tmp_path, capsys, kind, override):
         out = tmp_path / "bad"
@@ -344,24 +351,48 @@ class TestMain:
         assert exc.value.code == 2
         assert not out.exists()
 
-    def test_numerical_failure_exit_3_with_diagnostics(self, tmp_path):
-        # configuration known to blow the resampling failure budget
+    def test_numerical_failure_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
+        # configuration known to blow the resampling failure budget: its
+        # first failure, the first attempt of trial 29, already does, and
+        # the run computes no spectrum after it
+        spectra = []
+        monkeypatch.setattr(edge_stats, "ccc_eigenvalues",
+                            lambda pair: spectra.append(pair) or ccc_eigenvalues(pair))
         out = tmp_path / "fail"
         code = main(["tw-edge", "--out", str(out), "--seed", "0",
                      "--override", "n=10", "--override", "c1=0.5",
                      "--override", "c2=0.3", "--override", "trials=40",
                      "--override", "law=\"rademacher\"", "--override", "k_max=2"])
         assert code == 3
+        assert len(spectra) == 30
+        assert [f.name for f in out.iterdir()] == ["diagnostics.json"]
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "NumericalError"
-        assert not (out / "results.csv").exists()
+        assert "1 failed trials out of 40" in diag["message"]
+        assert diag["achieved"] == 0.025
+
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_mismatched_kind_exit_2_no_outputs(self, tmp_path, capsys, source):
+        out = tmp_path / "q"
+        args = ["quantiles", "--out", str(out), "--override", "q=5"]
+        if source == "file":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"kind": "rigidity-scaling"}))
+            args += ["--config", str(cfg_path)]
+        else:
+            args += ["--override", "kind=\"tw-edge\""]
+        assert main(args) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: config kind") and "'quantiles'" in err
 
     def test_config_file_with_override(self, tmp_path):
+        # a kind that matches the subcommand, as a manifest's config echo has, runs
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"c1": 0.4, "c2": 0.2, "q": 10}))
+        cfg_path.write_text(json.dumps({"kind": "quantiles", "c1": 0.4, "c2": 0.2, "q": 10}))
         out = tmp_path / "q"
-        code = main(["quantiles", "--config", str(cfg_path),
-                     "--out", str(out), "--override", "q=5"])
+        code = main(["quantiles", "--config", str(cfg_path), "--out", str(out),
+                     "--override", "q=5", "--override", "kind=\"quantiles\""])
         assert code == 0
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 6                 # header plus five quantiles
@@ -432,9 +463,13 @@ class TestMain:
         assert np.array_equal(pairs[1].X, retry.X) and np.array_equal(pairs[1].Y, retry.Y)
 
     def test_local_law_failure_budget_exit_3_only_diagnostics(self, tmp_path, monkeypatch):
-        self._factor_failing_first(monkeypatch, 2)
+        pairs = self._factor_failing_first(monkeypatch, 2)
+        points = []
+        monkeypatch.setattr(cli, "local_law_errors", lambda *a, **k: points.append(a))
         out = tmp_path / "ll"
         assert main(self.SWEEP + ["--out", str(out)]) == 3
+        # the second failure, trial 0's retry, stops the sweep before any point
+        assert len(pairs) == 2 and points == []
         assert [f.name for f in out.iterdir()] == ["diagnostics.json"]
         diag = json.loads((out / "diagnostics.json").read_text())
         assert "2 failed trials out of 100" in diag["message"]

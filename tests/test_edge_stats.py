@@ -82,7 +82,7 @@ class TestTrialLog:
             results.append(ccc_eigenvalues(pair))
             return results[-1]
 
-        log = TrialLog(self.CONFIG)
+        log = TrialLog(self.CONFIG, 100)
         assert log.draw(fails_once, 60, 1, 5) is results[0]
         assert log.draw(fails_once, 60, 1, 6) is results[1]
         # trial 5 is the pair on its retry-1 key; trial 6 succeeds at once
@@ -92,17 +92,32 @@ class TestTrialLog:
         assert log.failures == 1
         assert (log.min_eig_xx, log.min_eig_yy) == (min(r.min_eig_xx for r in results),
                                                     min(r.min_eig_yy for r in results))
-        assert log.checks(100) == {"min_eig_xx_min": log.min_eig_xx,
-                                   "min_eig_yy_min": log.min_eig_yy}
-        with pytest.raises(NumericalError, match="budget"):
-            log.checks(99)
+        assert log.checks() == {"min_eig_xx_min": log.min_eig_xx,
+                                "min_eig_yy_min": log.min_eig_yy}
+        # a log of 99 trials allows no failure: the first one stops it
+        pairs.clear()
+        log = TrialLog(self.CONFIG, 99)
+        with pytest.raises(NumericalError, match="1 failed trials out of 99 exceeds"):
+            log.draw(fails_once, 60, 1, 5)
+        assert len(pairs) == log.failures == 1
 
-    def test_retries_exhausted(self):
+    def test_always_failing_trial_stops_at_budget(self):
+        # the budget is the only bound on failed attempts: floor(0.01 T) + 1 of them
+        pairs = []
+
         def always_fails(pair):
+            pairs.append(pair)
             raise NumericalError("injected failure")
 
-        with pytest.raises(NumericalError, match="trial 3 failed 50 resampling attempts"):
-            TrialLog(self.CONFIG).draw(always_fails, 60, 1, 3)
+        for trials, attempts in ((100, 2), (250, 3)):
+            pairs.clear()
+            log = TrialLog(self.CONFIG, trials)
+            with pytest.raises(NumericalError) as info:
+                log.draw(always_fails, 60, 1, 3)
+            assert len(pairs) == log.failures == attempts
+            assert str(info.value) == (f"{attempts} failed trials out of {trials} "
+                                       f"exceeds the 1% budget")
+            assert info.value.achieved == attempts / trials
 
 
 class TestGoeReference:
@@ -255,13 +270,19 @@ class TestTwExperiment:
         assert rep.metrics["heavy_upper_tail"]
         assert rep.metrics["upper_tail_mass_ccc"] > rep.metrics["upper_tail_mass_goe"]
 
-    def test_failure_budget_aborts(self):
+    def test_failure_budget_aborts(self, monkeypatch):
         # tiny Rademacher matrices hit singular Gram blocks often enough to
-        # blow the 1% resampling budget
+        # blow the 1% resampling budget; the run stops at the first failure,
+        # the first attempt of trial 29, and computes no spectrum after it
+        calls = []
+        monkeypatch.setattr(edge_stats, "ccc_eigenvalues",
+                            lambda pair: calls.append(pair) or ccc_eigenvalues(pair))
         cfg = ExperimentConfig("tw-edge", n=10, c1=0.5, c2=0.3, trials=40, law="rademacher",
                                seed=0, k_max=2)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="1 failed trials out of 40") as info:
             tw_experiment(cfg)
+        assert info.value.achieved == 0.025
+        assert len(calls) == 30
 
     def test_trials_validation(self):
         cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=1, law="gaussian")
@@ -297,6 +318,7 @@ class TestRigidityExperiment:
             return ccc_eigenvalues(pair)
 
         monkeypatch.setattr(edge_stats, "ccc_eigenvalues", flaky)
+        return calls
 
     def test_failures_counted(self, monkeypatch):
         assert rigidity_experiment(self.CONFIG).metrics["failures"] == 0
@@ -304,9 +326,10 @@ class TestRigidityExperiment:
         assert rigidity_experiment(self.CONFIG).metrics["failures"] == 1
 
     def test_failure_budget_aborts(self, monkeypatch):
-        self._failing_first(monkeypatch, 2)
-        with pytest.raises(NumericalError, match="budget"):
+        calls = self._failing_first(monkeypatch, 2)
+        with pytest.raises(NumericalError, match="2 failed trials out of 100"):
             rigidity_experiment(self.CONFIG)
+        assert calls[0] == 2                  # stopped at the second failure
 
     def test_config_validated(self):
         with pytest.raises(ParameterError, match="trials >= 3"):

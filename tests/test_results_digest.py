@@ -31,3 +31,29 @@ def test_failed_run_stops_the_tool(tmp_path):
     config.write_text(json.dumps({"kind": "quantiles", "c1": 0.3, "c2": 0.2, "q": 0}))
     with pytest.raises(SystemExit, match="quantiles exited with code 2"):
         results_digest.digest_line(config)
+
+
+def test_workload_digests_equal_direct_cli_runs(tmp_path, capsys, monkeypatch):
+    workloads = results_digest._load_workloads()
+    expected = []
+    for name in workloads.WORKLOADS:
+        for i, inv in enumerate(workloads.make(name, tiny=True).invocations):
+            config, out = tmp_path / f"{name}.{i}.json", tmp_path / f"{name}.{i}"
+            config.write_text(json.dumps(inv.config))
+            assert cli.main([inv.kind, "--config", str(config), "--seed", "5",
+                             "--out", str(out)]) == 0
+            sums = [hashlib.sha256((out / result).read_bytes()).hexdigest()
+                    for result in ("results.csv", "results.json")]
+            expected.append(f"{name}.{i}  {inv.kind}  {sums[0]}  {sums[1]}")
+    assert [line.split()[0] for line in expected] == ["edge-mc.0", "edge-mc.1", "local-law.0",
+                                                      "rigidity.0"]
+    assert list(results_digest.workload_lines(5, tiny=True)) == expected
+
+    # --workload-seed digests the workloads after the configs
+    real = results_digest.workload_lines
+    monkeypatch.setattr(results_digest, "workload_lines", lambda seed: real(seed, tiny=True))
+    capsys.readouterr()
+    config = ROOT / "configs" / "quantiles.json"
+    assert results_digest.main(["--workload-seed", "5", str(config)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("quantiles.json  quantiles  ") and printed[1:] == expected
