@@ -142,7 +142,8 @@ class IndexLayout(NamedTuple):
     second, then two n-blocks for the right factors.  paired holds the
     index arrays (mu, mu + n), mu < n, of the paired coordinates of the
     two factor blocks, on which H, G and the limit matrix carry a 2x2
-    kernel; add_kernel adds one in place.
+    kernel; add_kernel adds one in place, to a whole matrix or to one of
+    its column panels.
     """
 
     p: int
@@ -164,13 +165,20 @@ class IndexLayout(NamedTuple):
         first = self.p + self.q + np.arange(self.n)
         return first, first + self.n
 
-    def add_kernel(self, M: np.ndarray, k00, k01, k11) -> None:
-        """M += [[k00, k01], [k01, k11]] on every paired coordinate, in place."""
+    def add_kernel(self, M: np.ndarray, k00, k01, k11, cols: slice = slice(None)) -> None:
+        """M += [[k00, k01], [k01, k11]] on every paired coordinate, in place.
+
+        M is the column panel [:, cols] of a d x d matrix, and only the
+        kernel entries in those columns are added; the whole matrix is the
+        panel of every column, the default.
+        """
+        start, stop, _ = cols.indices(self.dim)
         first, second = self.paired
-        M[first, first] += k00
-        M[second, second] += k11
-        M[first, second] += k01
-        M[second, first] += k01
+        for own, partner, k in ((first, second, k00), (second, first, k11)):
+            inside = (own >= start) & (own < stop)
+            own, partner = own[inside], partner[inside]
+            M[own, own - start] += k
+            M[partner, own - start] += k01
 
 
 def kernel_inverse_2x2(z: complex) -> np.ndarray:

@@ -26,13 +26,18 @@ on their paired coordinates, are written and read through
 _linalg.IndexLayout.
 
 Both routes check max |H G - I| over all d**2 entries (d = p+q+2n) and
-raise above 1e-6.  The product is formed afresh from X, Y and the kernel
-inverse, one panel of _PANEL columns and one block of rows at a time:
-X G3, Y G4, X' G1 + k00 G3 + k01 G4 and Y' G2 + k01 G3 + k00 G4.  The
-real data matrices multiply the complex G through its interleaved float
-view, so the exact check costs 4 (p+q) n d real multiply-adds and
-O(n _PANEL) memory.  The Schur route writes G in the same panels, so G is
-the only array of its size it allocates.
+raise above 1e-6.  The product is formed from X, Y and the kernel
+inverse, one panel of at most _PANEL columns and one block of rows at a
+time: X G3, Y G4, X' G1 + k00 G3 + k01 G4 and Y' G2 + k01 G3 + k00 G4.
+The real data matrices multiply the complex G through its interleaved
+float view, so the exact check costs 4 (p+q) n d real multiply-adds and
+O(n _PANEL) memory.  The Schur route builds G's data columns first and
+then each factor panel in one reused d x _PANEL buffer; X' G1 and Y' G2
+are the products that assembly forms anyway, so its check adds only
+X G3 and Y G4.  A caller may take the finished panels one by one
+(blocks_via_schur's visit), and local_law_errors reduces them so: no
+d x d array is allocated, and the largest are the d x (p+q) data columns
+and the buffer.
 
 The partial traces of G over the four blocks (each divided by n)
 satisfy, for every realization and in exact arithmetic,
@@ -99,7 +104,7 @@ class LinearizationMatrix:
     """H(z) held by its blocks: the data matrices and the kernel inverse.
 
     ``matrix`` builds the dense d x d array on first use, for the LU and
-    SVD callers; ``row_blocks`` multiplies a column panel by H without
+    SVD callers; _panel_residual multiplies a column panel by H without
     forming it.
     """
 
@@ -140,24 +145,6 @@ class LinearizationMatrix:
         layout.add_kernel(H, diag, cross, diag)
         return H
 
-    def row_blocks(self, G: np.ndarray, cols: slice):
-        """Yield (rows, H[rows] @ G[:, cols]) for the four coordinate blocks of rows.
-
-        G's last axis must be contiguous.  Each block is a fresh array, so
-        callers may overwrite it.
-        """
-        s1, s2, s3, s4 = self.layout.blocks
-        G1, G2, G3, G4 = (G[rows, cols] for rows in (s1, s2, s3, s4))
-        diag, cross = self.kernel_inverse
-        yield s1, _real_times(self.X, G3)
-        yield s2, _real_times(self.Y, G4)
-        for rows, data, Gdata, own, other in ((s3, self.X, G1, G3, G4),
-                                              (s4, self.Y, G2, G4, G3)):
-            block = _real_times(data.T, Gdata)
-            block += diag * own
-            block += cross * other
-            yield rows, block
-
 
 def build_H(pair: DataPair, z) -> LinearizationMatrix:
     """H(z) for a pair.  Real symmetric for real z > 0, complex symmetric otherwise."""
@@ -193,10 +180,11 @@ class ResolventBundle:
     residual records max |H G - I| over every entry of the product,
     computed from the data matrices and the kernel inverse one column
     panel at a time, in O((p+q) n d) time and O(n _PANEL) extra memory
-    (see the module docstring).
+    (see the module docstring).  G is None when blocks_via_schur handed
+    its panels to a visitor instead of keeping them.
     """
 
-    G: np.ndarray
+    G: np.ndarray | None
     z: complex
     layout: IndexLayout
     m1: complex
@@ -223,18 +211,40 @@ class ResolventBundle:
                    abs(self.m3 - (c2 * z * (1 - z) * self.m + (1 - c1 - c2) * z)))
 
 
-def _partial_traces(G: np.ndarray, layout: IndexLayout):
-    return tuple(complex(np.trace(G[sl, sl])) / layout.n for sl in layout.blocks)
+def _partial_traces(diagonal: np.ndarray, layout: IndexLayout):
+    return tuple(complex(diagonal[sl].sum()) / layout.n for sl in layout.blocks)
+
+
+def _panel_residual(lin: LinearizationMatrix, cols: slice, panel: np.ndarray,
+                    top: np.ndarray, bottom: np.ndarray) -> float:
+    """max |H G - I| over the column panel G[:, cols], given X' G1 and Y' G2 on it.
+
+    panel's last axis must be contiguous.  top and bottom become the
+    panel's factor rows of H G.
+    """
+    s1, s2, s3, s4 = lin.layout.blocks
+    G3, G4 = panel[s3], panel[s4]
+    diag, cross = lin.kernel_inverse
+    for block, own, other in ((top, G3, G4), (bottom, G4, G3)):
+        block += diag * own
+        block += cross * other
+    worst = 0.0
+    for rows, block in ((s1, _real_times(lin.X, G3)), (s2, _real_times(lin.Y, G4)),
+                        (s3, top), (s4, bottom)):
+        on_diag = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+        block[on_diag - rows.start, on_diag - cols.start] -= 1.0
+        worst = max(worst, float(np.abs(block).max()))
+    return worst
 
 
 def _identity_residual(lin: LinearizationMatrix, G: np.ndarray) -> float:
-    """max |H G - I| over all d**2 entries, one column panel and block of rows at a time."""
+    """max |H G - I| over all d**2 entries, in the Schur route's column panels."""
+    s1, s2 = lin.layout.blocks[:2]
     worst = 0.0
-    for cols in _panels(0, lin.dim):
-        for rows, block in lin.row_blocks(G, cols):
-            on_diag = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
-            block[on_diag - rows.start, on_diag - cols.start] -= 1.0
-            worst = max(worst, float(np.abs(block).max()))
+    for cols in _panels(0, s2.stop) + _panels(s2.stop, lin.dim):
+        panel = G[:, cols]
+        top, bottom = _real_times(lin.X.T, panel[s1]), _real_times(lin.Y.T, panel[s2])
+        worst = max(worst, _panel_residual(lin, cols, panel, top, bottom))
     return worst
 
 
@@ -262,7 +272,7 @@ def resolvent(pair: DataPair, z) -> ResolventBundle:
         raise NumericalError(f"linearization not invertible at z = {lin.z}: {exc}") from exc
     residual = _enforce("resolvent identity", _identity_residual(lin, G),
                         _RESIDUAL_LIMIT, lin.z)
-    m1, m2, m3, m4 = _partial_traces(G, layout)
+    m1, m2, m3, m4 = _partial_traces(G.diagonal(), layout)
     Syy = pair.Y @ pair.Y.T
     s2 = layout.blocks[1]
     m = complex(np.trace(G[s2, s2] @ Syy)) / layout.q
@@ -272,7 +282,8 @@ def resolvent(pair: DataPair, z) -> ResolventBundle:
     )
 
 
-def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None) -> ResolventBundle:
+def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *,
+                     visit=None) -> ResolventBundle:
     """Assemble G(z) from the pair's CanonicalFactor without inverting H.
 
     factor defaults to canonical_factor(pair).  With its A, B, sv and lam,
@@ -280,9 +291,14 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None) -
     blocks A diag(1/(lam - z)) A', -z**(-1/2) A diag(sv/(lam - z)) B' and
     B diag(1/(lam - z)) B'.  With D = diag(X, Y) and K the (un-inverted)
     kernel, G[right, left] = -K D' GL and the factor corner is
-    K - K D' G[left, right], written into G in place one panel of columns
-    at a time.  As in resolvent(), identity residuals above 1e-6 raise a
-    conditioning error.
+    K - K D' G[left, right].  G's data columns are built first; each
+    panel of factor columns is then built in one reused buffer, and its
+    identity residual taken there (see the module docstring).  Without
+    visit the panels are copied into a full G.  With visit, each finished
+    panel G[:, cols] is passed to visit(cols, panel) instead, the factor
+    panels first and the data panels last; the visitor may overwrite the
+    panel, and the bundle's G is None.  As in resolvent(), identity
+    residuals above 1e-6 raise a conditioning error.
     """
     lin = build_H(pair, z)
     z = lin.z
@@ -298,37 +314,52 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None) -
         raise DomainError(f"z = {z} coincides with a sample eigenvalue")
     A, B, k = factor.A, factor.B, len(factor.sv)
     sz = sqrt_upper(z)
-    G = np.empty((layout.dim, layout.dim), dtype=complex)
+    d = layout.dim
     s1, s2, s3, s4 = layout.blocks
     data = slice(s1.start, s2.stop)     # the data corner's rows, and its columns
+    data_cols = np.empty((d, data.stop), dtype=complex)     # G[:, data]
 
     def weighted_gram(left, weights, right):    # left diag(weights) right'
         return _real_times(left, np.multiply(weights[:, None], right.T, order="C"))
 
-    G[s1, s1] = weighted_gram(A, 1.0 / (lam_p - z), A)
+    data_cols[s1, s1] = weighted_gram(A, 1.0 / (lam_p - z), A)
     cross = -factor.sv / (sz * (lam_q[:k] - z))
-    G[s1, s2] = weighted_gram(A[:, :k], cross, B[:, :k])
-    G[s2, s1] = G[s1, s2].T
-    G[s2, s2] = weighted_gram(B, 1.0 / (lam_q - z), B)
+    data_cols[s1, s2] = weighted_gram(A[:, :k], cross, B[:, :k])
+    data_cols[s2, s1] = data_cols[s1, s2].T
+    data_cols[s2, s2] = weighted_gram(B, 1.0 / (lam_q - z), B)
 
-    def apply_minus_kernel(cols: slice) -> None:
-        # G[right, cols] = -K D' G[left, cols], with D' = diag(X', Y')
-        top = _real_times(pair.X.T, G[s1, cols])
-        bottom = _real_times(pair.Y.T, G[s2, cols])
+    G = None
+    if visit is None:
+        G = np.empty((d, d), dtype=complex)
+
+        def visit(cols, panel):
+            G[:, cols] = panel
+
+    diagonal = np.empty(d, dtype=complex)
+
+    def finish(cols: slice, panel: np.ndarray) -> float:
+        # G[right, cols] = -K D' G[left, cols], with D' = diag(X', Y'), plus K
+        top = _real_times(pair.X.T, panel[s1])
+        bottom = _real_times(pair.Y.T, panel[s2])
         for rows, own, other in ((s3, top, bottom), (s4, bottom, top)):
-            block = np.multiply(own, -z, out=G[rows, cols])
+            block = np.multiply(own, -z, out=panel[rows])
             block -= sz * other
+        layout.add_kernel(panel, z, sz, z, cols)
+        diagonal[cols] = panel[cols].diagonal()
+        return _panel_residual(lin, cols, panel, top, bottom)
 
-    for cols in _panels(data.start, data.stop):
-        apply_minus_kernel(cols)
-    for cols in _panels(data.stop, layout.dim):
-        G[data, cols] = G[cols, data].T
-        apply_minus_kernel(cols)
-    layout.add_kernel(G, z, sz, z)
+    residual = max(finish(cols, data_cols[:, cols]) for cols in _panels(0, data.stop))
+    buffer = np.empty((d, min(_PANEL, d - data.stop)), dtype=complex)
+    for cols in _panels(data.stop, d):
+        panel = buffer[:, : cols.stop - cols.start]
+        panel[data] = data_cols[cols].T
+        residual = max(residual, finish(cols, panel))
+        visit(cols, panel)
+    for cols in _panels(0, data.stop):      # last, as the factor panels read G[right, data]
+        visit(cols, data_cols[:, cols])
 
-    residual = _enforce("resolvent identity", _identity_residual(lin, G),
-                        _RESIDUAL_LIMIT, z)
-    m1, m2, m3, m4 = _partial_traces(G, layout)
+    residual = _enforce("resolvent identity", residual, _RESIDUAL_LIMIT, z)
+    m1, m2, m3, m4 = _partial_traces(diagonal, layout)
     m = complex(np.mean(1.0 / (lam_q - z)))
     return ResolventBundle(
         G=G, z=z, layout=layout, m1=m1, m2=m2, m3=m3, m4=m4, m=m,
@@ -409,32 +440,48 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     full basis-pair sweep is the entrywise error).  G is always
     assembled by blocks_via_schur, from factor (canonical_factor(pair))
     when one is given and from a fresh factor otherwise; resolvent() is
-    the dense reference it is tested against.  A z outside the window
-    raises a DomainError, and a trace-identity residual above 1e-10 a
+    the dense reference it is tested against.  Each column panel of G is
+    reduced as the assembly finishes it: Pi is subtracted on the panel,
+    the sector maxima and paired34 take its entries, and V' (G - Pi) its
+    columns, with V the test set; (V' (G - Pi)) V is formed once at the
+    end, so no d x d array is allocated.  A z outside the window raises a
+    DomainError, and a trace-identity residual above 1e-10 a
     NumericalError.
     """
     z = complex(z)
     n = pair.n
     reject(window_violations(n, epsilon, z.real, z.real, z.imag, z.imag), DomainError)
-    bundle = blocks_via_schur(pair, z, factor)
+    layout = IndexLayout(pair.p, pair.q, n)
+    pi = pi_limit(model, z, *layout)
+    vectors = _test_vectors(layout, seed)
+    left_forms = np.empty((vectors.shape[1], layout.dim), dtype=complex)    # V' (G - Pi)
+    sectors = {f"{a}{b}": 0.0 for a in range(1, 5) for b in range(1, 5)}
+    first, second = layout.paired
+    paired = 0.0
+
+    def reduce(cols: slice, panel: np.ndarray) -> None:
+        # the panel is private to this call, so it becomes (G - Pi)[:, cols] in place
+        nonlocal paired
+        pi.subtract_from(panel, cols)
+        for b, block in enumerate(layout.blocks, 1):
+            inside = slice(max(block.start, cols.start) - cols.start,
+                           min(block.stop, cols.stop) - cols.start)
+            if inside.start < inside.stop:
+                for a, rows in enumerate(layout.blocks, 1):
+                    key = f"{a}{b}"
+                    sectors[key] = max(sectors[key], float(np.abs(panel[rows, inside]).max()))
+        hit = (second >= cols.start) & (second < cols.stop)
+        if hit.any():
+            entries = panel[first[hit], second[hit] - cols.start]
+            paired = max(paired, float(np.abs(entries).max()))
+        left_forms[:, cols] = _real_times(vectors.T, panel)
+
+    bundle = blocks_via_schur(pair, z, factor, visit=reduce)
     trace_residual = _enforce("trace identity", bundle.trace_identity_residual,
                               _TRACE_LIMIT, z)
-    layout = bundle.layout
-    # the bundle is private to this call, so G becomes G - Pi in place
-    diff = bundle.G
-    pi_limit(model, z, *layout).subtract_from(diff)
-
-    # one block at a time, so no |G - Pi| of the size of G is formed
-    sectors = {}
-    for a, rows in enumerate(layout.blocks, 1):
-        for b, cols in enumerate(layout.blocks, 1):
-            sectors[f"{a}{b}"] = float(np.abs(diff[rows, cols]).max())
     entrywise = max(sectors.values())
-    sectors["paired34"] = float(np.abs(diff[layout.paired]).max())
-
-    vectors = _test_vectors(layout, seed)
-    quad_forms = _real_times(vectors.T, diff) @ vectors
-    aniso = float(np.abs(quad_forms).max())
+    sectors["paired34"] = paired
+    aniso = float(np.abs(left_forms @ vectors).max())
 
     limit = stieltjes(model, z)
     avg_err = [

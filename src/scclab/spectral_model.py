@@ -385,15 +385,21 @@ class PiDescriptor:
     diag2: complex
     kernel: np.ndarray
 
-    def subtract_from(self, G: np.ndarray) -> None:
-        """G -= the limit matrix, in place, touching only its nonzero entries."""
+    def subtract_from(self, G: np.ndarray, cols: slice = slice(None)) -> None:
+        """G -= the limit matrix, in place, touching only its nonzero entries.
+
+        G is the column panel [:, cols] of a d x d matrix, and only the
+        limit's entries in those columns are subtracted; the whole matrix
+        is the panel of every column, the default.
+        """
         layout = self.layout
-        if G.shape != (layout.dim, layout.dim):
-            raise ParameterError(f"G has shape {G.shape}, expected {(layout.dim, layout.dim)}")
+        start, stop, _ = cols.indices(layout.dim)
+        if G.shape != (layout.dim, stop - start):
+            raise ParameterError(f"G has shape {G.shape}, expected {(layout.dim, stop - start)}")
         for block, value in zip(layout.blocks, (self.diag1, self.diag2)):
-            diagonal = np.arange(block.start, block.stop)
-            G[diagonal, diagonal] -= value
-        layout.add_kernel(G, -self.kernel[0, 0], -self.kernel[0, 1], -self.kernel[1, 1])
+            diagonal = np.arange(max(block.start, start), min(block.stop, stop))
+            G[diagonal, diagonal - start] -= value
+        layout.add_kernel(G, -self.kernel[0, 0], -self.kernel[0, 1], -self.kernel[1, 1], cols)
 
 
 def pi_limit(model: SpectralModel, z, p: int, q: int, n: int) -> PiDescriptor:

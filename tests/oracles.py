@@ -6,8 +6,11 @@ the dense block-constant limit matrix, the inverse of its 2x2 kernel,
 the un-inverted coupling kernel of the linearization, a classical
 location found by a bracketed root finder one target at a time, the
 top eigenvalues of tridiagonal GOE draws by LAPACK's bisection (stebz),
-one trial at a time, random signs by numpy's bounded-integer draw, and
-whole sampler matrices drawn row by row by the Generator's own calls.
+one trial at a time, random signs by numpy's bounded-integer draw,
+whole sampler matrices drawn row by row by the Generator's own calls,
+and the local-law report swept over a materialized G - Pi.  One is an
+exact law rather than a second route: the beta-Jacobi matrix model of
+the Gaussian null spectrum.
 """
 
 import math
@@ -16,8 +19,10 @@ import numpy as np
 from scipy import optimize
 from scipy.linalg import eigvalsh_tridiagonal
 
-from scclab import NumericalError, SpectralModel, stieltjes
-from scclab._linalg import sqrt_upper
+from scclab import (LocalLawReport, NumericalError, SpectralModel, blocks_via_schur,
+                    pi_limit, psi_control, stieltjes)
+from scclab._linalg import sqrt_upper, tridiagonal_top
+from scclab.linearized_resolvent import _real_times, _test_vectors
 from scclab.spectral_model import PiDescriptor, _edge_sqrt, _tail_mass_at_angle
 
 
@@ -153,3 +158,69 @@ def goe_values_stebz(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarr
         top = tridiagonal_top_stebz(diag[None], off[None], k_max)[0] / math.sqrt(n_goe)
         values.append(n_goe ** (2.0 / 3.0) * (top - 2.0))
     return np.array(values)
+
+
+def local_law_reference(pair, model: SpectralModel, z, seed: int = 0,
+                        factor=None) -> LocalLawReport:
+    """local_law_errors reduced from the whole materialized G - Pi at once.
+
+    G is blocks_via_schur's full G and Pi the dense limit matrix; the
+    sectors, paired34 and the quadratic forms are read from their
+    difference in one piece, as local_law_errors did before it took G's
+    column panels one by one.  The window check is left to the caller.
+    """
+    z = complex(z)
+    n = pair.n
+    bundle = blocks_via_schur(pair, z, factor)
+    layout = bundle.layout
+    diff = bundle.G - pi_dense(pi_limit(model, z, *layout))
+    sectors = {}
+    for a, rows in enumerate(layout.blocks, 1):
+        for b, cols in enumerate(layout.blocks, 1):
+            sectors[f"{a}{b}"] = float(np.abs(diff[rows, cols]).max())
+    entrywise = max(sectors.values())
+    sectors["paired34"] = float(np.abs(diff[layout.paired]).max())
+    vectors = _test_vectors(layout, seed)
+    aniso = float(np.abs(_real_times(vectors.T, diff) @ vectors).max())
+    limit = stieltjes(model, z)
+    found = (bundle.m1, bundle.m2, bundle.m3, bundle.m4, bundle.m)
+    expected = (limit.m1, limit.m2, limit.m3, limit.m4, limit.m)
+    psi = psi_control(model, z, n)
+    phi_n = pair.meta.phi_n if pair.meta.phi_n is not None else n ** -0.5
+    return LocalLawReport(
+        z=z, n=n, p=layout.p, q=layout.q, entrywise_err=entrywise, aniso_err=aniso,
+        avg_err=[float(abs(f - e)) for f, e in zip(found, expected)],
+        psi=psi, phi_n=float(phi_n),
+        benchmarks={"entrywise": phi_n + psi, "averaged": 1.0 / (n * z.imag)},
+        sectors=sectors,
+        checks={"identity_residual": bundle.identity_residual,
+                "trace_identity": bundle.trace_identity_residual},
+    )
+
+
+def jacobi_top(p: int, q: int, n: int, draws: int, k: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """The k largest squared canonical correlations of Gaussian data, exactly in law.
+
+    For Gaussian X (uncentered) and any independent Y, the q squared
+    sample canonical correlations are the beta = 1 Jacobi ensemble with
+    weight lam**((p-q-1)/2) (1-lam)**((n-p-q-1)/2).  Edelman and Sutton
+    (Found. Comput. Math. 2008) draw it as the squared singular values of
+    an upper-bidiagonal B: with m = q, a = p - q and b = n - p - q,
+    c_i = sqrt(Beta((a+i)/2, (b+i)/2)) for i = m..1,
+    c'_j = sqrt(Beta(j/2, (a+b+1+j)/2)) for j = m-1..1, s = sqrt(1 - c**2),
+    diag(B) = (c_m, c_{m-1} s'_{m-1}, ..., c_1 s'_1) and
+    superdiag(B) = (-s_m c'_{m-1}, ..., -s_2 c'_1).  B'B is tridiagonal,
+    and its top k come from _linalg.tridiagonal_top.  Returns (draws, k).
+    """
+    m, a, b = q, p - q, n - p - q
+    i = np.arange(m, 0, -1)
+    j = np.arange(m - 1, 0, -1)
+    c = np.sqrt(rng.beta((a + i) / 2.0, (b + i) / 2.0, size=(draws, m)))
+    c_prime = np.sqrt(rng.beta(j / 2.0, (a + b + 1 + j) / 2.0, size=(draws, m - 1)))
+    s, s_prime = np.sqrt(1.0 - c * c), np.sqrt(1.0 - c_prime * c_prime)
+    d = np.concatenate([c[:, :1], c[:, 1:] * s_prime], axis=1)
+    e = -s[:, :-1] * c_prime
+    diag = d * d
+    diag[:, 1:] += e * e
+    return tridiagonal_top(diag, d[:, :-1] * e, k)

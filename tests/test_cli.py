@@ -295,8 +295,8 @@ class TestMain:
     def test_trace_identity_failure_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
         real = linearized_resolvent.blocks_via_schur
 
-        def perturbed(*args):
-            bundle = real(*args)
+        def perturbed(*args, **kwargs):
+            bundle = real(*args, **kwargs)
             return dataclasses.replace(bundle, m4=bundle.m4 + 1e-6)
 
         monkeypatch.setattr(linearized_resolvent, "blocks_via_schur", perturbed)

@@ -12,6 +12,7 @@ from scclab import (
     ccc_eigenvalues,
     classical_locations,
     det_characterization_residual,
+    ks_two_sample,
     make_model,
     rigidity_profile,
     sample_covariances,
@@ -19,6 +20,7 @@ from scclab import (
     whitened_cross,
 )
 from scclab import scc_core
+from oracles import jacobi_top
 
 
 def _pair_from(X, Y):
@@ -162,6 +164,21 @@ class TestSpectrumOracle:
                          for seed in range(pairs)])
         standard_error = sums.std(ddof=1) / np.sqrt(pairs)
         assert abs(sums.mean() - p * q / n) <= 4.0 * standard_error
+
+    @pytest.mark.parametrize("p, q, n, spectra, bound", [
+        (24, 16, 80, 3000, 0.033),
+        (120, 80, 400, 1000, 0.048),
+    ])
+    def test_gaussian_top_matches_jacobi_model(self, p, q, n, spectra, bound):
+        # the Gaussian null spectrum is exactly the beta = 1 Jacobi ensemble,
+        # so the KS distance of lambda_1 and of lambda_2 between direct
+        # spectra and 4000 draws of its matrix model stays below the 95 %
+        # two-sample DKW bound sqrt(ln 40 / 2) sqrt(1/spectra + 1/4000)
+        direct = np.array([ccc_eigenvalues(sample_gaussian(p, q, n, seed)).eigenvalues[:2]
+                           for seed in range(spectra)])
+        model = jacobi_top(p, q, n, 4000, 2, np.random.default_rng(2008))
+        for k in range(2):
+            assert ks_two_sample(direct[:, k], model[:, k]) <= bound
 
 
 class TestCanonicalFactor:

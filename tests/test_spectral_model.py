@@ -309,8 +309,16 @@ class TestMatrixLimit:
         rng = np.random.default_rng(5)
         G = rng.standard_normal((52, 52)) + 1j * rng.standard_normal((52, 52))
         expected = G - pi_dense(desc)
+        panels = G.copy()
         desc.subtract_from(G)
         assert np.array_equal(G, expected)
+        # column panels of 5, ending inside every block: the same matrix
+        for start in range(0, 52, 5):
+            cols = slice(start, min(start + 5, 52))
+            desc.subtract_from(panels[:, cols], cols)
+        assert np.array_equal(panels, expected)
+        with pytest.raises(ParameterError):
+            desc.subtract_from(panels[:, :5], slice(0, 6))
 
     def test_bounded_norm_on_window(self, model_thin):
         # the limit stays order one uniformly over the spectral window
