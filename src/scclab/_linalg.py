@@ -13,10 +13,17 @@ limit matrix all go through.
 tridiagonal_top finds the top eigenvalues of a batch of symmetric
 tridiagonal matrices by Sturm-count multisection in plain numpy, so the
 GOE edge reference needs no scipy.linalg.
+
+one_blas_thread runs a block with every loaded OpenBLAS on one thread.
+A multithreaded BLAS may sum a product in another order than a single
+thread does, so results are computed under it to stay the same bytes at
+any thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from typing import NamedTuple
 
 import numpy as np
@@ -119,6 +126,52 @@ def _negative_pivots(diag_rows: np.ndarray, off2_rows: np.ndarray, x: np.ndarray
             counts += np.add.reduce(signs, axis=0, dtype=np.uint8)     # rows < 256
             carry = carry.copy()
     return counts
+
+
+def _openblas_threads() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS mapped into this process.
+
+    The libraries are found by path in /proc/self/maps; the functions are
+    openblas_[gs]et_num_threads under the scipy_ prefix and 64_ suffix
+    that the builds of numpy and scipy wheels add.  Empty where there is
+    no such file or library.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+            if hasattr(lib, name.format("set")):
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    Yields whether any OpenBLAS was found; the thread counts in force
+    before are restored on exit.
+    """
+    controls = _openblas_threads()
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield bool(controls)
+    finally:
+        for (_, set_), count in zip(controls, counts):
+            set_(count)
 
 
 def sqrt_upper(w: complex) -> complex:

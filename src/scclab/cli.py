@@ -5,13 +5,16 @@ configuration (reporting every violated constraint), computes, and only
 then writes results.csv, results.json, and a manifest.json with the full
 configuration echo next to them.  A run that fails writes no results,
 only diagnostics.json on a numerical failure.  Every kind's runner is a
-pure function of the configuration, so re-running a manifest's
-configuration reproduces the result files byte for byte.  The three
-Monte Carlo kinds (local-law-sweep, tw-edge, rigidity-scaling) sample
-their pairs through edge_stats.TrialLog alike: a failed pair is
-resampled and counted in results.json's "failures", and the failure
-that takes the count past one percent of the run's pairs stops the run
-there, with exit code 3.
+pure function of the configuration, computed with BLAS on one thread,
+so re-running a manifest's configuration reproduces the result files
+byte for byte at any BLAS thread count.  The three Monte Carlo kinds
+(local-law-sweep, tw-edge, rigidity-scaling) sample their pairs through
+edge_stats.TrialLog alike: a failed pair is resampled and counted in
+results.json's "failures", and the failure that takes the count past one
+percent of the run's pairs stops the run there, with exit code 3.  Their
+trials run through TrialLog.map, one process per CPU the run may use,
+with the same output as one process; manifest.json's environment gives
+the number of processes as "trial_processes".
 
 Exit codes: 0 success, 2 validation failure (including an unreadable or
 malformed --config file, or a config kind other than the subcommand),
@@ -33,6 +36,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._linalg import one_blas_thread
 from .config import KINDS, ExperimentConfig, build_config, validate
 from .edge_stats import (
     ExperimentReport,
@@ -71,7 +75,7 @@ def _run_density_table(config: ExperimentConfig):
         "mass": support_mass(model),
         "points": config.x_points,
     }
-    return ("x", "density"), rows, results, None
+    return ("x", "density"), rows, results, None, None
 
 
 def _run_quantiles(config: ExperimentConfig):
@@ -85,7 +89,7 @@ def _run_quantiles(config: ExperimentConfig):
         "lambda_plus": model.lambda_plus,
         "monotone": bool(np.all(np.diff(gamma) < 0)) if config.q > 1 else True,
     }
-    return ("j", "gamma"), rows, results, None
+    return ("j", "gamma"), rows, results, None, None
 
 
 def _run_spectrum(config: ExperimentConfig):
@@ -107,7 +111,7 @@ def _run_spectrum(config: ExperimentConfig):
         "lambda_plus": model.lambda_plus,
     }
     checks = {"min_eig_xx_min": result.min_eig_xx, "min_eig_yy_min": result.min_eig_yy}
-    return ("index", "lambda", "gamma", "normalized_deviation"), rows, results, checks
+    return ("index", "lambda", "gamma", "normalized_deviation"), rows, results, checks, None
 
 
 def _run_local_law_sweep(config: ExperimentConfig):
@@ -122,24 +126,27 @@ def _run_local_law_sweep(config: ExperimentConfig):
     header = ("trial", "E", "eta", "entrywise_err", "aniso_err",
               "avg_err_1", "avg_err_2", "avg_err_3", "avg_err_4", "avg_err_m",
               "psi", "benchmark_entrywise", "benchmark_averaged")
-    rows = []
-    reports = []
-    point_checks = []
-    log = TrialLog(config, config.trials)
-    for trial in range(config.trials):
-        factor = log.draw(canonical_factor, n, 4, trial)    # whiten and decompose once per pair
+
+    def sweep(log, trial):
+        # one key is a pair, whitened and decomposed once, and all of its points
+        factor = log.draw(canonical_factor, n, 4, trial)
+        points = []
         for E in es:
             for eta in etas:
                 rep = local_law_errors(factor.pair, model, complex(E, eta), seed=config.seed,
                                        epsilon=config.epsilon, factor=factor)
-                rows.append((trial, repr(float(E)), repr(float(eta)),
-                             repr(rep.entrywise_err), repr(rep.aniso_err),
-                             *(repr(e) for e in rep.avg_err),
-                             repr(rep.psi),
-                             repr(rep.benchmarks["entrywise"]),
-                             repr(rep.benchmarks["averaged"])))
-                reports.append(rep.to_json_dict() | {"trial": trial})
-                point_checks.append(rep.checks)
+                row = (trial, repr(float(E)), repr(float(eta)),
+                       repr(rep.entrywise_err), repr(rep.aniso_err),
+                       *(repr(e) for e in rep.avg_err),
+                       repr(rep.psi),
+                       repr(rep.benchmarks["entrywise"]),
+                       repr(rep.benchmarks["averaged"]))
+                points.append((row, rep.to_json_dict() | {"trial": trial}, rep.checks))
+        return points
+
+    log = TrialLog(config, config.trials)
+    points = [point for pair in log.map(sweep, range(config.trials)) for point in pair]
+    rows, reports, point_checks = zip(*points)
     checks = log.checks()
     worst = max(r["entrywise_err"] / r["benchmarks"]["entrywise"] for r in reports)
     results = {
@@ -150,11 +157,12 @@ def _run_local_law_sweep(config: ExperimentConfig):
     }
     checks |= {f"{key}_max": max(c[key] for c in point_checks)
                for key in ("identity_residual", "trace_identity")}
-    return header, rows, results, checks
+    return header, rows, results, checks, log.processes
 
 
 def _report_outputs(report: ExperimentReport):
-    return report.csv_header, report.csv_rows, report.to_json_dict(), report.checks
+    return (report.csv_header, report.csv_rows, report.to_json_dict(), report.checks,
+            report.processes)
 
 
 # the drivers are looked up by their module-global names at call time, so
@@ -177,8 +185,8 @@ _RUNNERS = {
 }
 
 
-def _environment() -> dict:
-    """Library versions, BLAS build and thread settings of this process."""
+def _environment(processes: int | None) -> dict:
+    """Library versions, BLAS build, thread settings and trial processes of this run."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
@@ -190,23 +198,26 @@ def _environment() -> dict:
         "cpu_count": os.cpu_count(),
         "threads": {key: value for key, value in sorted(os.environ.items())
                     if key.endswith("_NUM_THREADS")},
-    }
+    } | ({} if processes is None else {"trial_processes": processes})
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
     """Validate, compute, then write results plus manifest.  Returns results.json's payload.
 
     Each kind's runner maps the config to (csv header, csv rows,
-    results.json payload, checks or None) and writes nothing, so a run
-    that raises leaves no output behind.  The checks (self-check
-    residuals, conditioning) go to the manifest only, as do the
-    "environment" (library versions, BLAS, CPU count, *_NUM_THREADS
-    settings) and the timings, so results.* stay a function of the
-    config.
+    results.json payload, checks or None, trial processes or None) and
+    writes nothing, so a run that raises leaves no output behind.  It
+    runs with BLAS on one thread, so results.* do not depend on the BLAS
+    thread count either.  The checks (self-check residuals, conditioning)
+    go to the manifest only, as do the "environment" (library versions,
+    BLAS, CPU count, *_NUM_THREADS settings and, for a Monte Carlo kind,
+    the number of processes that computed its trials) and the timings,
+    so results.* stay a function of the config.
     """
     reject(validate(config))
     start = time.perf_counter()
-    header, rows, results, checks = _RUNNERS[config.kind](config)
+    with one_blas_thread():
+        header, rows, results, checks, processes = _RUNNERS[config.kind](config)
     out = Path(out_dir)
     write_start = time.perf_counter()
     out.mkdir(parents=True, exist_ok=True)
@@ -218,7 +229,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         "code_version": __version__,
         "seed": config.seed,
         "timings": {"total_s": end - start, "write_s": end - write_start},
-        "environment": _environment(),
+        "environment": _environment(processes),
         "outputs": ["results.csv", "results.json"],
     }
     if checks is not None:

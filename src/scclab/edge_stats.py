@@ -30,22 +30,34 @@ and the retry, so a run can be split or merged and still produce
 identical output; a pair whose computation fails is resampled on the
 next retry and counted.  The one bound on failures is a budget of one
 percent of the run's pair-trials: the failure that exceeds it aborts
-the experiment at once, and no trial after it is computed.  The
+the experiment at once, and no trial after it is counted.  The
 TrialLog also keeps the smallest Gram-block eigenvalues over the
 accepted pairs, the conditioning every Monte Carlo manifest reports.
+
+TrialLog.map computes a run's trials on every CPU the process may use:
+it splits the trial keys into contiguous shares, computes the first
+itself and each other one in a forked child, every process with BLAS on
+one thread, and folds the shares' results and failures in key order.
+Since a trial depends only on its key, the output, the failure count
+and the budget error are those of one process computing every trial in
+turn.  CPU affinity (taskset) is the only control of the process count.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ._linalg import tridiagonal_top
+from ._linalg import one_blas_thread, tridiagonal_top
 from .config import ExperimentConfig, k_max_violations, validate
 from .errors import NumericalError, ParameterError, ScclabError, reject
 from .sampler import (
@@ -122,6 +134,11 @@ def derived_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _processes() -> int:
+    """The number of CPUs this process may run on, one trial process each."""
+    return len(os.sched_getaffinity(0))
+
+
 @dataclass(eq=False)
 class TrialLog:
     """The trial policy of a Monte Carlo run: resample, count, budget.
@@ -130,6 +147,7 @@ class TrialLog:
     of one percent of it.  failures counts the pairs whose computation
     failed; min_eig_xx and min_eig_yy are the smallest Gram-block
     eigenvalues over the accepted results (infinite before the first).
+    processes is the largest number of processes a map of this log used.
     """
 
     config: ExperimentConfig
@@ -137,6 +155,7 @@ class TrialLog:
     failures: int = 0
     min_eig_xx: float = math.inf
     min_eig_yy: float = math.inf
+    processes: int = 1
 
     def draw(self, compute: Callable, n: int, *key: int):
         """The first compute(pair) that succeeds on the trial keyed by key.
@@ -157,21 +176,126 @@ class TrialLog:
             try:
                 result = compute(pair)
             except ScclabError:
-                self.failures += 1
-                if self.failures > _FAILURE_BUDGET * self.trials:
-                    raise NumericalError(
-                        f"{self.failures} failed trials out of {self.trials} exceeds the "
-                        f"{_FAILURE_BUDGET:.0%} budget",
-                        achieved=self.failures / self.trials,
-                    )
+                self._fail()
                 continue
             self.min_eig_xx = min(self.min_eig_xx, result.min_eig_xx)
             self.min_eig_yy = min(self.min_eig_yy, result.min_eig_yy)
             return result
 
+    def _fail(self) -> None:
+        """Count a failed pair; the one that takes failures past the budget raises."""
+        self.failures += 1
+        if self.failures > _FAILURE_BUDGET * self.trials:
+            raise NumericalError(
+                f"{self.failures} failed trials out of {self.trials} exceeds the "
+                f"{_FAILURE_BUDGET:.0%} budget",
+                achieved=self.failures / self.trials,
+            )
+
     def checks(self) -> dict:
         """The conditioning minima over the accepted results."""
         return {"min_eig_xx_min": self.min_eig_xx, "min_eig_yy_min": self.min_eig_yy}
+
+    def map(self, work: Callable, keys) -> list:
+        """[work(log, key) for key in keys], on every CPU this process may use.
+
+        work computes the trial keyed by key and draws its pairs from log.
+        The keys are split into contiguous shares, one per CPU
+        (os.sched_getaffinity): this process computes the first share and
+        a forked child each other one, which sends its results back
+        pickled.  Every process runs with BLAS on one thread; where no
+        OpenBLAS is found to pin, every key is computed here.  Each share
+        draws from a copy of this log, and the shares' results, failure
+        counts and conditioning are folded into this log in key order:
+        the fold counts a key's failures before it takes the key's
+        result, and an error a key raised is raised again when the fold
+        reaches it.  So the results, failures, minima and errors, the
+        budget error at the same failure included, are those of
+        computing every key here in turn.  No child outlives the call.
+        """
+        keys = list(keys)
+        results = []
+        with one_blas_thread() as pinned:
+            count = max(1, min(_processes(), len(keys))) if pinned else 1
+            cuts = [len(keys) * i // count for i in range(count + 1)]
+            shares = [keys[a:b] for a, b in zip(cuts, cuts[1:])]
+            children = []       # (pid, read end of its pipe), in key order
+            try:
+                for share in shares[1:]:
+                    children.append(self._fork(work, share, children))
+                self._fold(self._share(work, shares[0]), results)
+                for pid, pipe in children:
+                    with open(pipe, "rb", closefd=False) as reader:
+                        data = reader.read()
+                    if not data:
+                        raise RuntimeError(f"trial process {pid} ended without its results")
+                    self._fold(pickle.loads(data), results)
+            finally:
+                for pid, pipe in children:
+                    os.close(pipe)
+                    os.kill(pid, signal.SIGKILL)    # no-op on a child that has exited
+                    os.waitpid(pid, 0)
+        self.processes = max(self.processes, count)
+        return results
+
+    def _share(self, work: Callable, keys: list, parent: int | None = None) -> tuple:
+        """(results, failures per key, min_eig_xx, min_eig_yy, error) of one share.
+
+        The share stops at the first key whose work raises, whose failures
+        are the last entry.  A child stops at once when parent is no
+        longer its parent.
+        """
+        log = dataclasses.replace(self)
+        results, failed, error = [], [], None
+        for key in keys:
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
+            before = log.failures
+            try:
+                results.append(work(log, key))
+            except Exception as exc:        # raised again where the fold reaches this key
+                error = exc
+            failed.append(log.failures - before)
+            if error is not None:
+                break
+        return results, failed, log.min_eig_xx, log.min_eig_yy, error
+
+    def _fork(self, work: Callable, keys: list, siblings: list) -> tuple[int, int]:
+        """Compute a share in a forked child; (its pid, the read end of its pipe).
+
+        The child writes its pickled share to the pipe and exits with
+        status 0; one that cannot, exits with status 1 and writes nothing.
+        """
+        parent = os.getpid()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid:
+            os.close(write)
+            return pid, read
+        status = 1
+        try:
+            os.close(read)
+            for _, pipe in siblings:
+                os.close(pipe)
+            data = pickle.dumps(self._share(work, keys, parent))
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def _fold(self, share: tuple, results: list) -> None:
+        """Count a share's failures and append its results, key by key, then its error."""
+        values, failed, min_eig_xx, min_eig_yy, error = share
+        for i, count in enumerate(failed):
+            for _ in range(count):
+                self._fail()
+            if i < len(values):
+                results.append(values[i])
+        if error is not None:
+            raise error
+        self.min_eig_xx = min(self.min_eig_xx, min_eig_xx)
+        self.min_eig_yy = min(self.min_eig_yy, min_eig_yy)
 
 
 @functools.lru_cache(maxsize=8)
@@ -229,8 +353,9 @@ class ExperimentReport:
     """Aggregated Monte Carlo output with full reproducibility metadata.
 
     checks holds the conditioning of the accepted spectra
-    (min_eig_xx_min, min_eig_yy_min); it describes the computation rather
-    than the result, so to_json_dict leaves it out.
+    (min_eig_xx_min, min_eig_yy_min) and processes the number of
+    processes that computed the trials; they describe the computation
+    rather than the result, so to_json_dict leaves them out.
     """
 
     kind: str
@@ -239,6 +364,7 @@ class ExperimentReport:
     csv_header: tuple
     csv_rows: list = field(default_factory=list)
     checks: dict = field(default_factory=dict)
+    processes: int = 1
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params, "metrics": self.metrics}
@@ -263,8 +389,11 @@ def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
     _require_valid(config, "tw-edge")
     model = config.model()
     log = TrialLog(config, config.trials)
-    values = [tw_rescale(log.draw(ccc_eigenvalues, config.n, 1, trial), model, config.k_max)
-              for trial in indices]
+
+    def rescaled(log, trial):
+        return tw_rescale(log.draw(ccc_eigenvalues, config.n, 1, trial), model, config.k_max)
+
+    values = log.map(rescaled, indices)
     return EdgeSamples(values=np.array(values), trials=log, model=model)
 
 
@@ -315,7 +444,7 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         kind="tw-edge", params=params, metrics=metrics,
         csv_header=("source", "trial", "k", "value"), csv_rows=rows,
-        checks=checks,
+        checks=checks, processes=ccc.trials.processes,
     )
 
 
@@ -342,12 +471,14 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
     for i_n, n in enumerate(ns):
         model = config.model(n)
         gamma = classical_locations(model, config.dims(n)[1])
-        bulk, edge, prof = [], [], []
-        for trial in range(config.trials):
+
+        def deviations(log, trial):
             result = log.draw(ccc_eigenvalues, n, 3, i_n, trial)
-            bulk.append(abs(result.eigenvalues[j_star - 1] - gamma[j_star - 1]))
-            edge.append(abs(result.eigenvalues[0] - model.lambda_plus))
-            prof.append(float(rigidity_profile(result, model).max()))
+            return (abs(result.eigenvalues[j_star - 1] - gamma[j_star - 1]),
+                    abs(result.eigenvalues[0] - model.lambda_plus),
+                    float(rigidity_profile(result, model).max()))
+
+        bulk, edge, prof = zip(*log.map(deviations, range(config.trials)))
         bulk_median.append(float(np.median(bulk)))
         edge_median.append(float(np.median(edge)))
         profile_p95.append(float(np.quantile(prof, 0.95)))
@@ -379,5 +510,5 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
         kind="rigidity-scaling", params=params, metrics=metrics,
         csv_header=("n", "trial", "fixed_index_dev", "edge_dev", "profile_max"),
         csv_rows=rows,
-        checks=checks,
+        checks=checks, processes=log.processes,
     )

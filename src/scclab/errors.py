@@ -9,11 +9,21 @@ to reject().
 
 from __future__ import annotations
 
+import copyreg
+
 __all__ = ["ScclabError", "ParameterError", "DomainError", "NumericalError", "SingularityError"]
 
 
 class ScclabError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures.
+
+    An error survives pickling, as it must to leave a trial process:
+    it is rebuilt from its args and attributes without calling
+    __init__, whose signature differs between the subclasses.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParameterError(ScclabError, ValueError):

@@ -207,8 +207,8 @@ class ResolventBundle:
     def trace_identity_residual(self) -> float:
         """Largest violation of the two exact trace identities of the module docstring."""
         z, c1, c2 = self.z, self.c1, self.c2
-        return max(abs(self.m3 - self.m4 - (1 - z) * (c1 - c2)),
-                   abs(self.m3 - (c2 * z * (1 - z) * self.m + (1 - c1 - c2) * z)))
+        return float(np.max([abs(self.m3 - self.m4 - (1 - z) * (c1 - c2)),
+                             abs(self.m3 - (c2 * z * (1 - z) * self.m + (1 - c1 - c2) * z))]))
 
 
 def _partial_traces(diagonal: np.ndarray, layout: IndexLayout):
@@ -220,7 +220,7 @@ def _panel_residual(lin: LinearizationMatrix, cols: slice, panel: np.ndarray,
     """max |H G - I| over the column panel G[:, cols], given X' G1 and Y' G2 on it.
 
     panel's last axis must be contiguous.  top and bottom become the
-    panel's factor rows of H G.
+    panel's factor rows of H G.  A NaN in the panel makes the result NaN.
     """
     s1, s2, s3, s4 = lin.layout.blocks
     G3, G4 = panel[s3], panel[s4]
@@ -228,28 +228,28 @@ def _panel_residual(lin: LinearizationMatrix, cols: slice, panel: np.ndarray,
     for block, own, other in ((top, G3, G4), (bottom, G4, G3)):
         block += diag * own
         block += cross * other
-    worst = 0.0
+    worst = []
     for rows, block in ((s1, _real_times(lin.X, G3)), (s2, _real_times(lin.Y, G4)),
                         (s3, top), (s4, bottom)):
         on_diag = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
         block[on_diag - rows.start, on_diag - cols.start] -= 1.0
-        worst = max(worst, float(np.abs(block).max()))
-    return worst
+        worst.append(np.abs(block).max())
+    return float(np.max(worst))
 
 
 def _identity_residual(lin: LinearizationMatrix, G: np.ndarray) -> float:
     """max |H G - I| over all d**2 entries, in the Schur route's column panels."""
     s1, s2 = lin.layout.blocks[:2]
-    worst = 0.0
+    worst = []
     for cols in _panels(0, s2.stop) + _panels(s2.stop, lin.dim):
         panel = G[:, cols]
         top, bottom = _real_times(lin.X.T, panel[s1]), _real_times(lin.Y.T, panel[s2])
-        worst = max(worst, _panel_residual(lin, cols, panel, top, bottom))
-    return worst
+        worst.append(_panel_residual(lin, cols, panel, top, bottom))
+    return float(np.max(worst))
 
 
 def _enforce(check: str, residual: float, limit: float, z: complex) -> float:
-    if residual > limit:
+    if not residual <= limit:       # a NaN residual fails too
         raise NumericalError(
             f"{check} residual {residual:.3e} exceeds {limit:.0e} at z = {z}",
             achieved=residual,
@@ -348,17 +348,17 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *
         diagonal[cols] = panel[cols].diagonal()
         return _panel_residual(lin, cols, panel, top, bottom)
 
-    residual = max(finish(cols, data_cols[:, cols]) for cols in _panels(0, data.stop))
+    residuals = [finish(cols, data_cols[:, cols]) for cols in _panels(0, data.stop)]
     buffer = np.empty((d, min(_PANEL, d - data.stop)), dtype=complex)
     for cols in _panels(data.stop, d):
         panel = buffer[:, : cols.stop - cols.start]
         panel[data] = data_cols[cols].T
-        residual = max(residual, finish(cols, panel))
+        residuals.append(finish(cols, panel))
         visit(cols, panel)
     for cols in _panels(0, data.stop):      # last, as the factor panels read G[right, data]
         visit(cols, data_cols[:, cols])
 
-    residual = _enforce("resolvent identity", residual, _RESIDUAL_LIMIT, z)
+    residual = _enforce("resolvent identity", float(np.max(residuals)), _RESIDUAL_LIMIT, z)
     m1, m2, m3, m4 = _partial_traces(diagonal, layout)
     m = complex(np.mean(1.0 / (lam_q - z)))
     return ResolventBundle(

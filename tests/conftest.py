@@ -1,8 +1,15 @@
-"""Shared fixtures: a couple of models and small sampled pairs."""
+"""Shared fixtures: a couple of models, small sampled pairs, one trial process."""
 
 import pytest
 
-from scclab import make_model, sample_gaussian
+from scclab import edge_stats, make_model, sample_gaussian
+
+
+@pytest.fixture
+def one_trial_process(monkeypatch):
+    # TrialLog.map computes every trial in this process, so a spy that
+    # counts calls here sees them all
+    monkeypatch.setattr(edge_stats, "_processes", lambda: 1)
 
 
 @pytest.fixture(scope="session")

@@ -219,7 +219,11 @@ class TestMain:
         assert sorted(f.name for f in out.iterdir()) == [
             "manifest.json", "results.csv", "results.json"]
         env = json.loads((out / "manifest.json").read_text())["environment"]
-        assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "threads"}
+        monte_carlo = kind in ("local-law-sweep", "tw-edge", "rigidity-scaling")
+        assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "threads"} | (
+            {"trial_processes"} if monte_carlo else set())
+        if monte_carlo:
+            assert 1 <= env["trial_processes"] <= len(os.sched_getaffinity(0))
         assert set(env["blas"]) == {"name", "version"}
         assert env["cpu_count"] == os.cpu_count()
         assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
@@ -351,7 +355,8 @@ class TestMain:
         assert exc.value.code == 2
         assert not out.exists()
 
-    def test_numerical_failure_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
+    def test_numerical_failure_exit_3_with_diagnostics(self, tmp_path, monkeypatch,
+                                                       one_trial_process):
         # configuration known to blow the resampling failure budget: its
         # first failure, the first attempt of trial 29, already does, and
         # the run computes no spectrum after it
@@ -452,7 +457,8 @@ class TestMain:
         monkeypatch.setattr(cli, "canonical_factor", flaky)
         return pairs
 
-    def test_local_law_failed_pair_resampled_and_counted(self, tmp_path, monkeypatch):
+    def test_local_law_failed_pair_resampled_and_counted(self, tmp_path, monkeypatch,
+                                                         one_trial_process):
         pairs = self._factor_failing_first(monkeypatch, 1)
         assert main(self.SWEEP + ["--out", str(tmp_path / "ll")]) == 0
         summary = json.loads((tmp_path / "ll" / "results.json").read_text())
@@ -476,7 +482,8 @@ class TestMain:
         assert diag["achieved"] == 0.02
 
     def test_local_law_factors_once_per_pair_conditioning_in_manifest(self, tmp_path,
-                                                                      monkeypatch):
+                                                                      monkeypatch,
+                                                                      one_trial_process):
         seen = []
         real = scc_core.whitened_cross
         monkeypatch.setattr(scc_core, "whitened_cross",
@@ -525,3 +532,78 @@ class TestMain:
         assert main(args + ["--out", str(rerun)]) == 0
         for name in ("results.csv", "results.json"):
             assert (out / name).read_bytes() == (rerun / name).read_bytes()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTrialProcesses:
+    """A Monte Carlo run gives the same outputs from one process as from two.
+
+    Failures are injected on the seeds of chosen keys, so a pair fails
+    the same way in whichever process computes it.  With two processes
+    the parent computes the first half of each map's trials and a forked
+    child the second; the failing keys fall in both halves.
+    """
+
+    # kind, overrides (200 pairs: the budget allows two failures), the
+    # failing keys, and the computation the failures are injected into
+    RUNS = {
+        "tw-edge": (["n=40", "trials=200", "k_max=2"],
+                    [(1, 10, 0), (1, 160, 0), (1, 170, 0)], edge_stats, "ccc_eigenvalues"),
+        "rigidity-scaling": (["n0=20", "trials=100", "factors=[1,2]"],
+                             [(3, 0, 10, 0), (3, 1, 60, 0), (3, 1, 70, 0)],
+                             edge_stats, "ccc_eigenvalues"),
+        "local-law-sweep": (["n=40", "trials=200", "e_points=1", "eta_points=1"],
+                            [(4, 10, 0), (4, 160, 0), (4, 170, 0)], cli, "canonical_factor"),
+    }
+
+    @staticmethod
+    def _run(kind, failing, processes, out, monkeypatch, capsys):
+        overrides, keys, module, name = TestTrialProcesses.RUNS[kind]
+        seeds = {derived_seed(9, *key) for key in keys[:failing]}
+        real = getattr(module, name)
+
+        def compute(pair):
+            if pair.meta.seed in seeds:
+                raise SingularityError("injected singular block", min_eigenvalue=0.0)
+            return real(pair)
+
+        monkeypatch.setattr(module, name, compute)
+        monkeypatch.setattr(edge_stats, "_processes", lambda: processes)
+        args = [kind, "--seed", "9", "--out", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        code = main(args)
+        monkeypatch.undo()
+        _no_child_left()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", list(RUNS))
+    def test_same_outputs_from_two_processes(self, tmp_path, monkeypatch, capsys, kind):
+        runs = [self._run(kind, 2, processes, tmp_path / str(processes), monkeypatch, capsys)
+                for processes in (1, 2)]
+        assert runs[0] == runs[1] == (0, "")
+        manifests = [json.loads((tmp_path / str(processes) / "manifest.json").read_text())
+                     for processes in (1, 2)]
+        assert [m["environment"]["trial_processes"] for m in manifests] == [1, 2]
+        assert manifests[0]["checks"] == manifests[1]["checks"]
+        for name in ("results.csv", "results.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        summary = json.loads((tmp_path / "1" / "results.json").read_text())
+        assert summary.get("failures", summary.get("metrics", {}).get("failures")) == 2
+
+    @pytest.mark.parametrize("kind", list(RUNS))
+    def test_same_budget_failure_from_two_processes(self, tmp_path, monkeypatch, capsys,
+                                                    kind):
+        runs = [self._run(kind, 3, processes, tmp_path / str(processes), monkeypatch, capsys)
+                for processes in (1, 2)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 3 and "3 failed trials out of 200" in runs[0][1]
+        for processes in (1, 2):
+            assert [f.name for f in (tmp_path / str(processes)).iterdir()] == [
+                "diagnostics.json"]
+        assert ((tmp_path / "1" / "diagnostics.json").read_bytes()
+                == (tmp_path / "2" / "diagnostics.json").read_bytes())

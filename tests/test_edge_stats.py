@@ -1,5 +1,7 @@
 """Edge statistics: rescaling, GOE reference, KS machinery, experiments."""
 
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.stats import ks_2samp
 from scclab import config as config_module
 from scclab import edge_stats
 from scclab import (
+    DomainError,
     ExperimentConfig,
     NumericalError,
     ParameterError,
@@ -118,6 +121,112 @@ class TestTrialLog:
             assert str(info.value) == (f"{attempts} failed trials out of {trials} "
                                        f"exceeds the 1% budget")
             assert info.value.achieved == attempts / trials
+
+
+class TestTrialMap:
+    """TrialLog.map at two processes: the parent's share is keys[:n // 2]."""
+
+    CONFIG = ExperimentConfig("tw-edge", n=40, c1=0.3, c2=0.2, seed=8)
+
+    @pytest.fixture(autouse=True)
+    def two_processes(self, monkeypatch):
+        monkeypatch.setattr(edge_stats, "_processes", lambda: 2)
+        yield
+        with pytest.raises(ChildProcessError):        # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _top(fail=()):
+        # the top eigenvalue of trial key's pair; the pairs of the keys in
+        # fail are singular on their first attempt
+        seeds = {derived_seed(8, 1, key, 0) for key in fail}
+
+        def compute(pair):
+            if pair.meta.seed in seeds:
+                raise NumericalError("injected failure")
+            return ccc_eigenvalues(pair)
+
+        return lambda log, key: log.draw(compute, 40, 1, key).eigenvalues[0]
+
+    def test_results_failures_and_minima_as_one_process(self, monkeypatch):
+        work = self._top(fail=[3, 150])
+        serial = TrialLog(self.CONFIG, 200)
+        expected = [work(serial, key) for key in range(200)]
+        logs = []
+        for processes in (1, 2):
+            monkeypatch.setattr(edge_stats, "_processes", lambda: processes)
+            logs.append(TrialLog(self.CONFIG, 200))
+            assert logs[-1].map(work, range(200)) == expected
+        assert [log.processes for log in logs] == [1, 2]
+        for log in logs:
+            assert log.failures == serial.failures == 2 and log.checks() == serial.checks()
+
+    def test_fewer_keys_than_processes(self):
+        log = TrialLog(self.CONFIG, 100)
+        assert log.map(lambda log, key: key, []) == []
+        assert log.map(lambda log, key: key, [7]) == [7] and log.processes == 1
+
+    @pytest.mark.parametrize("fail", [[150, 160, 170], [3, 160, 170]])
+    def test_budget_error_as_one_process(self, fail):
+        # all three failures in the child's share trip its own budget
+        # check; with one in the parent's, the fold finds the third
+        with pytest.raises(NumericalError) as info:
+            TrialLog(self.CONFIG, 200).map(self._top(fail), range(200))
+        assert str(info.value) == "3 failed trials out of 200 exceeds the 1% budget"
+        assert info.value.achieved == 0.015
+
+    def test_child_error_raised_after_earlier_failures(self):
+        # the child's error comes back whole, after the failure its share
+        # met before it has been counted
+        top = self._top(fail=[8])
+
+        def work(log, key):
+            if key == 9:
+                raise DomainError("injected domain error")
+            return top(log, key)
+
+        log = TrialLog(self.CONFIG, 100)
+        with pytest.raises(DomainError, match="injected domain error"):
+            log.map(work, range(4, 10))
+        assert log.failures == 1
+
+    def test_parent_error_stops_children(self):
+        # the child's share would take a minute; the parent's error ends it
+        parent = os.getpid()
+
+        def work(log, key):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise DomainError("injected domain error")
+
+        start = time.monotonic()
+        with pytest.raises(DomainError):
+            TrialLog(self.CONFIG, 100).map(work, range(4))
+        assert time.monotonic() - start < 30
+
+    def test_child_without_results_raises(self):
+        # a result that cannot be pickled never reaches the parent
+        parent = os.getpid()
+
+        def work(log, key):
+            return key if os.getpid() == parent else (lambda: key)
+
+        with pytest.raises(RuntimeError, match="ended without its results"):
+            TrialLog(self.CONFIG, 100).map(work, range(4))
+
+    def test_orphaned_child_stops_before_next_trial(self, tmp_path):
+        # a share run for a parent that is not this process's parent ends
+        # with status 1 before computing a trial
+        marker = tmp_path / "computed"
+        pid = os.fork()
+        if pid == 0:
+            try:
+                TrialLog(self.CONFIG, 100)._share(lambda log, key: marker.touch(), [0],
+                                                  parent=-1)
+            finally:
+                os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 1 and not marker.exists()
 
 
 class TestGoeReference:
@@ -270,7 +379,7 @@ class TestTwExperiment:
         assert rep.metrics["heavy_upper_tail"]
         assert rep.metrics["upper_tail_mass_ccc"] > rep.metrics["upper_tail_mass_goe"]
 
-    def test_failure_budget_aborts(self, monkeypatch):
+    def test_failure_budget_aborts(self, monkeypatch, one_trial_process):
         # tiny Rademacher matrices hit singular Gram blocks often enough to
         # blow the 1% resampling budget; the run stops at the first failure,
         # the first attempt of trial 29, and computes no spectrum after it
@@ -320,12 +429,12 @@ class TestRigidityExperiment:
         monkeypatch.setattr(edge_stats, "ccc_eigenvalues", flaky)
         return calls
 
-    def test_failures_counted(self, monkeypatch):
+    def test_failures_counted(self, monkeypatch, one_trial_process):
         assert rigidity_experiment(self.CONFIG).metrics["failures"] == 0
         self._failing_first(monkeypatch, 1)
         assert rigidity_experiment(self.CONFIG).metrics["failures"] == 1
 
-    def test_failure_budget_aborts(self, monkeypatch):
+    def test_failure_budget_aborts(self, monkeypatch, one_trial_process):
         calls = self._failing_first(monkeypatch, 2)
         with pytest.raises(NumericalError, match="2 failed trials out of 100"):
             rigidity_experiment(self.CONFIG)

@@ -187,6 +187,15 @@ class TestResolventRoutes:
             lin, bundle.G)
         assert linearized_resolvent._identity_residual(lin, wrong) > 1e-6
 
+    def test_nan_fails_the_identity_check(self, small_pair):
+        # a NaN must not vanish in the maxima, nor pass the limit
+        z = complex(0.3, 0.5)
+        G = resolvent(small_pair, z).G.copy()
+        G[150, 150] = np.nan
+        assert np.isnan(linearized_resolvent._identity_residual(build_H(small_pair, z), G))
+        with pytest.raises(NumericalError, match="residual nan exceeds"):
+            linearized_resolvent._enforce("resolvent identity", np.nan, 1e-6, z)
+
     def test_direct_rejects_sample_eigenvalue(self, small_pair):
         # det H vanishes at a squared sample correlation, so the plain
         # inversion must fail its conditioning check there
@@ -269,6 +278,15 @@ class TestLocalLawReport:
         with pytest.raises(NumericalError, match="trace identity") as info:
             local_law_errors(medium_pair, model, complex(0.5, 0.4))
         assert info.value.achieved == pytest.approx(1e-8, rel=1e-3)
+
+    def test_nan_trace_identity_enforced(self, medium_pair, monkeypatch):
+        # a NaN in the second identity alone must fail the check
+        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        real = linearized_resolvent.blocks_via_schur
+        monkeypatch.setattr(linearized_resolvent, "blocks_via_schur",
+                            lambda *a, **k: dataclasses.replace(real(*a, **k), m=complex("nan")))
+        with pytest.raises(NumericalError, match="trace identity residual nan"):
+            local_law_errors(medium_pair, model, complex(0.5, 0.4))
 
     def test_limit_objects_consistent(self, medium_pair):
         # the averaged deviations compare against the same transform values

@@ -3,6 +3,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,36 @@ def test_workload_digests_equal_direct_cli_runs(tmp_path, capsys, monkeypatch):
     assert results_digest.main(["--workload-seed", "5", str(config)]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("quantiles.json  quantiles  ") and printed[1:] == expected
+
+
+# one small config per kind, at sizes where OpenBLAS splits the products
+# of spectrum, tw-edge, rigidity-scaling and local-law-sweep over two
+# threads: run with the BLAS thread count left as set, their digests
+# differ between one thread and two
+BLAS_SIZED = {
+    "density-table": {"x_points": 5},
+    "quantiles": {"q": 5},
+    "spectrum": {"n": 400},
+    "local-law-sweep": {"n": 400, "trials": 1, "e_points": 1, "eta_points": 1},
+    "tw-edge": {"n": 400, "trials": 4},
+    "rigidity-scaling": {"n0": 200, "trials": 3, "factors": [1, 2]},
+}
+
+
+def test_digests_do_not_depend_on_blas_threads(tmp_path):
+    configs = []
+    for kind, fields in BLAS_SIZED.items():
+        configs.append(tmp_path / f"{kind}.json")
+        configs[-1].write_text(json.dumps({"kind": kind} | fields))
+    printed = []
+    for threads in ("1", "2"):
+        env = os.environ | {"OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
+                                   else []))}
+        proc = subprocess.run([sys.executable, str(ROOT / "tools" / "results_digest.py"),
+                               *map(str, configs)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert len(printed[0].splitlines()) == len(BLAS_SIZED)
+    assert printed[0] == printed[1]
