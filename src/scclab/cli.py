@@ -14,7 +14,9 @@ results.json's "failures", and the failure that takes the count past one
 percent of the run's pairs stops the run there, with exit code 3.  Their
 trials run through TrialLog.map, one process per CPU the run may use,
 with the same output as one process; manifest.json's environment gives
-the number of processes as "trial_processes".
+the number of processes as "trial_processes".  Every kind's runner
+returns one edge_stats.ExperimentReport, from which run writes the three
+files.
 
 Exit codes: 0 success, 2 validation failure (including an unreadable or
 malformed --config file, or a config kind other than the subcommand),
@@ -75,7 +77,7 @@ def _run_density_table(config: ExperimentConfig):
         "mass": support_mass(model),
         "points": config.x_points,
     }
-    return ("x", "density"), rows, results, None, None
+    return ExperimentReport(("x", "density"), rows, results)
 
 
 def _run_quantiles(config: ExperimentConfig):
@@ -89,7 +91,7 @@ def _run_quantiles(config: ExperimentConfig):
         "lambda_plus": model.lambda_plus,
         "monotone": bool(np.all(np.diff(gamma) < 0)) if config.q > 1 else True,
     }
-    return ("j", "gamma"), rows, results, None, None
+    return ExperimentReport(("j", "gamma"), rows, results)
 
 
 def _run_spectrum(config: ExperimentConfig):
@@ -111,7 +113,8 @@ def _run_spectrum(config: ExperimentConfig):
         "lambda_plus": model.lambda_plus,
     }
     checks = {"min_eig_xx_min": result.min_eig_xx, "min_eig_yy_min": result.min_eig_yy}
-    return ("index", "lambda", "gamma", "normalized_deviation"), rows, results, checks, None
+    return ExperimentReport(("index", "lambda", "gamma", "normalized_deviation"), rows,
+                            results, checks)
 
 
 def _run_local_law_sweep(config: ExperimentConfig):
@@ -157,36 +160,26 @@ def _run_local_law_sweep(config: ExperimentConfig):
     }
     checks |= {f"{key}_max": max(c[key] for c in point_checks)
                for key in ("identity_residual", "trace_identity")}
-    return header, rows, results, checks, log.processes
-
-
-def _report_outputs(report: ExperimentReport):
-    return (report.csv_header, report.csv_rows, report.to_json_dict(), report.checks,
-            report.processes)
+    return ExperimentReport(header, rows, results, checks, log.processes)
 
 
 # the drivers are looked up by their module-global names at call time, so
 # a caller that rebinds those names (a tracer, a test) sees every run
-def _run_tw_edge(config: ExperimentConfig):
-    return _report_outputs(tw_experiment(config))
-
-
-def _run_rigidity(config: ExperimentConfig):
-    return _report_outputs(rigidity_experiment(config))
-
-
 _RUNNERS = {
     "density-table": _run_density_table,
     "quantiles": _run_quantiles,
     "spectrum": _run_spectrum,
     "local-law-sweep": _run_local_law_sweep,
-    "tw-edge": _run_tw_edge,
-    "rigidity-scaling": _run_rigidity,
+    "tw-edge": lambda config: tw_experiment(config),
+    "rigidity-scaling": lambda config: rigidity_experiment(config),
 }
 
 
-def _environment(processes: int | None) -> dict:
-    """Library versions, BLAS build, thread settings and trial processes of this run."""
+def _environment(processes: int | None, pinned: bool) -> dict:
+    """Library versions, BLAS build, thread settings and trial processes of this run.
+
+    pinned says whether one_blas_thread found an OpenBLAS to run on one thread.
+    """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
@@ -198,44 +191,46 @@ def _environment(processes: int | None) -> dict:
         "cpu_count": os.cpu_count(),
         "threads": {key: value for key, value in sorted(os.environ.items())
                     if key.endswith("_NUM_THREADS")},
+        "blas_threads": 1 if pinned else None,
     } | ({} if processes is None else {"trial_processes": processes})
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
     """Validate, compute, then write results plus manifest.  Returns results.json's payload.
 
-    Each kind's runner maps the config to (csv header, csv rows,
-    results.json payload, checks or None, trial processes or None) and
-    writes nothing, so a run that raises leaves no output behind.  It
-    runs with BLAS on one thread, so results.* do not depend on the BLAS
-    thread count either.  The checks (self-check residuals, conditioning)
-    go to the manifest only, as do the "environment" (library versions,
-    BLAS, CPU count, *_NUM_THREADS settings and, for a Monte Carlo kind,
-    the number of processes that computed its trials) and the timings,
-    so results.* stay a function of the config.
+    Each kind's runner maps the config to an ExperimentReport and writes
+    nothing, so a run that raises leaves no output behind.  It runs with
+    BLAS on one thread, so results.* do not depend on the BLAS thread
+    count either.  The report's checks (self-check residuals,
+    conditioning) go to the manifest only, as do the "environment"
+    (library versions, BLAS, CPU count, *_NUM_THREADS settings, the BLAS
+    thread count in force, 1 where an OpenBLAS was pinned and null
+    otherwise, and, for a Monte Carlo kind, the number of processes that
+    computed its trials) and the timings, so results.* stay a function
+    of the config.
     """
     reject(validate(config))
     start = time.perf_counter()
-    with one_blas_thread():
-        header, rows, results, checks, processes = _RUNNERS[config.kind](config)
+    with one_blas_thread() as pinned:
+        report = _RUNNERS[config.kind](config)
     out = Path(out_dir)
     write_start = time.perf_counter()
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "results.csv", header, rows)
-    _write_json(out / "results.json", results)
+    _write_csv(out / "results.csv", report.csv_header, report.csv_rows)
+    _write_json(out / "results.json", report.results)
     end = time.perf_counter()
     manifest = {
         "config": dataclasses.asdict(config),
         "code_version": __version__,
         "seed": config.seed,
         "timings": {"total_s": end - start, "write_s": end - write_start},
-        "environment": _environment(processes),
+        "environment": _environment(report.processes, pinned),
         "outputs": ["results.csv", "results.json"],
     }
-    if checks is not None:
-        manifest["checks"] = checks
+    if report.checks is not None:
+        manifest["checks"] = report.checks
     _write_json(out / "manifest.json", manifest)
-    return results
+    return report.results
 
 
 def _parse_override(text: str):

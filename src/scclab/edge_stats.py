@@ -36,23 +36,27 @@ accepted pairs, the conditioning every Monte Carlo manifest reports.
 
 TrialLog.map computes a run's trials on every CPU the process may use:
 it splits the trial keys into contiguous shares, computes the first
-itself and each other one in a forked child, every process with BLAS on
-one thread, and folds the shares' results and failures in key order.
-Since a trial depends only on its key, the output, the failure count
-and the budget error are those of one process computing every trial in
-turn.  CPU affinity (taskset) is the only control of the process count.
+itself on its own log and each other one in a forked child, every
+process with BLAS on one thread, and folds the children's results and
+failures after its own in key order.  Since a trial depends only on its
+key, the output, the failure count and the budget error are those of one
+process computing every trial in turn.  CPU affinity (taskset) is the
+only control of the process count.
+
+Both drivers return an ExperimentReport, the one record every CLI runner
+returns: the csv header and rows, the results.json payload, and the
+checks and process count that go to the manifest only.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -148,6 +152,8 @@ class TrialLog:
     failed; min_eig_xx and min_eig_yy are the smallest Gram-block
     eigenvalues over the accepted results (infinite before the first).
     processes is the largest number of processes a map of this log used.
+    map computes the first share of its keys on this log and folds the
+    shares its forked children computed on their copies into it.
     """
 
     config: ExperimentConfig
@@ -201,20 +207,19 @@ class TrialLog:
 
         work computes the trial keyed by key and draws its pairs from log.
         The keys are split into contiguous shares, one per CPU
-        (os.sched_getaffinity): this process computes the first share and
-        a forked child each other one, which sends its results back
-        pickled.  Every process runs with BLAS on one thread; where no
-        OpenBLAS is found to pin, every key is computed here.  Each share
-        draws from a copy of this log, and the shares' results, failure
-        counts and conditioning are folded into this log in key order:
-        the fold counts a key's failures before it takes the key's
-        result, and an error a key raised is raised again when the fold
-        reaches it.  So the results, failures, minima and errors, the
-        budget error at the same failure included, are those of
-        computing every key here in turn.  No child outlives the call.
+        (os.sched_getaffinity): a forked child computes each share but
+        the first, and sends its results back pickled, while this process
+        computes the first share on this log, as a serial run would.
+        Every process runs with BLAS on one thread; where no OpenBLAS is
+        found to pin, every key is computed here.  The children's
+        results, failure counts and conditioning are then folded into
+        this log in key order: the fold counts a key's failures before it
+        takes the key's result, and an error a key raised is raised again
+        when the fold reaches it.  So the results, failures, minima and
+        errors, the budget error at the same failure included, are those
+        of computing every key here in turn.  No child outlives the call.
         """
         keys = list(keys)
-        results = []
         with one_blas_thread() as pinned:
             count = max(1, min(_processes(), len(keys))) if pinned else 1
             cuts = [len(keys) * i // count for i in range(count + 1)]
@@ -223,7 +228,7 @@ class TrialLog:
             try:
                 for share in shares[1:]:
                     children.append(self._fork(work, share, children))
-                self._fold(self._share(work, shares[0]), results)
+                results = [work(self, key) for key in shares[0]]
                 for pid, pipe in children:
                     with open(pipe, "rb", closefd=False) as reader:
                         data = reader.read()
@@ -238,27 +243,27 @@ class TrialLog:
         self.processes = max(self.processes, count)
         return results
 
-    def _share(self, work: Callable, keys: list, parent: int | None = None) -> tuple:
-        """(results, failures per key, min_eig_xx, min_eig_yy, error) of one share.
+    def _share(self, work: Callable, keys: list, parent: int) -> tuple:
+        """(results, failures per key, min_eig_xx, min_eig_yy, error) of a child's share.
 
-        The share stops at the first key whose work raises, whose failures
-        are the last entry.  A child stops at once when parent is no
-        longer its parent.
+        Runs in the forked child, on its copy of the log.  The share
+        stops at the first key whose work raises, whose failures are the
+        last entry.  The child stops at once when parent is no longer its
+        parent.
         """
-        log = dataclasses.replace(self)
         results, failed, error = [], [], None
         for key in keys:
-            if parent is not None and os.getppid() != parent:
+            if os.getppid() != parent:
                 os._exit(1)
-            before = log.failures
+            before = self.failures
             try:
-                results.append(work(log, key))
+                results.append(work(self, key))
             except Exception as exc:        # raised again where the fold reaches this key
                 error = exc
-            failed.append(log.failures - before)
+            failed.append(self.failures - before)
             if error is not None:
                 break
-        return results, failed, log.min_eig_xx, log.min_eig_yy, error
+        return results, failed, self.min_eig_xx, self.min_eig_yy, error
 
     def _fork(self, work: Callable, keys: list, siblings: list) -> tuple[int, int]:
         """Compute a share in a forked child; (its pid, the read end of its pipe).
@@ -319,8 +324,9 @@ def _goe_values(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarray:
 
 
 def goe_size_violations(n_goe: int, k_max: int) -> list[str]:
-    """The violated GOE reference size constraint n_goe >= k_max + 1, if any."""
-    return [] if n_goe >= k_max + 1 else [f"n_goe = {n_goe} too small for k_max = {k_max}"]
+    """The violated GOE reference edge-depth constraint 1 <= k_max < n_goe, if any."""
+    return [] if 1 <= k_max < n_goe else [
+        f"k_max must lie in [1, n_goe - 1 = {n_goe - 1}], got {k_max}"]
 
 
 def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> EdgeSamples:
@@ -350,24 +356,20 @@ def ks_two_sample(a, b) -> float:
 
 @dataclass(eq=False)
 class ExperimentReport:
-    """Aggregated Monte Carlo output with full reproducibility metadata.
+    """The output of one experiment run, as the CLI writes it.
 
-    checks holds the conditioning of the accepted spectra
-    (min_eig_xx_min, min_eig_yy_min) and processes the number of
-    processes that computed the trials; they describe the computation
-    rather than the result, so to_json_dict leaves them out.
+    csv_header and csv_rows make results.csv and results is the exact
+    results.json payload.  checks (self-check residuals, conditioning)
+    and processes (the number of processes that computed a Monte Carlo
+    run's trials) describe the computation rather than the result, so
+    they go to the manifest only; None leaves them out of it.
     """
 
-    kind: str
-    params: dict
-    metrics: dict
     csv_header: tuple
-    csv_rows: list = field(default_factory=list)
-    checks: dict = field(default_factory=dict)
-    processes: int = 1
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params, "metrics": self.metrics}
+    csv_rows: list
+    results: dict
+    checks: dict | None = None
+    processes: int | None = None
 
 
 def _require_valid(config: ExperimentConfig, kind: str) -> None:
@@ -405,7 +407,6 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     below the fourth-moment condition tends to overshoot the edge).
     """
     ccc = run_edge_trials(config, range(config.trials))     # validates the config
-    checks = ccc.trials.checks()
     goe = goe_reference(config.n, config.trials, config.k_max, config.seed)
 
     ks = [ks_two_sample(ccc.values[:, k], goe.values[:, k]) for k in range(config.k_max)]
@@ -441,11 +442,9 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     for t in range(config.trials):
         for k in range(config.k_max):
             rows.append(("goe", t, k + 1, repr(float(goe.values[t, k]))))
-    return ExperimentReport(
-        kind="tw-edge", params=params, metrics=metrics,
-        csv_header=("source", "trial", "k", "value"), csv_rows=rows,
-        checks=checks, processes=ccc.trials.processes,
-    )
+    results = {"kind": "tw-edge", "params": params, "metrics": metrics}
+    return ExperimentReport(("source", "trial", "k", "value"), rows, results,
+                            ccc.trials.checks(), ccc.trials.processes)
 
 
 def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -485,8 +484,6 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
         for t in range(config.trials):
             rows.append((n, t, repr(float(bulk[t])), repr(float(edge[t])), repr(float(prof[t]))))
 
-    checks = log.checks()
-
     log_n = np.log(np.array(ns, dtype=float))
     bulk_slope = float(np.polyfit(log_n, np.log(bulk_median), 1)[0])
     edge_slope = float(np.polyfit(log_n, np.log(edge_median), 1)[0])
@@ -506,9 +503,6 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
         "c2": config.c2, "law": config.law, "beta": config.beta,
         "c_phi": config.c_phi, "trials": config.trials, "seed": config.seed,
     }
-    return ExperimentReport(
-        kind="rigidity-scaling", params=params, metrics=metrics,
-        csv_header=("n", "trial", "fixed_index_dev", "edge_dev", "profile_max"),
-        csv_rows=rows,
-        checks=checks, processes=log.processes,
-    )
+    results = {"kind": "rigidity-scaling", "params": params, "metrics": metrics}
+    return ExperimentReport(("n", "trial", "fixed_index_dev", "edge_dev", "profile_max"),
+                            rows, results, log.checks(), log.processes)

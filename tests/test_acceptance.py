@@ -173,10 +173,10 @@ def test_criterion_7_edge_universality():
     """Top edge statistic matches the GOE reference for light and heavy tails."""
     gaussian = tw_experiment(ExperimentConfig(
         "tw-edge", n=400, c1=0.3, c2=0.2, trials=2000, law="gaussian", seed=5))
-    ks_gauss = gaussian.metrics["ks"][0]
+    ks_gauss = gaussian.results["metrics"]["ks"][0]
     heavy = tw_experiment(ExperimentConfig(
         "tw-edge", n=400, c1=0.3, c2=0.2, trials=2000, law="pareto", beta=4.5, seed=5))
-    ks_heavy = heavy.metrics["ks"][0]
+    ks_heavy = heavy.results["metrics"]["ks"][0]
     ok = ks_gauss <= 0.08 and ks_heavy <= 0.10
     _verdict("criterion-7 edge-universality", ok,
              f"KS(top) gaussian {ks_gauss:.4f} vs 0.08, "
@@ -188,12 +188,12 @@ def test_criterion_8_rigidity_scaling():
     report = rigidity_experiment(ExperimentConfig(
         "rigidity-scaling", n0=200, c1=0.3, c2=0.2, trials=50, law="gaussian",
         factors=(1, 2, 4), seed=17))
-    bulk = report.metrics["bulk_exponent"]
-    edge = report.metrics["edge_exponent"]
+    bulk = report.results["metrics"]["bulk_exponent"]
+    edge = report.results["metrics"]["edge_exponent"]
     ok = -0.8 <= bulk <= -0.55 and -0.8 <= edge <= -0.55
     _verdict("criterion-8 rigidity-scaling", ok,
              f"fitted exponents bulk {bulk:.3f}, edge {edge:.3f} vs [-0.8, -0.55] "
-             f"over n in {report.metrics['ns']}")
+             f"over n in {report.results['metrics']['ns']}")
 
 
 def test_criterion_9_transform_invariance():

@@ -31,6 +31,7 @@ from scclab import (
     truncate_center_rescale,
     tw_rescale,
 )
+from scclab._linalg import one_blas_thread
 from scclab.cli import ExperimentConfig, build_config, main, validate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -210,26 +211,31 @@ class TestMain:
         ("rigidity-scaling", ["n0=40", "trials=3", "factors=[1,2]"]),
     ])
     def test_environment_in_manifest_only(self, tmp_path, monkeypatch, kind, overrides):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        out = tmp_path / "env"
-        args = [kind, "--out", str(out)]
-        for item in overrides:
-            args += ["--override", item]
-        assert main(args) == 0
-        assert sorted(f.name for f in out.iterdir()) == [
-            "manifest.json", "results.csv", "results.json"]
-        env = json.loads((out / "manifest.json").read_text())["environment"]
-        monte_carlo = kind in ("local-law-sweep", "tw-edge", "rigidity-scaling")
-        assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "threads"} | (
-            {"trial_processes"} if monte_carlo else set())
-        if monte_carlo:
-            assert 1 <= env["trial_processes"] <= len(os.sched_getaffinity(0))
-        assert set(env["blas"]) == {"name", "version"}
-        assert env["cpu_count"] == os.cpu_count()
-        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
-        assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
-        results = json.loads((out / "results.json").read_text())
-        assert not {"environment", "numpy", "scipy", "blas", "threads"} & set(results)
+        with one_blas_thread() as pinned:
+            blas_threads = 1 if pinned else None
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            out = tmp_path / f"env{threads}"
+            args = [kind, "--out", str(out)]
+            for item in overrides:
+                args += ["--override", item]
+            assert main(args) == 0
+            assert sorted(f.name for f in out.iterdir()) == [
+                "manifest.json", "results.csv", "results.json"]
+            env = json.loads((out / "manifest.json").read_text())["environment"]
+            monte_carlo = kind in ("local-law-sweep", "tw-edge", "rigidity-scaling")
+            assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "threads",
+                                "blas_threads"} | ({"trial_processes"} if monte_carlo else set())
+            if monte_carlo:
+                assert 1 <= env["trial_processes"] <= len(os.sched_getaffinity(0))
+            assert set(env["blas"]) == {"name", "version"}
+            assert env["cpu_count"] == os.cpu_count()
+            # the variable is echoed as set, but the run computed on one BLAS thread
+            assert env["threads"]["OPENBLAS_NUM_THREADS"] == threads
+            assert env["blas_threads"] == blas_threads
+            assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
+            results = json.loads((out / "results.json").read_text())
+            assert not {"environment", "numpy", "scipy", "blas", "threads"} & set(results)
 
     def test_spectrum_csv_format_and_round_trip(self, tmp_path):
         out = tmp_path / "spec"

@@ -276,6 +276,13 @@ class TestGoeReference:
         with pytest.raises(ParameterError):
             goe_reference(100, 0)
 
+    @pytest.mark.parametrize("k_max", [0, -1, 50])
+    def test_edge_depth_outside_one_to_n_goe(self, k_max):
+        with pytest.raises(ParameterError, match=rf"k_max must lie in \[1, n_goe - 1 = 49\], "
+                                                 rf"got {k_max}"):
+            goe_reference(50, 4, k_max=k_max)
+        assert goe_reference(50, 4, k_max=49).values.shape == (4, 49)
+
 
 class TestKolmogorovSmirnov:
     def test_hand_case(self):
@@ -330,14 +337,13 @@ class TestTwExperiment:
         cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=30, law="gaussian",
                                seed=8)
         rep = tw_experiment(cfg)
-        assert rep.kind == "tw-edge"
-        assert len(rep.metrics["ks"]) == 3
+        assert rep.results["kind"] == "tw-edge"
+        assert len(rep.results["metrics"]["ks"]) == 3
         assert len(rep.csv_rows) == 2 * 30 * 3
         assert rep.csv_header == ("source", "trial", "k", "value")
-        assert rep.params["n_goe"] == 60
-        assert rep.metrics["failures"] == 0
-        d = rep.to_json_dict()
-        assert set(d) == {"kind", "params", "metrics"}
+        assert rep.results["params"]["n_goe"] == 60
+        assert rep.results["metrics"]["failures"] == 0
+        assert set(rep.results) == {"kind", "params", "metrics"}
 
     def test_model_built_once_per_run(self, monkeypatch):
         built, real = [], config_module.make_model
@@ -347,13 +353,13 @@ class TestTwExperiment:
                                seed=8)
         rep = tw_experiment(cfg)
         assert built == [(18 / 60, 12 / 60)]
-        assert rep.metrics["lambda_plus"] == make_model(18 / 60, 12 / 60).lambda_plus
+        assert rep.results["metrics"]["lambda_plus"] == make_model(18 / 60, 12 / 60).lambda_plus
 
     def test_conditioning_is_minimum_over_trials(self):
         cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=5, law="gaussian",
                                seed=8)
         rep = tw_experiment(cfg)
-        assert rep.metrics["failures"] == 0
+        assert rep.results["metrics"]["failures"] == 0
         spectra = [ccc_eigenvalues(sample_pair("gaussian", 18, 12, 60,
                                                derived_seed(8, 1, trial, 0)))
                    for trial in range(5)]
@@ -366,9 +372,10 @@ class TestTwExperiment:
         cfg = ExperimentConfig("tw-edge", n=200, c1=0.3, c2=0.2, trials=400, law="gaussian",
                                seed=14)
         rep = tw_experiment(cfg)
-        assert abs(rep.metrics["ccc_mean"][0] - rep.metrics["goe_mean"][0]) < 0.5
-        assert rep.metrics["ks"][0] < 0.15
-        assert not rep.metrics["heavy_upper_tail"]
+        metrics = rep.results["metrics"]
+        assert abs(metrics["ccc_mean"][0] - metrics["goe_mean"][0]) < 0.5
+        assert metrics["ks"][0] < 0.15
+        assert not metrics["heavy_upper_tail"]
 
     def test_heavy_tail_flag_below_moment_condition(self):
         # far below the fourth-moment condition the top statistic acquires
@@ -376,8 +383,9 @@ class TestTwExperiment:
         cfg = ExperimentConfig("tw-edge", n=200, c1=0.3, c2=0.2, trials=800, law="pareto",
                                beta=2.5, seed=14)
         rep = tw_experiment(cfg)
-        assert rep.metrics["heavy_upper_tail"]
-        assert rep.metrics["upper_tail_mass_ccc"] > rep.metrics["upper_tail_mass_goe"]
+        metrics = rep.results["metrics"]
+        assert metrics["heavy_upper_tail"]
+        assert metrics["upper_tail_mass_ccc"] > metrics["upper_tail_mass_goe"]
 
     def test_failure_budget_aborts(self, monkeypatch, one_trial_process):
         # tiny Rademacher matrices hit singular Gram blocks often enough to
@@ -430,9 +438,9 @@ class TestRigidityExperiment:
         return calls
 
     def test_failures_counted(self, monkeypatch, one_trial_process):
-        assert rigidity_experiment(self.CONFIG).metrics["failures"] == 0
+        assert rigidity_experiment(self.CONFIG).results["metrics"]["failures"] == 0
         self._failing_first(monkeypatch, 1)
-        assert rigidity_experiment(self.CONFIG).metrics["failures"] == 1
+        assert rigidity_experiment(self.CONFIG).results["metrics"]["failures"] == 1
 
     def test_failure_budget_aborts(self, monkeypatch, one_trial_process):
         calls = self._failing_first(monkeypatch, 2)

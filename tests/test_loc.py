@@ -59,3 +59,18 @@ def test_main_reports_each_file_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
         ["1", "b.py"], ["2", str(Path("pkg") / "a.py")], ["3", "total"]]
+
+
+def test_against_reports_before_after_and_delta(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "pkg").mkdir(parents=True)
+    (old / "pkg" / "a.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (new / "pkg" / "a.py").write_text("x = 1\n")
+    (old / "gone.py").write_text("w = 0\n")
+    (new / "added.py").write_text('"""Doc."""\nv = 1\nu = 2\n')
+    assert loc.main([str(new), "--against", str(old)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["0", "2", "+2", "added.py"], ["1", "0", "-1", "gone.py"],
+        ["3", "1", "-2", str(Path("pkg") / "a.py")], ["4", "3", "-1", "total"]]

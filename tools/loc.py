@@ -4,13 +4,18 @@ A line counts when it holds a token other than a comment and is not part
 of a module, class or function docstring.  Blank lines, comment-only
 lines and docstring lines do not count.
 
-    python3 tools/loc.py [ROOT]
+    python3 tools/loc.py [ROOT] [--against OTHER]
 
-ROOT defaults to the src/ directory next to this file's parent.
+ROOT defaults to the src/ directory next to this file's parent.  With
+--against OTHER, another source tree such as the src/ of an older
+checkout, each file and the total get three columns: the count in OTHER
+(before), in ROOT (after) and their difference; a file missing from one
+tree counts 0 there.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -42,14 +47,30 @@ def count_lines(source: str) -> int:
     return len(code - _docstring_lines(ast.parse(source)))
 
 
+def _counts(root: Path) -> dict[Path, int]:
+    return {path.relative_to(root): count_lines(path.read_text())
+            for path in sorted(root.rglob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        lines = count_lines(path.read_text())
-        total += lines
-        print(f"{lines:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(prog="loc.py", description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--against", type=Path, metavar="OTHER",
+                        help="print before (OTHER), after (ROOT) and delta per file")
+    args = parser.parse_args(argv)
+    after = _counts(args.root)
+    if args.against is None:
+        for path, lines in after.items():
+            print(f"{lines:6d}  {path}")
+        print(f"{sum(after.values()):6d}  total")
+        return 0
+    before = _counts(args.against)
+    rows = [(before.get(path, 0), after.get(path, 0), path)
+            for path in sorted(before.keys() | after.keys())]
+    rows.append((sum(before.values()), sum(after.values()), "total"))
+    for old, new, name in rows:
+        print(f"{old:6d} {new:6d} {new - old:+6d}  {name}")
     return 0
 
 
