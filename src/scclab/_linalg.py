@@ -18,6 +18,14 @@ one_blas_thread runs a block with every loaded OpenBLAS on one thread.
 A multithreaded BLAS may sum a product in another order than a single
 thread does, so results are computed under it to stay the same bytes at
 any thread count.
+
+steady_heap fixes the C allocator's mmap and trim thresholds at the
+ceiling of glibc's dynamic rule.  A Monte Carlo trial or a local-law
+point frees and reallocates the same few MB over and over; under the
+dynamic rule that memory is unmapped after each repeat and zero-filled
+again on the next, and with the fixed thresholds it stays on the heap.
+The setting is process-wide, so only the process owner, the command
+line, applies it; it changes where memory lives, never a computed value.
 """
 
 from __future__ import annotations
@@ -172,6 +180,32 @@ def one_blas_thread():
     finally:
         for (_, set_), count in zip(controls, counts):
             set_(count)
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt parameters, malloc.h
+_MMAP_CEILING = 32 << 20    # glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit hosts
+
+
+def steady_heap() -> bool:
+    """Pin the C allocator's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    glibc raises its mmap threshold to the size of the largest mmapped
+    chunk freed so far and trims the heap top past twice that, so memory
+    a repeated computation frees is handed back to the kernel and faulted
+    in again on the next repeat.  Pinned at the rule's 64-bit ceiling (and
+    the trim threshold at the rule's twice that), blocks below 32 MiB come
+    from the heap and stay mapped between repeats.  Forked children
+    inherit the setting.  Returns whether both mallopt calls succeeded;
+    False where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    done = [mallopt(_M_MMAP_THRESHOLD, _MMAP_CEILING),
+            mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_CEILING)]
+    return done == [1, 1]
 
 
 def sqrt_upper(w: complex) -> complex:

@@ -16,7 +16,12 @@ trials run through TrialLog.map, one process per CPU the run may use,
 with the same output as one process; manifest.json's environment gives
 the number of processes as "trial_processes".  Every kind's runner
 returns one edge_stats.ExperimentReport, from which run writes the three
-files.
+files.  run also pins the C allocator's thresholds (_linalg.steady_heap),
+so the memory that repeated trials and local-law points free stays
+mapped instead of being faulted in again; the forked trial processes
+inherit it, and the manifest records it as "steady_heap".  An --out that
+is a file, or lies under one, is a validation failure found before
+anything is computed.
 
 Exit codes: 0 success, 2 validation failure (including an unreadable or
 malformed --config file, or a config kind other than the subcommand),
@@ -38,7 +43,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._linalg import one_blas_thread
+from ._linalg import one_blas_thread, steady_heap
 from .config import KINDS, ExperimentConfig, build_config, validate
 from .edge_stats import (
     ExperimentReport,
@@ -175,10 +180,11 @@ _RUNNERS = {
 }
 
 
-def _environment(processes: int | None, pinned: bool) -> dict:
+def _environment(processes: int | None, pinned: bool, steady: bool) -> dict:
     """Library versions, BLAS build, thread settings and trial processes of this run.
 
-    pinned says whether one_blas_thread found an OpenBLAS to run on one thread.
+    pinned says whether one_blas_thread found an OpenBLAS to run on one
+    thread, steady whether steady_heap pinned the allocator's thresholds.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -192,28 +198,42 @@ def _environment(processes: int | None, pinned: bool) -> dict:
         "threads": {key: value for key, value in sorted(os.environ.items())
                     if key.endswith("_NUM_THREADS")},
         "blas_threads": 1 if pinned else None,
+        "steady_heap": steady,
     } | ({} if processes is None else {"trial_processes": processes})
+
+
+def _out_dir_violations(out: Path) -> list[str]:
+    """The --out rule: the nearest existing path of out and its parents is a directory."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if existing.is_dir():
+        return []
+    where = "is" if existing == out else f"lies under {existing}, which is"
+    return [f"--out {out} {where} not a directory"]
 
 
 def run(config: ExperimentConfig, out_dir) -> dict:
     """Validate, compute, then write results plus manifest.  Returns results.json's payload.
 
     Each kind's runner maps the config to an ExperimentReport and writes
-    nothing, so a run that raises leaves no output behind.  It runs with
-    BLAS on one thread, so results.* do not depend on the BLAS thread
-    count either.  The report's checks (self-check residuals,
-    conditioning) go to the manifest only, as do the "environment"
-    (library versions, BLAS, CPU count, *_NUM_THREADS settings, the BLAS
-    thread count in force, 1 where an OpenBLAS was pinned and null
-    otherwise, and, for a Monte Carlo kind, the number of processes that
-    computed its trials) and the timings, so results.* stay a function
-    of the config.
+    nothing, so a run that raises leaves no output behind; an out_dir
+    that is a file, or lies under one, is rejected with the config.  It
+    runs with BLAS on one thread, so results.* do not depend on the BLAS
+    thread count either, and with the allocator's thresholds pinned by
+    steady_heap, which this process owns, so the memory its repeated
+    trials and points free stays mapped.  The report's checks
+    (self-check residuals, conditioning) go to the manifest only, as do
+    the "environment" (library versions, BLAS, CPU count, *_NUM_THREADS
+    settings, the BLAS thread count in force, 1 where an OpenBLAS was
+    pinned and null otherwise, whether steady_heap took effect, and, for
+    a Monte Carlo kind, the number of processes that computed its
+    trials) and the timings, so results.* stay a function of the config.
     """
-    reject(validate(config))
+    out = Path(out_dir)
+    reject(validate(config) + _out_dir_violations(out))
     start = time.perf_counter()
+    steady = steady_heap()
     with one_blas_thread() as pinned:
         report = _RUNNERS[config.kind](config)
-    out = Path(out_dir)
     write_start = time.perf_counter()
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "results.csv", report.csv_header, report.csv_rows)
@@ -224,7 +244,7 @@ def run(config: ExperimentConfig, out_dir) -> dict:
         "code_version": __version__,
         "seed": config.seed,
         "timings": {"total_s": end - start, "write_s": end - write_start},
-        "environment": _environment(report.processes, pinned),
+        "environment": _environment(report.processes, pinned, steady),
         "outputs": ["results.csv", "results.json"],
     }
     if report.checks is not None:

@@ -31,7 +31,7 @@ from scclab import (
     truncate_center_rescale,
     tw_rescale,
 )
-from scclab._linalg import one_blas_thread
+from scclab._linalg import one_blas_thread, steady_heap
 from scclab.cli import ExperimentConfig, build_config, main, validate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -213,6 +213,7 @@ class TestMain:
     def test_environment_in_manifest_only(self, tmp_path, monkeypatch, kind, overrides):
         with one_blas_thread() as pinned:
             blas_threads = 1 if pinned else None
+        steady = steady_heap()
         for threads in ("1", "2"):
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
             out = tmp_path / f"env{threads}"
@@ -224,8 +225,8 @@ class TestMain:
                 "manifest.json", "results.csv", "results.json"]
             env = json.loads((out / "manifest.json").read_text())["environment"]
             monte_carlo = kind in ("local-law-sweep", "tw-edge", "rigidity-scaling")
-            assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "threads",
-                                "blas_threads"} | ({"trial_processes"} if monte_carlo else set())
+            assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "threads", "blas_threads",
+                                "steady_heap"} | ({"trial_processes"} if monte_carlo else set())
             if monte_carlo:
                 assert 1 <= env["trial_processes"] <= len(os.sched_getaffinity(0))
             assert set(env["blas"]) == {"name", "version"}
@@ -233,6 +234,7 @@ class TestMain:
             # the variable is echoed as set, but the run computed on one BLAS thread
             assert env["threads"]["OPENBLAS_NUM_THREADS"] == threads
             assert env["blas_threads"] == blas_threads
+            assert env["steady_heap"] is steady
             assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
             results = json.loads((out / "results.json").read_text())
             assert not {"environment", "numpy", "scipy", "blas", "threads"} & set(results)
@@ -268,6 +270,22 @@ class TestMain:
         assert code == 2
         assert not out.exists()
         assert "c1 + c2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, under", [("spectrum", ""), ("tw-edge", "sub")])
+    def test_out_that_is_a_file_exit_2_before_computing(self, tmp_path, monkeypatch, capsys,
+                                                        kind, under):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / under if under else taken
+
+        def never(config):
+            raise AssertionError("the run computed")
+
+        monkeypatch.setitem(cli._RUNNERS, kind, never)
+        assert main([kind, "--out", str(out)]) == 2
+        assert f"--out {out} " in capsys.readouterr().err
+        assert taken.read_text() == "keep\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["taken"]
 
     def test_mid_run_domain_error_exit_2_no_outputs(self, tmp_path, monkeypatch):
         def failing(config):
