@@ -19,6 +19,11 @@ A multithreaded BLAS may sum a product in another order than a single
 thread does, so results are computed under it to stay the same bytes at
 any thread count.
 
+invert_lower inverts a lower triangular matrix with LAPACK's dtrtri,
+reached, as the thread controls are, in the OpenBLAS that the numpy
+wheel loads; numpy itself has no triangular routine.  Where no loaded
+library exports it, np.linalg.inv does the same job by a general LU.
+
 steady_heap fixes the C allocator's mmap and trim thresholds at the
 ceiling of glibc's dynamic rule.  A Monte Carlo trial or a local-law
 point frees and reallocates the same few MB over and over; under the
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -136,13 +142,11 @@ def _negative_pivots(diag_rows: np.ndarray, off2_rows: np.ndarray, x: np.ndarray
     return counts
 
 
-def _openblas_threads() -> tuple:
-    """(get, set) of the thread count of each OpenBLAS mapped into this process.
+def _openblas_libraries() -> tuple:
+    """Each OpenBLAS mapped into this process, opened with ctypes.
 
-    The libraries are found by path in /proc/self/maps; the functions are
-    openblas_[gs]et_num_threads under the scipy_ prefix and 64_ suffix
-    that the builds of numpy and scipy wheels add.  Empty where there is
-    no such file or library.
+    The libraries are found by path in /proc/self/maps; empty where there
+    is no such file or library.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -150,9 +154,17 @@ def _openblas_threads() -> tuple:
                             if "openblas" in line.rsplit("/", 1)[-1].lower()})
     except OSError:
         return ()
+    return tuple(ctypes.CDLL(path) for path in paths)
+
+
+def _openblas_threads() -> tuple:
+    """(get, set) of the thread count of each loaded OpenBLAS.
+
+    The functions are openblas_[gs]et_num_threads under the scipy_ prefix
+    and 64_ suffix that the builds of numpy and scipy wheels add.
+    """
     controls = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
+    for lib in _openblas_libraries():
         for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
                      "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
             if hasattr(lib, name.format("set")):
@@ -162,6 +174,54 @@ def _openblas_threads() -> tuple:
                 controls.append((get, set_))
                 break
     return tuple(controls)
+
+
+_COL_MAJOR = 102        # LAPACK_COL_MAJOR, lapacke.h
+
+
+@functools.cache
+def _dtrtri():
+    """LAPACKE_dtrtri of the numpy wheel's ILP64 OpenBLAS, or None where none is loaded.
+
+    Looked up once, on first use; numpy's own OpenBLAS is mapped by then.
+    """
+    for lib in _openblas_libraries():
+        if hasattr(lib, "scipy_LAPACKE_dtrtri64_"):
+            dtrtri = lib.scipy_LAPACKE_dtrtri64_
+            dtrtri.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                               ctypes.c_void_p, ctypes.c_int64]
+            dtrtri.restype = ctypes.c_int64
+            return dtrtri
+    return None
+
+
+def triangular_inverse_route() -> str:
+    """"dtrtri" where invert_lower calls LAPACK's triangular inverse, "inv" otherwise."""
+    return "inv" if _dtrtri() is None else "dtrtri"
+
+
+def invert_lower(L: np.ndarray) -> np.ndarray:
+    """The inverse of a nonsingular lower triangular L, itself lower triangular.
+
+    With dtrtri the inverse overwrites a writeable C-ordered float64 L
+    (any other L is copied first), and that array is returned.  Its
+    C-order bytes are L' in column-major order, so dtrtri inverting that
+    upper triangle leaves L**(-1) in L's own order, and LAPACKE makes no
+    transposed copy.  Without dtrtri, L is left alone and the lower
+    triangle of np.linalg.inv(L) returned.  A zero on the diagonal
+    raises LinAlgError either way.
+    """
+    dtrtri = _dtrtri()
+    if dtrtri is None:
+        return np.tril(np.linalg.inv(L))
+    L = np.require(L, np.float64, ("C", "W"))
+    n = L.shape[0]
+    if L.shape != (n, n):
+        raise ValueError(f"invert_lower needs a square matrix, got shape {L.shape}")
+    info = dtrtri(_COL_MAJOR, b"U", b"N", n, L.ctypes.data, max(n, 1))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dtrtri failed with info = {info}")
+    return L
 
 
 @contextlib.contextmanager

@@ -43,7 +43,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._linalg import one_blas_thread, steady_heap
+from ._linalg import one_blas_thread, steady_heap, triangular_inverse_route
 from .config import KINDS, ExperimentConfig, build_config, validate
 from .edge_stats import (
     ExperimentReport,
@@ -54,7 +54,7 @@ from .edge_stats import (
 )
 from .errors import DomainError, NumericalError, ParameterError, reject
 from .linearized_resolvent import local_law_errors
-from .scc_core import canonical_factor, ccc_eigenvalues, rigidity_profile
+from .scc_core import canonical_factor, ccc_eigenvalues, rigidity_profile, sample_covariances
 from .spectral_model import classical_locations, density, make_model, support_mass
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -110,14 +110,18 @@ def _run_spectrum(config: ExperimentConfig):
     dev = rigidity_profile(result, model, keep_fraction=1.0)
     rows = [(i + 1, repr(float(lam)), repr(float(g)), repr(float(d)))
             for i, (lam, g, d) in enumerate(zip(result.eigenvalues, gamma, dev))]
+    # the one run that reports the exact smallest Gram eigenvalues; the
+    # spectrum's guard only bounds them
+    Sxx, Syy, _ = sample_covariances(pair)
     results = {
         "n": n, "p": p, "q": q,
         "top_eigenvalues": [float(x) for x in result.eigenvalues[: min(5, q)]],
-        "min_eig_xx": result.min_eig_xx,
-        "min_eig_yy": result.min_eig_yy,
+        "min_eig_xx": float(np.linalg.eigvalsh(Sxx)[0]),
+        "min_eig_yy": float(np.linalg.eigvalsh(Syy)[0]),
         "lambda_plus": model.lambda_plus,
     }
-    checks = {"min_eig_xx_min": result.min_eig_xx, "min_eig_yy_min": result.min_eig_yy}
+    checks = {"min_eig_xx_bound_min": result.min_eig_xx_bound,
+              "min_eig_yy_bound_min": result.min_eig_yy_bound}
     return ExperimentReport(("index", "lambda", "gamma", "normalized_deviation"), rows,
                             results, checks)
 
@@ -199,6 +203,7 @@ def _environment(processes: int | None, pinned: bool, steady: bool) -> dict:
                     if key.endswith("_NUM_THREADS")},
         "blas_threads": 1 if pinned else None,
         "steady_heap": steady,
+        "triangular_inverse": triangular_inverse_route(),
     } | ({} if processes is None else {"trial_processes": processes})
 
 
@@ -224,8 +229,9 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     (self-check residuals, conditioning) go to the manifest only, as do
     the "environment" (library versions, BLAS, CPU count, *_NUM_THREADS
     settings, the BLAS thread count in force, 1 where an OpenBLAS was
-    pinned and null otherwise, whether steady_heap took effect, and, for
-    a Monte Carlo kind, the number of processes that computed its
+    pinned and null otherwise, whether steady_heap took effect, the
+    route that inverted the Cholesky factors, "dtrtri" or "inv", and,
+    for a Monte Carlo kind, the number of processes that computed its
     trials) and the timings, so results.* stay a function of the config.
     """
     out = Path(out_dir)

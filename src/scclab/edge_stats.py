@@ -31,8 +31,9 @@ identical output; a pair whose computation fails is resampled on the
 next retry and counted.  The one bound on failures is a budget of one
 percent of the run's pair-trials: the failure that exceeds it aborts
 the experiment at once, and no trial after it is counted.  The
-TrialLog also keeps the smallest Gram-block eigenvalues over the
-accepted pairs, the conditioning every Monte Carlo manifest reports.
+TrialLog also keeps the smallest lower bounds on the Gram-block
+eigenvalues over the accepted pairs, the conditioning every Monte Carlo
+manifest reports.
 
 TrialLog.map computes a run's trials on every CPU the process may use:
 it splits the trial keys into contiguous shares, computes the first
@@ -149,8 +150,9 @@ class TrialLog:
 
     trials is the run's pair-trial count, which sets the failure budget
     of one percent of it.  failures counts the pairs whose computation
-    failed; min_eig_xx and min_eig_yy are the smallest Gram-block
-    eigenvalues over the accepted results (infinite before the first).
+    failed; min_eig_xx_bound and min_eig_yy_bound are the smallest of the
+    results' lower bounds on their Gram-block eigenvalues (infinite before
+    the first accepted result).
     processes is the largest number of processes a map of this log used.
     map computes the first share of its keys on this log and folds the
     shares its forked children computed on their copies into it.
@@ -159,8 +161,8 @@ class TrialLog:
     config: ExperimentConfig
     trials: int
     failures: int = 0
-    min_eig_xx: float = math.inf
-    min_eig_yy: float = math.inf
+    min_eig_xx_bound: float = math.inf
+    min_eig_yy_bound: float = math.inf
     processes: int = 1
 
     def draw(self, compute: Callable, n: int, *key: int):
@@ -172,7 +174,7 @@ class TrialLog:
         failures past one percent of trials aborts the run with a
         NumericalError, so a run tries at most floor(0.01 trials) + 1
         failed pairs.  The result, a SpectrumResult or a CanonicalFactor,
-        must carry min_eig_xx and min_eig_yy.
+        must carry min_eig_xx_bound and min_eig_yy_bound.
         """
         config = self.config
         p, q = config.dims(n)
@@ -184,8 +186,8 @@ class TrialLog:
             except ScclabError:
                 self._fail()
                 continue
-            self.min_eig_xx = min(self.min_eig_xx, result.min_eig_xx)
-            self.min_eig_yy = min(self.min_eig_yy, result.min_eig_yy)
+            self.min_eig_xx_bound = min(self.min_eig_xx_bound, result.min_eig_xx_bound)
+            self.min_eig_yy_bound = min(self.min_eig_yy_bound, result.min_eig_yy_bound)
             return result
 
     def _fail(self) -> None:
@@ -200,7 +202,8 @@ class TrialLog:
 
     def checks(self) -> dict:
         """The conditioning minima over the accepted results."""
-        return {"min_eig_xx_min": self.min_eig_xx, "min_eig_yy_min": self.min_eig_yy}
+        return {"min_eig_xx_bound_min": self.min_eig_xx_bound,
+                "min_eig_yy_bound_min": self.min_eig_yy_bound}
 
     def map(self, work: Callable, keys) -> list:
         """[work(log, key) for key in keys], on every CPU this process may use.
@@ -244,7 +247,7 @@ class TrialLog:
         return results
 
     def _share(self, work: Callable, keys: list, parent: int) -> tuple:
-        """(results, failures per key, min_eig_xx, min_eig_yy, error) of a child's share.
+        """(results, failures per key, both conditioning minima, error) of a child's share.
 
         Runs in the forked child, on its copy of the log.  The share
         stops at the first key whose work raises, whose failures are the
@@ -263,7 +266,7 @@ class TrialLog:
             failed.append(self.failures - before)
             if error is not None:
                 break
-        return results, failed, self.min_eig_xx, self.min_eig_yy, error
+        return results, failed, self.min_eig_xx_bound, self.min_eig_yy_bound, error
 
     def _fork(self, work: Callable, keys: list, siblings: list) -> tuple[int, int]:
         """Compute a share in a forked child; (its pid, the read end of its pipe).
@@ -291,7 +294,7 @@ class TrialLog:
 
     def _fold(self, share: tuple, results: list) -> None:
         """Count a share's failures and append its results, key by key, then its error."""
-        values, failed, min_eig_xx, min_eig_yy, error = share
+        values, failed, min_eig_xx_bound, min_eig_yy_bound, error = share
         for i, count in enumerate(failed):
             for _ in range(count):
                 self._fail()
@@ -299,8 +302,8 @@ class TrialLog:
                 results.append(values[i])
         if error is not None:
             raise error
-        self.min_eig_xx = min(self.min_eig_xx, min_eig_xx)
-        self.min_eig_yy = min(self.min_eig_yy, min_eig_yy)
+        self.min_eig_xx_bound = min(self.min_eig_xx_bound, min_eig_xx_bound)
+        self.min_eig_yy_bound = min(self.min_eig_yy_bound, min_eig_yy_bound)
 
 
 @functools.lru_cache(maxsize=8)

@@ -7,19 +7,23 @@ eigenvalues of
 
 with Sxx = X X', Syy = Y Y', Sxy = X Y'.  They are computed here from
 the whitened cross matrix M = Lx**(-1) Sxy Ly**(-T), where Sxx = Lx Lx'
-and Syy = Ly Ly' are Cholesky factorizations; M comes from two linear
-solves, so no inverse is formed.  Any whitening W with W S W' = I
-differs from S**(-1/2) by an orthogonal factor on the left, so M has the
+and Syy = Ly Ly' are Cholesky factorizations.  Each factor is inverted
+once, as a triangular matrix (_linalg.invert_lower), and M is two matrix
+products with the inverses.  Any whitening W with W S W' = I differs
+from S**(-1/2) by an orthogonal factor on the left, so M has the
 singular values of Sxx**(-1/2) Sxy Syy**(-1/2), and the spectrum stays
 in [0, 1] up to roundoff.  The spectrum is the eigenvalues (values only)
 of the smaller Gram matrix of M, M'M for p >= q; the p x p version
 carries p - q extra zeros.  Only canonical_factor takes a full SVD of M
 (the canonical weight vectors), for the Schur route of the local law.
 
-Before whitening, the eigenvalues (values only) of Sxx and Syy are
-checked against a relative floor of 1e-10; a block below it raises
-SingularityError, and the smallest eigenvalues are reported as
-conditioning diagnostics.
+A Gram block whose smallest eigenvalue is at most 1e-10 times its
+largest is numerically singular and raises SingularityError.  The guard
+rarely needs the eigenvalues: the inverse factor certifies the block
+(see _whitener), and only a block the certificate cannot clear takes
+the exact eigenvalue rule.  Its lower bound on the smallest eigenvalue
+is reported as the conditioning diagnostic min_eig_*_bound; it is the
+exact smallest eigenvalue where the exact rule ran.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import invert_lower
 from .errors import NumericalError, ParameterError, SingularityError
 from .sampler import DataPair, PairMeta
 from .spectral_model import SpectralModel, classical_locations
@@ -45,6 +50,7 @@ __all__ = [
 
 _CLAMP_TOL = 1e-12
 _SINGULAR_FLOOR = 1e-10
+_CERTIFIED_MARGIN = 100.0
 
 
 def sample_covariances(pair: DataPair):
@@ -54,13 +60,18 @@ def sample_covariances(pair: DataPair):
 
 @dataclass(eq=False)
 class WhitenedCross:
-    """Whitened cross matrix with its Cholesky factors and conditioning diagnostics."""
+    """Whitened cross matrix with its whiteners and conditioning diagnostics.
+
+    min_eig_xx_bound and min_eig_yy_bound are lower bounds on the smallest
+    eigenvalues of Sxx and Syy, at least lambda_min / sqrt(k) for a k x k
+    block, and exact where the guard's exact rule ran.
+    """
 
     matrix: np.ndarray          # Lx**(-1) Sxy Ly**(-T), p x q
-    chol_xx: np.ndarray         # Lx, lower triangular, Lx Lx' = Sxx
-    chol_yy: np.ndarray
-    min_eig_xx: float
-    min_eig_yy: float
+    whitener_xx: np.ndarray     # Lx**(-1), lower triangular, with Lx Lx' = Sxx
+    whitener_yy: np.ndarray
+    min_eig_xx_bound: float
+    min_eig_yy_bound: float
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -73,11 +84,11 @@ class WhitenedCross:
         return np.linalg.eigvalsh(gram)[::-1]
 
 
-def _whitener(S: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor of a Gram block and its smallest eigenvalue.
+def _exact_floor(S: np.ndarray) -> float:
+    """The smallest eigenvalue of a Gram block, which must clear the relative floor.
 
-    Raises SingularityError when the smallest eigenvalue falls below
-    1e-10 times the largest, reporting the offending value.
+    Raises SingularityError when it falls below 1e-10 times the largest,
+    reporting the offending value.
     """
     w = np.linalg.eigvalsh(S)
     w_min, w_max = float(w[0]), float(w[-1])
@@ -87,20 +98,54 @@ def _whitener(S: np.ndarray) -> tuple[np.ndarray, float]:
             f"vs max {w_max:.3e} (relative floor {_SINGULAR_FLOOR:.1e})",
             min_eigenvalue=w_min,
         )
-    return np.linalg.cholesky(S), w_min
+    return w_min
+
+
+def _whitener(S: np.ndarray) -> tuple[np.ndarray, float]:
+    """(L**(-1), bound) for a Gram block S = L L', bound <= its smallest eigenvalue.
+
+    With W = L**(-1), W'W = S**(-1), whose Frobenius norm lies between
+    1/lambda_min and sqrt(k)/lambda_min for a k x k block, so
+    bound = 1/|W'W|_F satisfies lambda_min/sqrt(k) <= bound <= lambda_min;
+    and lambda_max <= tr S.  The block passes on that certificate alone
+    when bound > 100 * 1e-10 * tr S, a hundred times the singularity
+    floor, and then cond(S) < 1e8.  The margin covers rounding, with u
+    the unit roundoff (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, chs. 8 and 10):
+      - the computed L is the exact factor of S + E with
+        |E| <= gamma_{k+1} |L||L'| elementwise, so |E|_2 <= k(k+1) u |S|_2
+        to first order, under 2e-11 |S|_2 for k up to 400, and lambda_min
+        moves by no more;
+      - the computed triangular inverse has a relative error of order
+        k u cond(L), under 1e-9 for k up to 400 when cond(S) < 1e8;
+      - eigvalsh's own error is of order k u |S|_2.
+    Together they stay far below the 99e-10 tr S between the pass line
+    and the floor, so a certified block passes the exact rule too.  Any
+    other block, and one whose Cholesky factorization or inverse fails,
+    goes to that rule (_exact_floor), which raises SingularityError or
+    returns the exact smallest eigenvalue as the bound.
+    """
+    try:
+        W = invert_lower(np.linalg.cholesky(S))
+    except np.linalg.LinAlgError:
+        _exact_floor(S)
+        raise
+    bound = 1.0 / float(np.linalg.norm(W.T @ W))
+    if not bound > _CERTIFIED_MARGIN * _SINGULAR_FLOOR * float(np.trace(S)):
+        bound = _exact_floor(S)
+    return W, bound
 
 
 def whitened_cross(pair: DataPair) -> WhitenedCross:
     Sxx, Syy, Sxy = sample_covariances(pair)
-    Lx, min_xx = _whitener(Sxx)
-    Ly, min_yy = _whitener(Syy)
-    matrix = np.linalg.solve(Ly, np.linalg.solve(Lx, Sxy).T).T
+    Wx, bound_xx = _whitener(Sxx)
+    Wy, bound_yy = _whitener(Syy)
     return WhitenedCross(
-        matrix=matrix,
-        chol_xx=Lx,
-        chol_yy=Ly,
-        min_eig_xx=min_xx,
-        min_eig_yy=min_yy,
+        matrix=Wx @ Sxy @ Wy.T,
+        whitener_xx=Wx,
+        whitener_yy=Wy,
+        min_eig_xx_bound=bound_xx,
+        min_eig_yy_bound=bound_yy,
     )
 
 
@@ -110,8 +155,8 @@ class CanonicalFactor:
 
     The columns of A = Lx**(-T) U and B = Ly**(-T) V are the sample canonical
     weight vectors: A' Sxx A = I, B' Syy B = I and A' Sxy B = diag(sv).
-    lam_p and lam_q are sv**2 zero-padded to p and q entries; min_eig_*
-    are whitened_cross's conditioning.
+    lam_p and lam_q are sv**2 zero-padded to p and q entries; min_eig_*_bound
+    are whitened_cross's conditioning bounds.
     """
 
     pair: DataPair
@@ -120,8 +165,8 @@ class CanonicalFactor:
     sv: np.ndarray
     lam_p: np.ndarray
     lam_q: np.ndarray
-    min_eig_xx: float
-    min_eig_yy: float
+    min_eig_xx_bound: float
+    min_eig_yy_bound: float
 
 
 def canonical_factor(pair: DataPair) -> CanonicalFactor:
@@ -130,11 +175,10 @@ def canonical_factor(pair: DataPair) -> CanonicalFactor:
     U, sv, Vt = np.linalg.svd(wc.matrix)
     lam = sv ** 2
     return CanonicalFactor(
-        pair=pair, A=np.linalg.solve(wc.chol_xx.T, U),
-        B=np.linalg.solve(wc.chol_yy.T, Vt.T), sv=sv,
+        pair=pair, A=wc.whitener_xx.T @ U, B=wc.whitener_yy.T @ Vt.T, sv=sv,
         lam_p=np.concatenate([lam, np.zeros(pair.p - len(sv))]),
         lam_q=np.concatenate([lam, np.zeros(pair.q - len(sv))]),
-        min_eig_xx=wc.min_eig_xx, min_eig_yy=wc.min_eig_yy,
+        min_eig_xx_bound=wc.min_eig_xx_bound, min_eig_yy_bound=wc.min_eig_yy_bound,
     )
 
 
@@ -146,8 +190,8 @@ class SpectrumResult:
     p: int
     q: int
     n: int
-    min_eig_xx: float
-    min_eig_yy: float
+    min_eig_xx_bound: float
+    min_eig_yy_bound: float
     meta: PairMeta | None = None
 
 
@@ -170,8 +214,8 @@ def ccc_eigenvalues(pair: DataPair) -> SpectrumResult:
         p=pair.p,
         q=pair.q,
         n=pair.n,
-        min_eig_xx=wc.min_eig_xx,
-        min_eig_yy=wc.min_eig_yy,
+        min_eig_xx_bound=wc.min_eig_xx_bound,
+        min_eig_yy_bound=wc.min_eig_yy_bound,
         meta=pair.meta,
     )
 

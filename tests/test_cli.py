@@ -31,7 +31,7 @@ from scclab import (
     truncate_center_rescale,
     tw_rescale,
 )
-from scclab._linalg import one_blas_thread, steady_heap
+from scclab._linalg import one_blas_thread, steady_heap, triangular_inverse_route
 from scclab.cli import ExperimentConfig, build_config, main, validate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -226,7 +226,8 @@ class TestMain:
             env = json.loads((out / "manifest.json").read_text())["environment"]
             monte_carlo = kind in ("local-law-sweep", "tw-edge", "rigidity-scaling")
             assert set(env) == {"numpy", "scipy", "blas", "cpu_count", "threads", "blas_threads",
-                                "steady_heap"} | ({"trial_processes"} if monte_carlo else set())
+                                "steady_heap", "triangular_inverse"} | (
+                                    {"trial_processes"} if monte_carlo else set())
             if monte_carlo:
                 assert 1 <= env["trial_processes"] <= len(os.sched_getaffinity(0))
             assert set(env["blas"]) == {"name", "version"}
@@ -235,6 +236,7 @@ class TestMain:
             assert env["threads"]["OPENBLAS_NUM_THREADS"] == threads
             assert env["blas_threads"] == blas_threads
             assert env["steady_heap"] is steady
+            assert env["triangular_inverse"] == triangular_inverse_route()
             assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
             results = json.loads((out / "results.json").read_text())
             assert not {"environment", "numpy", "scipy", "blas", "threads"} & set(results)
@@ -454,7 +456,7 @@ class TestMain:
         # self-check residuals go to the manifest, never to results.*
         checks = json.loads((out / "manifest.json").read_text())["checks"]
         assert set(checks) == {"identity_residual_max", "trace_identity_max",
-                               "min_eig_xx_min", "min_eig_yy_min"}
+                               "min_eig_xx_bound_min", "min_eig_yy_bound_min"}
         assert 0.0 < checks["identity_residual_max"] <= 1e-6
         assert 0.0 <= checks["trace_identity_max"] <= 1e-10
         assert "checks" not in summary
@@ -520,9 +522,9 @@ class TestMain:
         assert len(seen) == 3                   # trials, not trials x points
         checks = json.loads((out / "manifest.json").read_text())["checks"]
         for key in ("xx", "yy"):
-            value = checks[f"min_eig_{key}_min"]
+            value = checks[f"min_eig_{key}_bound_min"]
             assert 0.0 < value < math.inf
-            assert value == min(getattr(wc, f"min_eig_{key}") for wc in seen)
+            assert value == min(getattr(wc, f"min_eig_{key}_bound") for wc in seen)
         assert "min_eig" not in (out / "results.json").read_text()
         assert main(args + ["--out", str(rerun)]) == 0
         for name in ("results.csv", "results.json"):
@@ -550,7 +552,7 @@ class TestMain:
         out, rerun = tmp_path / "run", tmp_path / "rerun"
         assert main(args + ["--out", str(out)]) == 0
         checks = json.loads((out / "manifest.json").read_text())["checks"]
-        assert set(checks) == {"min_eig_xx_min", "min_eig_yy_min"}
+        assert set(checks) == {"min_eig_xx_bound_min", "min_eig_yy_bound_min"}
         assert all(0.0 < value < math.inf for value in checks.values())
         assert "checks" not in json.loads((out / "results.json").read_text())
         assert main(args + ["--out", str(rerun)]) == 0

@@ -34,7 +34,7 @@ from scclab import (
 def _result(eigs, n):
     eigs = np.asarray(eigs, dtype=float)
     return SpectrumResult(eigenvalues=eigs, p=2 * len(eigs), q=len(eigs), n=n,
-                          min_eig_xx=1.0, min_eig_yy=1.0)
+                          min_eig_xx_bound=1.0, min_eig_yy_bound=1.0)
 
 
 class TestRescale:
@@ -93,10 +93,10 @@ class TestTrialLog:
             expected = sample_pair("gaussian", 18, 12, 60, derived_seed(8, *key))
             assert np.array_equal(pair.X, expected.X) and np.array_equal(pair.Y, expected.Y)
         assert log.failures == 1
-        assert (log.min_eig_xx, log.min_eig_yy) == (min(r.min_eig_xx for r in results),
-                                                    min(r.min_eig_yy for r in results))
-        assert log.checks() == {"min_eig_xx_min": log.min_eig_xx,
-                                "min_eig_yy_min": log.min_eig_yy}
+        assert (log.min_eig_xx_bound, log.min_eig_yy_bound) == (
+            min(r.min_eig_xx_bound for r in results), min(r.min_eig_yy_bound for r in results))
+        assert log.checks() == {"min_eig_xx_bound_min": log.min_eig_xx_bound,
+                                "min_eig_yy_bound_min": log.min_eig_yy_bound}
         # a log of 99 trials allows no failure: the first one stops it
         pairs.clear()
         log = TrialLog(self.CONFIG, 99)
@@ -363,8 +363,8 @@ class TestTwExperiment:
         spectra = [ccc_eigenvalues(sample_pair("gaussian", 18, 12, 60,
                                                derived_seed(8, 1, trial, 0)))
                    for trial in range(5)]
-        assert rep.checks == {"min_eig_xx_min": min(r.min_eig_xx for r in spectra),
-                              "min_eig_yy_min": min(r.min_eig_yy for r in spectra)}
+        assert rep.checks == {"min_eig_xx_bound_min": min(r.min_eig_xx_bound for r in spectra),
+                              "min_eig_yy_bound_min": min(r.min_eig_yy_bound for r in spectra)}
 
     def test_rescaled_statistics_in_range(self):
         # Gaussian data at moderate size: rescaled means land near the

@@ -93,3 +93,29 @@ def test_digests_do_not_depend_on_blas_threads(tmp_path):
         printed.append(proc.stdout)
     assert len(printed[0].splitlines()) == len(BLAS_SIZED)
     assert printed[0] == printed[1]
+
+
+def test_pinned_digests_hold():
+    # DIGESTS.json pins the results.* of configs/spectrum.json and of the
+    # benchmark's invocations at seed 1; OpenBLAS picks its kernels per
+    # CPU, so the digests are compared only in the environment they were
+    # written in
+    status, messages = results_digest.check()
+    if status == 2:
+        pytest.skip(messages[0])
+    assert (status, messages) == (0, [])
+
+
+def test_check_reports_moved_and_foreign_digests(tmp_path, monkeypatch):
+    path = tmp_path / "digests.json"
+    results_digest.write(path, tiny=True)
+    assert results_digest.check(path, tiny=True) == (0, [])
+    pinned = json.loads(path.read_text())
+    pinned["runs"]["edge-mc.1"]["results.csv"] = "0" * 64
+    path.write_text(json.dumps(pinned))
+    status, messages = results_digest.check(path, tiny=True)
+    assert status == 1 and [m.split(":")[0] for m in messages] == ["edge-mc.1"]
+    monkeypatch.setattr(results_digest, "environment",
+                        lambda: pinned["environment"] | {"openblas_corename": "Elsewhere"})
+    status, messages = results_digest.check(path, tiny=True)
+    assert status == 2 and "openblas_corename" in messages[0]

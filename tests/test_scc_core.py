@@ -17,9 +17,10 @@ from scclab import (
     rigidity_profile,
     sample_covariances,
     sample_gaussian,
+    sample_heavy_tail,
     whitened_cross,
 )
-from scclab import scc_core
+from scclab import _linalg, scc_core
 from oracles import jacobi_top
 
 
@@ -97,8 +98,8 @@ class TestSpectrum:
 
     def test_conditioning_diagnostics_positive(self, medium_pair):
         res = ccc_eigenvalues(medium_pair)
-        assert res.min_eig_xx > 0.0
-        assert res.min_eig_yy > 0.0
+        assert res.min_eig_xx_bound > 0.0
+        assert res.min_eig_yy_bound > 0.0
         assert res.meta is medium_pair.meta
 
 
@@ -108,44 +109,31 @@ def _symmetric_whitening_spectrum(pair):
 
     def inverse_sqrt(S):
         w, V = np.linalg.eigh(S)
-        return (V / np.sqrt(w)) @ V.T, w[0]
+        return (V / np.sqrt(w)) @ V.T
 
-    isx, min_xx = inverse_sqrt(Sxx)
-    isy, min_yy = inverse_sqrt(Syy)
-    sv = np.linalg.svd(isx @ Sxy @ isy, compute_uv=False)
-    return sv ** 2, min_xx, min_yy
+    sv = np.linalg.svd(inverse_sqrt(Sxx) @ Sxy @ inverse_sqrt(Syy), compute_uv=False)
+    return sv ** 2
 
 
 class TestSpectrumOracle:
     @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
     def test_matches_symmetric_whitening(self, name, request):
         pair = request.getfixturevalue(name)
-        lam, min_xx, min_yy = _symmetric_whitening_spectrum(pair)
         res = ccc_eigenvalues(pair)
-        assert np.max(np.abs(res.eigenvalues - lam)) < 1e-12
-        assert res.min_eig_xx == pytest.approx(min_xx, rel=1e-12)
-        assert res.min_eig_yy == pytest.approx(min_yy, rel=1e-12)
+        assert np.max(np.abs(res.eigenvalues - _symmetric_whitening_spectrum(pair))) < 1e-12
 
     @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
     def test_whiteners_whiten(self, name, request):
-        # the whiteners are lower Cholesky factors, L L' = S, and the cross
-        # matrix is Lx**(-1) Sxy Ly**(-T)
+        # the whiteners are inverse lower Cholesky factors, W S W' = I, and
+        # the cross matrix is Wx Sxy Wy'
         pair = request.getfixturevalue(name)
         Sxx, Syy, Sxy = sample_covariances(pair)
         wc = whitened_cross(pair)
-        for L, S in ((wc.chol_xx, Sxx), (wc.chol_yy, Syy)):
-            assert np.array_equal(L, np.tril(L))
-            assert np.max(np.abs(L @ L.T - S)) < 1e-12
-        assert np.max(np.abs(wc.chol_xx @ wc.matrix @ wc.chol_yy.T - Sxy)) < 1e-12
-
-    @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
-    def test_conditioning_is_the_exact_smallest_eigenvalue(self, name, request):
-        # min_eig_* are what the singularity guard read, bit for bit
-        pair = request.getfixturevalue(name)
-        Sxx, Syy, _ = sample_covariances(pair)
-        res = ccc_eigenvalues(pair)
-        assert res.min_eig_xx == np.linalg.eigvalsh(Sxx)[0]
-        assert res.min_eig_yy == np.linalg.eigvalsh(Syy)[0]
+        for W, S in ((wc.whitener_xx, Sxx), (wc.whitener_yy, Syy)):
+            assert np.array_equal(W, np.tril(W))
+            assert np.max(np.abs(W @ S @ W.T - np.eye(len(S)))) < 1e-12
+            assert np.max(np.abs(np.linalg.inv(W) - np.linalg.cholesky(S))) < 1e-12
+        assert np.max(np.abs(wc.whitener_xx @ Sxy @ wc.whitener_yy.T - wc.matrix)) < 1e-13
 
     def test_spectrum_has_min_p_q_entries(self):
         # a pair with p < q keeps p values, from the p x p Gram matrix
@@ -181,6 +169,99 @@ class TestSpectrumOracle:
             assert ks_two_sample(direct[:, k], model[:, k]) <= bound
 
 
+def _pareto_pair():
+    return sample_heavy_tail(120, 80, 400, seed=3, beta=4.5)
+
+
+def _near_singular_x(scale):
+    """A (4, 40) X whose last row repeats the first up to scale, and a (2, 40) Y."""
+    rng = np.random.Generator(np.random.Philox(key=7))
+    X = rng.standard_normal((4, 40)) / np.sqrt(40)
+    X[3] = X[0] + scale * rng.standard_normal(40) / np.sqrt(40)
+    return X, rng.standard_normal((2, 40)) / np.sqrt(40)
+
+
+class TestConditioningGuard:
+    @pytest.mark.parametrize("make", [lambda r: r.getfixturevalue("small_pair"),
+                                      lambda r: r.getfixturevalue("medium_pair"),
+                                      lambda r: _pareto_pair()],
+                             ids=["small_pair", "medium_pair", "pareto_pair"])
+    def test_bound_brackets_smallest_eigenvalue(self, make, request):
+        # 1/|S**(-1)|_F lies in [lambda_min / sqrt(k), lambda_min] for a k x k block
+        pair = make(request)
+        Sxx, Syy, _ = sample_covariances(pair)
+        res = ccc_eigenvalues(pair)
+        for S, bound in ((Sxx, res.min_eig_xx_bound), (Syy, res.min_eig_yy_bound)):
+            lam_min = np.linalg.eigvalsh(S)[0]
+            assert lam_min / np.sqrt(len(S)) <= bound <= lam_min * (1 + 1e-12)
+
+    def test_uncertified_block_takes_the_exact_rule(self, monkeypatch):
+        # cond(Sxx) is about 1e9: the certificate, at most lambda_min, cannot
+        # reach 100 times the floor of 1e-10 tr S, but lambda_min clears the
+        # floor itself, so the exact rule passes the block and reports
+        # lambda_min exactly
+        X, Y = _near_singular_x(3e-5)
+        Sxx = X @ X.T
+        w = np.linalg.eigvalsh(Sxx)
+        assert 1e-10 * w[-1] < w[0] < 100 * 1e-10 * np.trace(Sxx)
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        res = ccc_eigenvalues(_pair_from(X, Y))
+        assert res.min_eig_xx_bound == w[0]
+        # the exact rule on Sxx, then the final eigvalsh; Syy is certified
+        assert calls == [(4, 4), (2, 2)]
+
+    def test_certified_spectrum_one_eigvalsh_no_solve(self, medium_pair, monkeypatch):
+        calls = {"eigvalsh": [], "solve": []}
+        for name, seen in calls.items():
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *rest, real=real, seen=seen:
+                                seen.append(a.shape) or real(a, *rest))
+        ccc_eigenvalues(medium_pair)
+        assert calls == {"eigvalsh": [(20, 20)], "solve": []}
+
+    def test_inv_route_same_spectra_and_rejections(self, medium_pair, monkeypatch):
+        # np.linalg.inv in place of dtrtri, as where no OpenBLAS exports it
+        if _linalg.triangular_inverse_route() != "dtrtri":
+            pytest.skip("no loaded OpenBLAS exports dtrtri: every run takes the inv route")
+        pairs = [medium_pair, _pareto_pair()] + [sample_gaussian(20, 12, 60, seed)
+                                                 for seed in range(10)]
+        singular = [_pair_from(np.ones((2, 6)), np.arange(6.0)[None, :]),
+                    _pair_from(*_near_singular_x(1e-6))]
+
+        def run():
+            spectra = [ccc_eigenvalues(pair) for pair in pairs]
+            rejected = []
+            for pair in singular:
+                with pytest.raises(SingularityError) as info:
+                    ccc_eigenvalues(pair)
+                rejected.append(info.value.min_eigenvalue)
+            return spectra, rejected
+
+        spectra, rejected = run()
+        monkeypatch.setattr(_linalg, "_dtrtri", lambda: None)
+        assert _linalg.triangular_inverse_route() == "inv"
+        inv_spectra, inv_rejected = run()
+        assert inv_rejected == rejected
+        for a, b in zip(spectra, inv_spectra):
+            assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-14
+            assert a.min_eig_xx_bound == pytest.approx(b.min_eig_xx_bound, rel=1e-10)
+
+    def test_invert_lower_routes_agree(self, medium_pair, monkeypatch):
+        if _linalg.triangular_inverse_route() != "dtrtri":
+            pytest.skip("no loaded OpenBLAS exports dtrtri: every run takes the inv route")
+        Sxx = sample_covariances(medium_pair)[0]
+        L = np.linalg.cholesky(Sxx)
+        inverse = _linalg.invert_lower(L.copy())
+        monkeypatch.setattr(_linalg, "_dtrtri", lambda: None)
+        general = _linalg.invert_lower(L)
+        for W in (inverse, general):
+            assert np.array_equal(W, np.tril(W))
+            assert np.max(np.abs(W @ L - np.eye(len(L)))) < 1e-13
+        assert np.max(np.abs(inverse - general)) < 1e-12
+
+
 class TestCanonicalFactor:
     @pytest.mark.parametrize("name", ["small_pair", "medium_pair"])
     def test_canonical_weights(self, name, request):
@@ -197,20 +278,20 @@ class TestCanonicalFactor:
         spectrum = ccc_eigenvalues(pair)
         assert np.abs(factor.lam_q - spectrum.eigenvalues).max() < 1e-14
         assert np.array_equal(factor.lam_p[q:], np.zeros(pair.p - q))
-        assert (factor.min_eig_xx, factor.min_eig_yy) == (spectrum.min_eig_xx,
-                                                          spectrum.min_eig_yy)
+        assert (factor.min_eig_xx_bound, factor.min_eig_yy_bound) == (
+            spectrum.min_eig_xx_bound, spectrum.min_eig_yy_bound)
 
     def test_one_svd_per_factor(self, small_pair, monkeypatch):
-        # the spectrum takes no SVD and no inverse; the factor one full SVD
-        calls = {"svd": [], "inv": []}
+        # the spectrum takes no SVD and no general solve; the factor one full SVD
+        calls = {"svd": [], "solve": []}
         for name, seen in calls.items():
             real = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda *a, real=real, seen=seen, **kw:
                                 seen.append(kw) or real(*a, **kw))
         ccc_eigenvalues(small_pair)
-        assert calls == {"svd": [], "inv": []}
+        assert calls == {"svd": [], "solve": []}
         canonical_factor(small_pair)
-        assert calls == {"svd": [{}], "inv": []}
+        assert calls == {"svd": [{}], "solve": []}
 
     def test_spectrum_goes_through_whitened_cross(self, small_pair, monkeypatch):
         # ccc_eigenvalues looks whitened_cross up on the module, so a wrapper
