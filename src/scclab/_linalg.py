@@ -17,7 +17,9 @@ GOE edge reference needs no scipy.linalg.
 one_blas_thread runs a block with every loaded OpenBLAS on one thread.
 A multithreaded BLAS may sum a product in another order than a single
 thread does, so results are computed under it to stay the same bytes at
-any thread count.
+any thread count.  openblas_runtime names the configuration and CPU
+core of numpy's OpenBLAS as it runs; the core picks the kernels, and so
+which bytes a result has.
 
 invert_lower inverts a lower triangular matrix with LAPACK's dtrtri,
 reached, as the thread controls are, in the OpenBLAS that the numpy
@@ -174,6 +176,24 @@ def _openblas_threads() -> tuple:
                 controls.append((get, set_))
                 break
     return tuple(controls)
+
+
+def openblas_runtime() -> dict:
+    """{"config": ..., "corename": ...} of the numpy wheel's ILP64 OpenBLAS as it runs.
+
+    OpenBLAS picks its kernels by the CPU it finds at load time, which
+    numpy's build configuration does not show; both strings are null
+    where no loaded library exports scipy_openblas_get_config64_.
+    """
+    for lib in _openblas_libraries():
+        if hasattr(lib, "scipy_openblas_get_config64_"):
+            found = {}
+            for field in ("config", "corename"):
+                get = getattr(lib, f"scipy_openblas_get_{field}64_")
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                found[field] = get().decode()
+            return found
+    return {"config": None, "corename": None}
 
 
 _COL_MAJOR = 102        # LAPACK_COL_MAJOR, lapacke.h

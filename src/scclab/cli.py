@@ -40,10 +40,9 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
-from ._linalg import one_blas_thread, steady_heap, triangular_inverse_route
+from ._linalg import one_blas_thread, openblas_runtime, steady_heap, triangular_inverse_route
 from .config import KINDS, ExperimentConfig, build_config, validate
 from .edge_stats import (
     ExperimentReport,
@@ -185,10 +184,13 @@ _RUNNERS = {
 
 
 def _environment(processes: int | None, pinned: bool, steady: bool) -> dict:
-    """Library versions, BLAS build, thread settings and trial processes of this run.
+    """Library versions, BLAS build and runtime, thread settings and trial processes of this run.
 
-    pinned says whether one_blas_thread found an OpenBLAS to run on one
-    thread, steady whether steady_heap pinned the allocator's thresholds.
+    scipy's version is given where the process has loaded scipy
+    (density-table's quadrature does) and null elsewhere, so that no
+    other run pays for importing it.  pinned says whether
+    one_blas_thread found an OpenBLAS to run on one thread, steady
+    whether steady_heap pinned the allocator's thresholds.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -196,8 +198,8 @@ def _environment(processes: int | None, pinned: bool, steady: bool) -> dict:
         blas = {}
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": {key: blas.get(key) for key in ("name", "version")},
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
+        "blas": {key: blas.get(key) for key in ("name", "version")} | openblas_runtime(),
         "cpu_count": os.cpu_count(),
         "threads": {key: value for key, value in sorted(os.environ.items())
                     if key.endswith("_NUM_THREADS")},
@@ -227,12 +229,14 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     steady_heap, which this process owns, so the memory its repeated
     trials and points free stays mapped.  The report's checks
     (self-check residuals, conditioning) go to the manifest only, as do
-    the "environment" (library versions, BLAS, CPU count, *_NUM_THREADS
-    settings, the BLAS thread count in force, 1 where an OpenBLAS was
-    pinned and null otherwise, whether steady_heap took effect, the
-    route that inverted the Cholesky factors, "dtrtri" or "inv", and,
-    for a Monte Carlo kind, the number of processes that computed its
-    trials) and the timings, so results.* stay a function of the config.
+    the "environment" (library versions, the BLAS build and the
+    configuration and core of the OpenBLAS that runs, CPU count,
+    *_NUM_THREADS settings, the BLAS thread count in force, 1 where an
+    OpenBLAS was pinned and null otherwise, whether steady_heap took
+    effect, the route that inverted the Cholesky factors, "dtrtri" or
+    "inv", and, for a Monte Carlo kind, the number of processes that
+    computed its trials) and the timings, so results.* stay a function
+    of the config.
     """
     out = Path(out_dir)
     reject(validate(config) + _out_dir_violations(out))

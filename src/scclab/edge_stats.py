@@ -36,13 +36,15 @@ eigenvalues over the accepted pairs, the conditioning every Monte Carlo
 manifest reports.
 
 TrialLog.map computes a run's trials on every CPU the process may use:
-it splits the trial keys into contiguous shares, computes the first
-itself on its own log and each other one in a forked child, every
-process with BLAS on one thread, and folds the children's results and
-failures after its own in key order.  Since a trial depends only on its
-key, the output, the failure count and the budget error are those of one
-process computing every trial in turn.  CPU affinity (taskset) is the
-only control of the process count.
+one process per CPU, this one and forked children, every one with BLAS
+on one thread, takes the next key from one shared queue whenever it is
+free, and the records of every key are folded into the log in key
+order.  Since a trial depends only on its key, the output, the failure
+count and the budget error are those of one process computing every
+trial in turn.  CPU affinity (taskset) is the only control of the
+process count.  tw_experiment's GOE reference is one more key of its
+trial map, second in the queue, so it is drawn in another process while
+the trials run, and goe_reference then reads it from its memo.
 
 Both drivers return an ExperimentReport, the one record every CLI runner
 returns: the csv header and rows, the results.json payload, and the
@@ -51,7 +53,8 @@ checks and process count that go to the manifest only.
 
 from __future__ import annotations
 
-import functools
+import copy
+import fcntl
 import itertools
 import math
 import os
@@ -93,6 +96,7 @@ __all__ = [
 _FAILURE_BUDGET = 0.01
 _UPPER_TAIL_CUT = 3.0
 _GOE_BLOCK = 256    # trials whose tridiagonals are solved in one batch
+_GOE_MEMO_SIZE = 8  # GOE references goe_reference keeps
 
 
 def sample_pair(law: str, p: int, q: int, n: int, seed: int,
@@ -154,8 +158,8 @@ class TrialLog:
     results' lower bounds on their Gram-block eigenvalues (infinite before
     the first accepted result).
     processes is the largest number of processes a map of this log used.
-    map computes the first share of its keys on this log and folds the
-    shares its forked children computed on their copies into it.
+    map's processes compute its keys on their copies of this log and
+    fold their records into it.
     """
 
     config: ExperimentConfig
@@ -209,35 +213,32 @@ class TrialLog:
         """[work(log, key) for key in keys], on every CPU this process may use.
 
         work computes the trial keyed by key and draws its pairs from log.
-        The keys are split into contiguous shares, one per CPU
-        (os.sched_getaffinity): a forked child computes each share but
-        the first, and sends its results back pickled, while this process
-        computes the first share on this log, as a serial run would.
-        Every process runs with BLAS on one thread; where no OpenBLAS is
-        found to pin, every key is computed here.  The children's
-        results, failure counts and conditioning are then folded into
-        this log in key order: the fold counts a key's failures before it
-        takes the key's result, and an error a key raised is raised again
-        when the fold reaches it.  So the results, failures, minima and
-        errors, the budget error at the same failure included, are those
-        of computing every key here in turn.  No child outlives the call.
+        One process per CPU (os.sched_getaffinity) takes the keys from one
+        shared queue (_KeyQueue), the next key whenever it is free: this
+        process takes the first key before it forks the others, each
+        process computes on its own copy of this log, and every process
+        runs with BLAS on one thread; where no OpenBLAS is found to pin,
+        every key is computed here.  A key whose work raises drains the
+        queue, so no process starts another.  Each process records, per
+        key, its result, its failures, the conditioning minima and the
+        error it raised; the forked children send theirs back pickled.
+        The records are then folded into this log in key order: the fold
+        counts a key's failures before it takes the key's result, and an
+        error a key raised is raised again when the fold reaches it.  So
+        the results, failures, minima and errors, the budget error at the
+        same failure included, are those of computing every key here in
+        turn.  No child outlives the call.
         """
         keys = list(keys)
-        with one_blas_thread() as pinned:
+        with one_blas_thread() as pinned, _KeyQueue(len(keys)) as queue:
             count = max(1, min(_processes(), len(keys))) if pinned else 1
-            cuts = [len(keys) * i // count for i in range(count + 1)]
-            shares = [keys[a:b] for a, b in zip(cuts, cuts[1:])]
-            children = []       # (pid, read end of its pipe), in key order
+            first = queue.take()        # the first key is computed here
+            children = []       # (pid, read end of its pipe), in fork order
             try:
-                for share in shares[1:]:
-                    children.append(self._fork(work, share, children))
-                results = [work(self, key) for key in shares[0]]
-                for pid, pipe in children:
-                    with open(pipe, "rb", closefd=False) as reader:
-                        data = reader.read()
-                    if not data:
-                        raise RuntimeError(f"trial process {pid} ended without its results")
-                    self._fold(pickle.loads(data), results)
+                for _ in range(count - 1):
+                    children.append(self._fork(work, keys, queue, children))
+                records = copy.copy(self)._take(work, keys, queue, first)
+                results = self._fold(records, children, len(keys))
             finally:
                 for pid, pipe in children:
                     os.close(pipe)
@@ -246,32 +247,36 @@ class TrialLog:
         self.processes = max(self.processes, count)
         return results
 
-    def _share(self, work: Callable, keys: list, parent: int) -> tuple:
-        """(results, failures per key, both conditioning minima, error) of a child's share.
+    def _take(self, work: Callable, keys: list, queue: _KeyQueue, index: int | None,
+              parent: int | None = None) -> dict:
+        """Compute keys[index], then each key taken from queue, on this log.
 
-        Runs in the forked child, on its copy of the log.  The share
-        stops at the first key whose work raises, whose failures are the
-        last entry.  The child stops at once when parent is no longer its
-        parent.
+        Returns {index: (result, failures, min_eig_xx_bound,
+        min_eig_yy_bound, error)}, the minima as this log holds them after
+        the key.  A key whose work raises drains the queue.  A forked
+        child passes the pid of its parent, and stops with status 1
+        before its next key once that is no longer its parent.
         """
-        results, failed, error = [], [], None
-        for key in keys:
-            if os.getppid() != parent:
+        records = {}
+        while index is not None:
+            if parent is not None and os.getppid() != parent:
                 os._exit(1)
-            before = self.failures
+            before, error, result = self.failures, None, None
             try:
-                results.append(work(self, key))
+                result = work(self, keys[index])
             except Exception as exc:        # raised again where the fold reaches this key
                 error = exc
-            failed.append(self.failures - before)
-            if error is not None:
-                break
-        return results, failed, self.min_eig_xx_bound, self.min_eig_yy_bound, error
+                queue.drain()
+            records[index] = (result, self.failures - before,
+                              self.min_eig_xx_bound, self.min_eig_yy_bound, error)
+            index = queue.take()
+        return records
 
-    def _fork(self, work: Callable, keys: list, siblings: list) -> tuple[int, int]:
-        """Compute a share in a forked child; (its pid, the read end of its pipe).
+    def _fork(self, work: Callable, keys: list, queue: _KeyQueue,
+              siblings: list) -> tuple[int, int]:
+        """Take keys from queue in a forked child; (its pid, the read end of its pipe).
 
-        The child writes its pickled share to the pipe and exits with
+        The child writes its pickled records to the pipe and exits with
         status 0; one that cannot, exits with status 1 and writes nothing.
         """
         parent = os.getpid()
@@ -285,28 +290,78 @@ class TrialLog:
             os.close(read)
             for _, pipe in siblings:
                 os.close(pipe)
-            data = pickle.dumps(self._share(work, keys, parent))
+            data = pickle.dumps(self._take(work, keys, queue, queue.take(), parent))
             with open(write, "wb") as pipe:
                 pipe.write(data)
             status = 0
         finally:
             os._exit(status)
 
-    def _fold(self, share: tuple, results: list) -> None:
-        """Count a share's failures and append its results, key by key, then its error."""
-        values, failed, min_eig_xx_bound, min_eig_yy_bound, error = share
-        for i, count in enumerate(failed):
-            for _ in range(count):
+    def _fold(self, records: dict, children: list, size: int) -> list:
+        """Fold the records of keys 0 .. size - 1 into this log, in key order; the results.
+
+        A child's records are read when the fold reaches a key that no
+        record read so far holds, so an error is raised without waiting
+        for a child whose keys all lie after it.
+        """
+        unread, results = iter(children), []
+        for index in range(size):
+            while index not in records:
+                pid, pipe = next(unread)    # every key before an error was taken
+                with open(pipe, "rb", closefd=False) as reader:
+                    data = reader.read()
+                if not data:
+                    raise RuntimeError(f"trial process {pid} ended without its results")
+                records.update(pickle.loads(data))
+            result, failed, min_eig_xx_bound, min_eig_yy_bound, error = records[index]
+            for _ in range(failed):
                 self._fail()
-            if i < len(values):
-                results.append(values[i])
-        if error is not None:
-            raise error
-        self.min_eig_xx_bound = min(self.min_eig_xx_bound, min_eig_xx_bound)
-        self.min_eig_yy_bound = min(self.min_eig_yy_bound, min_eig_yy_bound)
+            if error is not None:
+                raise error
+            results.append(result)
+            self.min_eig_xx_bound = min(self.min_eig_xx_bound, min_eig_xx_bound)
+            self.min_eig_yy_bound = min(self.min_eig_yy_bound, min_eig_yy_bound)
+        return results
 
 
-@functools.lru_cache(maxsize=8)
+class _KeyQueue:
+    """The index of the next key of a map, shared by its forked processes.
+
+    The index is 8 bytes of an anonymous memory file (memfd) that the
+    children inherit, read and advanced under a POSIX record lock
+    (lockf), which excludes the other processes, so no index is handed
+    out twice; the file has no size to fill.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.fd = os.memfd_create("scclab-trial-keys")
+
+    def __enter__(self) -> _KeyQueue:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        os.close(self.fd)
+
+    def take(self) -> int | None:
+        """The next index, or None once every index is taken or the queue drained."""
+        return self._advance(False)
+
+    def drain(self) -> None:
+        """Take every index left, so no process starts another key."""
+        self._advance(True)
+
+    def _advance(self, to_end: bool) -> int | None:
+        fcntl.lockf(self.fd, fcntl.LOCK_EX)
+        try:
+            index = int.from_bytes(os.pread(self.fd, 8, 0), "little")   # 0 in the new file
+            following = self.size if to_end else min(index + 1, self.size)
+            os.pwrite(self.fd, following.to_bytes(8, "little"), 0)
+        finally:
+            fcntl.lockf(self.fd, fcntl.LOCK_UN)
+        return index if index < self.size else None
+
+
 def _goe_values(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarray:
     """Rescaled top k_max eigenvalues of edge-at-2 GOE matrices, one row per trial."""
     values = np.empty((trials, k_max))
@@ -322,8 +377,17 @@ def _goe_values(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarray:
             off[row] = np.sqrt(rng.chisquare(dof))
         top = tridiagonal_top(diag[: len(block)], off[: len(block)], k_max)
         values[block.start: block.stop] = n_goe ** (2.0 / 3.0) * (top / math.sqrt(n_goe) - 2.0)
-    values.setflags(write=False)
     return values
+
+
+_GOE_MEMO: dict = {}    # (n_goe, trials, k_max, seed) -> read-only values, the last 8 drawn
+
+
+def _remember_goe(key: tuple, values: np.ndarray) -> None:
+    values.setflags(write=False)
+    _GOE_MEMO[key] = values
+    if len(_GOE_MEMO) > _GOE_MEMO_SIZE:
+        del _GOE_MEMO[next(iter(_GOE_MEMO))]
 
 
 def goe_size_violations(n_goe: int, k_max: int) -> list[str]:
@@ -335,14 +399,19 @@ def goe_size_violations(n_goe: int, k_max: int) -> list[str]:
 def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> EdgeSamples:
     """Monte Carlo reference sample of rescaled top GOE eigenvalues.
 
-    The draws are memoized on (n_goe, trials, k_max, seed): every call
-    returns a fresh EdgeSamples whose values are the one read-only array
-    drawn for those arguments.
+    The draws are memoized on (n_goe, trials, k_max, seed), the last
+    eight drawn: every call returns a fresh EdgeSamples whose values are
+    the one read-only array drawn for those arguments.  run_edge_trials
+    draws a tw-edge run's reference beside its trials into the same
+    memo, so the call that follows it draws nothing.
     """
     reject(goe_size_violations(n_goe, k_max))
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
-    return EdgeSamples(values=_goe_values(n_goe, trials, k_max, seed))
+    key = (n_goe, trials, k_max, seed)
+    if key not in _GOE_MEMO:
+        _remember_goe(key, _goe_values(*key))
+    return EdgeSamples(values=_GOE_MEMO[key])
 
 
 def ks_two_sample(a, b) -> float:
@@ -389,16 +458,29 @@ def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
     in index order reproduces a single full run exactly.  The failure
     budget is one percent of config.trials whatever the indices, so a
     partial run stops only where the full run, whose failures include
-    the partial run's, would also stop.
+    the partial run's, would also stop.  Where goe_reference has not
+    memoized the run's GOE reference (n, trials, k_max and seed of the
+    config), it is drawn into that memo as one more key of the trial
+    map, second in the queue, so another process draws it while the
+    trials run.
     """
     _require_valid(config, "tw-edge")
     model = config.model()
     log = TrialLog(config, config.trials)
+    reference = (config.n, config.trials, config.k_max, config.seed)
 
     def rescaled(log, trial):
+        if trial is None:       # the key of the GOE reference
+            return _goe_values(*reference)
         return tw_rescale(log.draw(ccc_eigenvalues, config.n, 1, trial), model, config.k_max)
 
-    values = log.map(rescaled, indices)
+    keys = list(indices)
+    drawn = reference not in _GOE_MEMO
+    if drawn:
+        keys.insert(1, None)        # second: another process takes it while this one takes key 0
+    values = log.map(rescaled, keys)
+    if drawn:
+        _remember_goe(reference, values.pop(keys.index(None)))
     return EdgeSamples(values=np.array(values), trials=log, model=model)
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -230,7 +231,8 @@ class TestMain:
                                     {"trial_processes"} if monte_carlo else set())
             if monte_carlo:
                 assert 1 <= env["trial_processes"] <= len(os.sched_getaffinity(0))
-            assert set(env["blas"]) == {"name", "version"}
+            assert set(env["blas"]) == {"name", "version", "config", "corename"}
+            assert env["scipy"] == getattr(sys.modules.get("scipy"), "__version__", None)
             assert env["cpu_count"] == os.cpu_count()
             # the variable is echoed as set, but the run computed on one BLAS thread
             assert env["threads"]["OPENBLAS_NUM_THREADS"] == threads
@@ -566,12 +568,12 @@ def _no_child_left():
 
 
 class TestTrialProcesses:
-    """A Monte Carlo run gives the same outputs from one process as from two.
+    """A Monte Carlo run gives the same outputs from one process as from two or three.
 
     Failures are injected on the seeds of chosen keys, so a pair fails
-    the same way in whichever process computes it.  With two processes
-    the parent computes the first half of each map's trials and a forked
-    child the second; the failing keys fall in both halves.
+    the same way in whichever process computes it.  The processes take
+    each map's keys from one queue, so the failing keys fall to whichever
+    is free; three processes on fewer CPUs interleave them further.
     """
 
     # kind, overrides (200 pairs: the budget allows two failures), the
@@ -610,14 +612,16 @@ class TestTrialProcesses:
     @pytest.mark.parametrize("kind", list(RUNS))
     def test_same_outputs_from_two_processes(self, tmp_path, monkeypatch, capsys, kind):
         runs = [self._run(kind, 2, processes, tmp_path / str(processes), monkeypatch, capsys)
-                for processes in (1, 2)]
-        assert runs[0] == runs[1] == (0, "")
+                for processes in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2] == (0, "")
         manifests = [json.loads((tmp_path / str(processes) / "manifest.json").read_text())
-                     for processes in (1, 2)]
-        assert [m["environment"]["trial_processes"] for m in manifests] == [1, 2]
-        assert manifests[0]["checks"] == manifests[1]["checks"]
+                     for processes in (1, 2, 3)]
+        assert [m["environment"]["trial_processes"] for m in manifests] == [1, 2, 3]
+        assert manifests[0]["checks"] == manifests[1]["checks"] == manifests[2]["checks"]
         for name in ("results.csv", "results.json"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+            for processes in (2, 3):
+                assert ((tmp_path / "1" / name).read_bytes()
+                        == (tmp_path / str(processes) / name).read_bytes())
         summary = json.loads((tmp_path / "1" / "results.json").read_text())
         assert summary.get("failures", summary.get("metrics", {}).get("failures")) == 2
 
@@ -625,11 +629,12 @@ class TestTrialProcesses:
     def test_same_budget_failure_from_two_processes(self, tmp_path, monkeypatch, capsys,
                                                     kind):
         runs = [self._run(kind, 3, processes, tmp_path / str(processes), monkeypatch, capsys)
-                for processes in (1, 2)]
-        assert runs[0] == runs[1]
+                for processes in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
         assert runs[0][0] == 3 and "3 failed trials out of 200" in runs[0][1]
-        for processes in (1, 2):
+        for processes in (1, 2, 3):
             assert [f.name for f in (tmp_path / str(processes)).iterdir()] == [
                 "diagnostics.json"]
-        assert ((tmp_path / "1" / "diagnostics.json").read_bytes()
-                == (tmp_path / "2" / "diagnostics.json").read_bytes())
+        for processes in (2, 3):
+            assert ((tmp_path / "1" / "diagnostics.json").read_bytes()
+                    == (tmp_path / str(processes) / "diagnostics.json").read_bytes())

@@ -1,8 +1,11 @@
 """Edge statistics: rescaling, GOE reference, KS machinery, experiments."""
 
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,8 @@ from scclab import (
     tw_experiment,
     tw_rescale,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _result(eigs, n):
@@ -124,7 +129,7 @@ class TestTrialLog:
 
 
 class TestTrialMap:
-    """TrialLog.map at two processes: the parent's share is keys[:n // 2]."""
+    """TrialLog.map at two processes, taking keys from one queue: this process takes key 0."""
 
     CONFIG = ExperimentConfig("tw-edge", n=40, c1=0.3, c2=0.2, seed=8)
 
@@ -167,17 +172,19 @@ class TestTrialMap:
         assert log.map(lambda log, key: key, [7]) == [7] and log.processes == 1
 
     @pytest.mark.parametrize("fail", [[150, 160, 170], [3, 160, 170]])
-    def test_budget_error_as_one_process(self, fail):
-        # all three failures in the child's share trip its own budget
-        # check; with one in the parent's, the fold finds the third
-        with pytest.raises(NumericalError) as info:
-            TrialLog(self.CONFIG, 200).map(self._top(fail), range(200))
-        assert str(info.value) == "3 failed trials out of 200 exceeds the 1% budget"
-        assert info.value.achieved == 0.015
+    def test_budget_error_as_one_process(self, monkeypatch, fail):
+        # where one process meets all three failures its own budget check
+        # trips; where they are spread, the fold finds the third
+        for processes in (2, 3):
+            monkeypatch.setattr(edge_stats, "_processes", lambda: processes)
+            with pytest.raises(NumericalError) as info:
+                TrialLog(self.CONFIG, 200).map(self._top(fail), range(200))
+            assert str(info.value) == "3 failed trials out of 200 exceeds the 1% budget"
+            assert info.value.achieved == 0.015
 
     def test_child_error_raised_after_earlier_failures(self):
-        # the child's error comes back whole, after the failure its share
-        # met before it has been counted
+        # key 9's error comes back whole from whichever process computed
+        # it, after key 8's failure has been counted
         top = self._top(fail=[8])
 
         def work(log, key):
@@ -191,7 +198,8 @@ class TestTrialMap:
         assert log.failures == 1
 
     def test_parent_error_stops_children(self):
-        # the child's share would take a minute; the parent's error ends it
+        # the child's key would take a minute; the error of key 0, which
+        # this process computes, is first in key order and ends it
         parent = os.getpid()
 
         def work(log, key):
@@ -204,29 +212,90 @@ class TestTrialMap:
             TrialLog(self.CONFIG, 100).map(work, range(4))
         assert time.monotonic() - start < 30
 
-    def test_child_without_results_raises(self):
-        # a result that cannot be pickled never reaches the parent
-        parent = os.getpid()
+    def test_child_without_results_raises(self, tmp_path):
+        # a result that cannot be pickled never reaches the parent; the
+        # parent holds key 0 until the child has computed a key
+        parent, computed = os.getpid(), tmp_path / "computed"
 
         def work(log, key):
-            return key if os.getpid() == parent else (lambda: key)
+            if os.getpid() != parent:
+                computed.touch()
+                return lambda: key
+            deadline = time.monotonic() + 30
+            while not computed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return key
 
         with pytest.raises(RuntimeError, match="ended without its results"):
             TrialLog(self.CONFIG, 100).map(work, range(4))
+        assert computed.exists()
 
     def test_orphaned_child_stops_before_next_trial(self, tmp_path):
-        # a share run for a parent that is not this process's parent ends
-        # with status 1 before computing a trial
+        # a take loop run for a parent that is not this process's parent
+        # ends with status 1 before computing a trial
         marker = tmp_path / "computed"
         pid = os.fork()
         if pid == 0:
             try:
-                TrialLog(self.CONFIG, 100)._share(lambda log, key: marker.touch(), [0],
-                                                  parent=-1)
+                with edge_stats._KeyQueue(1) as queue:
+                    TrialLog(self.CONFIG, 100)._take(lambda log, key: marker.touch(), [0],
+                                                     queue, queue.take(), parent=-1)
             finally:
                 os._exit(0)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 1 and not marker.exists()
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_every_key_computed_once_first_here(self, tmp_path, monkeypatch, processes):
+        monkeypatch.setattr(edge_stats, "_processes", lambda: processes)
+        computed = tmp_path / "computed"
+
+        def work(log, key):
+            with open(computed, "a") as out:
+                out.write(f"{os.getpid()} {key}\n")
+            return os.getpid(), key
+
+        log = TrialLog(self.CONFIG, 100)
+        results = log.map(work, range(500))
+        assert [key for _, key in results] == list(range(500)) and log.processes == processes
+        assert results[0][0] == os.getpid()
+        lines = sorted((int(key), int(pid)) for pid, key in
+                       (line.split() for line in computed.read_text().splitlines()))
+        assert lines == [(key, pid) for pid, key in results]
+
+    def test_many_keys_finish(self):
+        # a queue of four-byte keys written to a 64 KiB pipe before the
+        # fork would deadlock past 16 384 of them, so this runs under a timeout
+        probe = ("from scclab import ExperimentConfig, TrialLog, edge_stats\n"
+                 "edge_stats._processes = lambda: 2\n"
+                 "log = TrialLog(ExperimentConfig('tw-edge', n=40, c1=0.3, c2=0.2), 100)\n"
+                 "assert log.map(lambda log, key: key, range(20000)) == list(range(20000))\n"
+                 "print(log.processes)\n")
+        env = os.environ | {"PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2"]
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_error_drains_the_queue(self, tmp_path, monkeypatch, processes):
+        # after key 20 raises, no process starts a key past 20 + processes
+        monkeypatch.setattr(edge_stats, "_processes", lambda: processes)
+        started = tmp_path / "started"
+
+        def work(log, key):
+            with open(started, "a") as out:
+                out.write(f"{key}\n")
+            if key == 20:
+                raise DomainError("injected domain error")
+            time.sleep(0.005)
+            return key
+
+        with pytest.raises(DomainError, match="injected domain error"):
+            TrialLog(self.CONFIG, 100).map(work, range(200))
+        keys = [int(key) for key in started.read_text().split()]
+        assert sorted(keys) == list(range(max(keys) + 1))
+        assert 20 <= max(keys) <= 20 + processes
 
 
 class TestGoeReference:
@@ -242,7 +311,7 @@ class TestGoeReference:
         b = goe_reference(100, 20, k_max=2, seed=5)
         assert a is not b
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, edge_stats._goe_values.__wrapped__(100, 20, 2, 5))
+        assert np.array_equal(a.values, edge_stats._goe_values(100, 20, 2, 5))
         with pytest.raises(ValueError):
             a.values[0, 0] = 0.0
 
@@ -386,6 +455,30 @@ class TestTwExperiment:
         metrics = rep.results["metrics"]
         assert metrics["heavy_upper_tail"]
         assert metrics["upper_tail_mass_ccc"] > metrics["upper_tail_mass_goe"]
+
+    def test_reference_drawn_once_beside_the_trials(self, tmp_path, monkeypatch):
+        # the reference is one more key of the trial map, drawn by the
+        # process that takes it; a second run of the same (n, trials,
+        # k_max, seed) reads it from goe_reference's memo
+        drawn, real = tmp_path / "drawn", edge_stats._goe_values
+
+        def spy(*args):
+            with open(drawn, "a") as out:
+                out.write(f"{args}\n")
+            return real(*args)
+
+        monkeypatch.setattr(edge_stats, "_goe_values", spy)
+        monkeypatch.setattr(edge_stats, "_GOE_MEMO", {})
+        monkeypatch.setattr(edge_stats, "_processes", lambda: 2)
+        cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=30, law="gaussian",
+                               seed=21)
+        reps = [tw_experiment(cfg), tw_experiment(replace(cfg, law="pareto", beta=4.5))]
+        assert drawn.read_text().splitlines() == ["(60, 30, 3, 21)"]
+        expected = real(60, 30, 3, 21)
+        assert np.array_equal(goe_reference(60, 30, 3, 21).values, expected)
+        for rep in reps:
+            assert rep.results["metrics"]["goe_mean"] == [float(m) for m in
+                                                          expected.mean(axis=0)]
 
     def test_failure_budget_aborts(self, monkeypatch, one_trial_process):
         # tiny Rademacher matrices hit singular Gram blocks often enough to

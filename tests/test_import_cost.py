@@ -5,8 +5,9 @@ from a numpy Sturm-count solver, and quadrature imports scipy.integrate
 on first use, so neither importing the CLI, nor computing classical
 locations, nor a run of any kind but density-table may load the root
 finder, the quadrature, the special functions they pull in, or
-scipy.linalg.  Each check runs in a fresh interpreter, because this test
-process has imported them already.
+scipy.linalg, nor scipy itself: the manifest gives scipy's version only
+where the run loaded it.  Each check runs in a fresh interpreter,
+because this test process has imported them already.
 """
 import json
 import os
@@ -21,25 +22,31 @@ import json, sys
 from pathlib import Path
 HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg")
 loaded = {}
+def modules():
+    return [m for m in HEAVY + ("scipy",) if m in sys.modules]
 import scclab.cli
-loaded["import scclab.cli"] = [m for m in HEAVY if m in sys.modules]
+loaded["import scclab.cli"] = modules()
 from scclab import classical_locations, make_model
 classical_locations(make_model(0.3, 0.2), 160)
-loaded["classical_locations q=160"] = [m for m in HEAVY if m in sys.modules]
+loaded["classical_locations q=160"] = modules()
 RUNS = {
     "quantiles": ["q=40"],
     "tw-edge": ["n=40", "trials=4"],
     "rigidity-scaling": ["n0=40", "trials=3", "factors=[1,2]"],
     "local-law-sweep": ["n=40", "trials=1", "e_points=1", "eta_points=1"],
     "spectrum": ["n=40"],
+    "density-table": ["x_points=5"],
 }
 for kind, overrides in RUNS.items():
-    args = [kind, "--out", str(Path(sys.argv[1]) / kind)]
+    out = Path(sys.argv[1]) / kind
+    args = [kind, "--out", str(out)]
     for item in overrides:
         args += ["--override", item]
     if scclab.cli.main(args) != 0:
         sys.exit(kind + " run failed")
-    loaded[kind + " run"] = [m for m in HEAVY if m in sys.modules]
+    loaded[kind + " run"] = modules()
+    scipy = json.loads((out / "manifest.json").read_text())["environment"]["scipy"]
+    loaded[kind + " manifest"] = scipy == getattr(sys.modules.get("scipy"), "__version__", None)
 print(json.dumps(loaded))
 """
 
@@ -50,6 +57,9 @@ def test_no_heavy_scipy_on_cli_path(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
+    # density-table, run last, loads scipy, and its manifest says which
+    assert "scipy" in loaded.pop("density-table run")
+    kinds = ("quantiles", "tw-edge", "rigidity-scaling", "local-law-sweep", "spectrum")
     assert loaded == {step: [] for step in (
-        "import scclab.cli", "classical_locations q=160", "quantiles run", "tw-edge run",
-        "rigidity-scaling run", "local-law-sweep run", "spectrum run")}
+        "import scclab.cli", "classical_locations q=160", *(kind + " run" for kind in kinds))} | {
+        kind + " manifest": True for kind in (*kinds, "density-table")}

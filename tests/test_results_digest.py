@@ -106,6 +106,16 @@ def test_pinned_digests_hold():
     assert (status, messages) == (0, [])
 
 
+def test_manifest_and_digests_name_the_same_blas(tmp_path):
+    # the manifest's environment and DIGESTS.json's read the OpenBLAS
+    # that runs through the same lookup
+    assert cli.main(["spectrum", "--override", "n=40", "--out", str(tmp_path)]) == 0
+    blas = json.loads((tmp_path / "manifest.json").read_text())["environment"]["blas"]
+    here = results_digest.environment()
+    assert blas["corename"] == here["openblas_corename"]
+    assert blas["config"] == here["openblas_config"]
+
+
 def test_check_reports_moved_and_foreign_digests(tmp_path, monkeypatch):
     path = tmp_path / "digests.json"
     results_digest.write(path, tiny=True)

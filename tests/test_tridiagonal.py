@@ -127,15 +127,15 @@ class TestGoeReference:
         assert np.abs(values - goe_values_stebz(*args)).max() <= 1e-12
 
     def test_trial_blocks_do_not_change_values(self, monkeypatch):
-        full = edge_stats._goe_values.__wrapped__(30, 20, 3, 4)
+        full = edge_stats._goe_values(30, 20, 3, 4)
         monkeypatch.setattr(edge_stats, "_GOE_BLOCK", 7)
-        assert np.array_equal(edge_stats._goe_values.__wrapped__(30, 20, 3, 4), full)
+        assert np.array_equal(edge_stats._goe_values(30, 20, 3, 4), full)
 
     def test_memory_does_not_grow_with_trials(self):
-        edge_stats._goe_values.__wrapped__(40, 3, 3, 5)     # warm imports and caches
+        edge_stats._goe_values(40, 3, 3, 5)     # warm imports and caches
         tracemalloc.start()
         try:
-            edge_stats._goe_values.__wrapped__(400, 2000, 3, 5)
+            edge_stats._goe_values(400, 2000, 3, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

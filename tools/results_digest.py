@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import importlib.util
 import json
@@ -43,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 import scclab.cli
-from scclab._linalg import _openblas_libraries
+from scclab._linalg import openblas_runtime
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -102,16 +101,9 @@ def environment() -> dict:
 
     The OpenBLAS entries are null where no loaded library exports them.
     """
-    key = {"numpy": np.__version__, "openblas_config": None, "openblas_corename": None}
-    for lib in _openblas_libraries():
-        if hasattr(lib, "scipy_openblas_get_config64_"):
-            for field, name in (("openblas_config", "scipy_openblas_get_config64_"),
-                                ("openblas_corename", "scipy_openblas_get_corename64_")):
-                get = getattr(lib, name)
-                get.argtypes, get.restype = [], ctypes.c_char_p
-                key[field] = get().decode()
-            break
-    return key
+    runtime = openblas_runtime()
+    return {"numpy": np.__version__, "openblas_config": runtime["config"],
+            "openblas_corename": runtime["corename"]}
 
 
 def pinned_lines(tiny: bool = False) -> list[str]:
