@@ -45,6 +45,10 @@ trial in turn.  CPU affinity (taskset) is the only control of the
 process count.  tw_experiment's GOE reference is one more key of its
 trial map, second in the queue, so it is drawn in another process while
 the trials run, and goe_reference then reads it from its memo.
+rigidity_experiment maps once over every (size, trial) key of its
+sweep, and takes its medians and quantile by sorting (_median,
+_quantile), since numpy's median and quantile import numpy.ma on first
+use.
 
 Both drivers return an ExperimentReport, the one record every CLI runner
 returns: the csv header and rows, the results.json payload, and the
@@ -532,6 +536,33 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
                             ccc.trials.checks(), ccc.trials.processes)
 
 
+def _median(values) -> float:
+    """np.median of values, bit for bit but for the sign of a zero; NaN if any is NaN."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    half = len(ordered) // 2
+    if np.isnan(ordered[-1]):       # the sort puts NaNs last
+        return float(ordered[-1])
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2.0)
+
+
+def _quantile(values, q: float) -> float:
+    """np.quantile(values, q), linear method, bit for bit but for the sign of a zero.
+
+    As numpy's, it is NaN if any value is NaN.
+    """
+    ordered = np.sort(np.asarray(values, dtype=float))
+    position = (len(ordered) - 1) * q
+    below = math.floor(position)
+    if np.isnan(ordered[-1]) or below >= len(ordered) - 1:
+        return float(ordered[-1])
+    gamma = position - below
+    lower, upper = float(ordered[below]), float(ordered[below + 1])
+    step = upper - lower
+    return upper - step * (1.0 - gamma) if gamma >= 0.5 else lower + step * gamma
+
+
 def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Fit the n-decay of eigenvalue deviations from their classical locations.
 
@@ -541,32 +572,38 @@ def rigidity_experiment(config: ExperimentConfig) -> ExperimentReport:
     (At the index q(n)/2 that grows with n the predicted decay is
     faster, n**(-1) up to logarithms, so the fixed index is what makes
     the edge exponent identifiable across the sweep.)  Medians over
-    trials are fitted log-log against n.  Failed spectra are resampled
-    and counted; the failure that takes them past one percent of all
-    trials aborts the sweep.
+    trials are fitted log-log against n.  Every size's model and
+    classical locations are computed first, so the forked trial
+    processes inherit them, and one trial map then covers the keys
+    (size index, trial), size by size.  Failed spectra are resampled and
+    counted; the failure that takes them past one percent of all trials
+    aborts the sweep.
     """
     _require_valid(config, "rigidity-scaling")
     ns = [config.n0 * f for f in config.factors]
     j_star = max(1, config.dims(config.n0)[1] // 2)
+    models = [config.model(n) for n in ns]
+    gammas = [classical_locations(model, config.dims(n)[1]) for model, n in zip(models, ns)]
 
+    def deviations(log, key):
+        i_n, trial = key
+        model = models[i_n]
+        result = log.draw(ccc_eigenvalues, ns[i_n], 3, i_n, trial)
+        return (abs(result.eigenvalues[j_star - 1] - gammas[i_n][j_star - 1]),
+                abs(result.eigenvalues[0] - model.lambda_plus),
+                float(rigidity_profile(result, model).max()))
+
+    trials = config.trials
+    log = TrialLog(config, trials * len(ns))
+    swept = log.map(deviations, itertools.product(range(len(ns)), range(trials)))
     bulk_median, edge_median, profile_p95 = [], [], []
     rows = []
-    log = TrialLog(config, config.trials * len(config.factors))
     for i_n, n in enumerate(ns):
-        model = config.model(n)
-        gamma = classical_locations(model, config.dims(n)[1])
-
-        def deviations(log, trial):
-            result = log.draw(ccc_eigenvalues, n, 3, i_n, trial)
-            return (abs(result.eigenvalues[j_star - 1] - gamma[j_star - 1]),
-                    abs(result.eigenvalues[0] - model.lambda_plus),
-                    float(rigidity_profile(result, model).max()))
-
-        bulk, edge, prof = zip(*log.map(deviations, range(config.trials)))
-        bulk_median.append(float(np.median(bulk)))
-        edge_median.append(float(np.median(edge)))
-        profile_p95.append(float(np.quantile(prof, 0.95)))
-        for t in range(config.trials):
+        bulk, edge, prof = zip(*swept[i_n * trials: (i_n + 1) * trials])
+        bulk_median.append(_median(bulk))
+        edge_median.append(_median(edge))
+        profile_p95.append(_quantile(prof, 0.95))
+        for t in range(trials):
             rows.append((n, t, repr(float(bulk[t])), repr(float(edge[t])), repr(float(prof[t]))))
 
     log_n = np.log(np.array(ns, dtype=float))

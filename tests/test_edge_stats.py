@@ -512,6 +512,39 @@ class TestTwExperiment:
             tw_experiment(ExperimentConfig("rigidity-scaling"))
 
 
+class TestOrderStatistics:
+    """The rigidity sweep's median and 95 % quantile are numpy's, by a sort."""
+
+    @staticmethod
+    def _samples():
+        rng = np.random.default_rng(23)
+        for size in range(1, 26):
+            yield rng.standard_normal(size)
+            yield rng.integers(-3, 4, size).astype(float)           # ties
+            yield rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-12, 12, size)
+
+    @staticmethod
+    def _bits(value):
+        return np.float64(value).tobytes()
+
+    def test_bit_for_bit_as_numpy(self):
+        for values in self._samples():
+            # a tuple of numpy scalars, as the sweep passes them
+            scalars = tuple(values)
+            median, quantile = edge_stats._median(scalars), edge_stats._quantile(scalars, 0.95)
+            assert type(median) is float and type(quantile) is float
+            assert self._bits(median) == self._bits(np.median(values)), values
+            assert self._bits(quantile) == self._bits(np.quantile(values, 0.95)), values
+
+    def test_nan_in_nan_out(self):
+        for values in self._samples():
+            for index in {0, len(values) // 2, len(values) - 1}:
+                spoiled = values.copy()
+                spoiled[index] = np.nan
+                assert np.isnan(edge_stats._median(spoiled))
+                assert np.isnan(edge_stats._quantile(spoiled, 0.95))
+
+
 class TestRigidityExperiment:
     # 50 trials at each of two sizes: the 1% budget allows one failure
     CONFIG = ExperimentConfig("rigidity-scaling", n0=20, c1=0.3, c2=0.2, trials=50,
@@ -540,6 +573,23 @@ class TestRigidityExperiment:
         with pytest.raises(NumericalError, match="2 failed trials out of 100"):
             rigidity_experiment(self.CONFIG)
         assert calls[0] == 2                  # stopped at the second failure
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_one_fork_round_per_sweep(self, monkeypatch, processes):
+        # one map covers every (size, trial) key, so the sweep forks its
+        # trial processes once, not once per size
+        forks, fork = [], TrialLog._fork
+
+        def spy(self, *args):
+            forks.append(args)
+            return fork(self, *args)
+
+        monkeypatch.setattr(TrialLog, "_fork", spy)
+        monkeypatch.setattr(edge_stats, "_processes", lambda: processes)
+        assert rigidity_experiment(self.CONFIG).processes == processes
+        assert len(forks) == processes - 1
+        with pytest.raises(ChildProcessError):        # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
 
     def test_config_validated(self):
         with pytest.raises(ParameterError, match="trials >= 3"):

@@ -6,8 +6,11 @@ on first use, so neither importing the CLI, nor computing classical
 locations, nor a run of any kind but density-table may load the root
 finder, the quadrature, the special functions they pull in, or
 scipy.linalg, nor scipy itself: the manifest gives scipy's version only
-where the run loaded it.  Each check runs in a fresh interpreter,
-because this test process has imported them already.
+where the run loaded it.  Nor may they load numpy.ma, which numpy 2's
+median, quantile and unique import on first use (the rigidity sweep
+sorts instead); where numpy itself loads it at import, as numpy 1.x
+does, every step is compared with that state.  Each check runs in a
+fresh interpreter, because this test process has imported them already.
 """
 import json
 import os
@@ -23,7 +26,9 @@ from pathlib import Path
 HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg")
 loaded = {}
 def modules():
-    return [m for m in HEAVY + ("scipy",) if m in sys.modules]
+    return [m for m in HEAVY + ("scipy", "numpy.ma") if m in sys.modules]
+import numpy
+loaded["import numpy"] = modules()
 import scclab.cli
 loaded["import scclab.cli"] = modules()
 from scclab import classical_locations, make_model
@@ -59,7 +64,11 @@ def test_no_heavy_scipy_on_cli_path(tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     # density-table, run last, loads scipy, and its manifest says which
     assert "scipy" in loaded.pop("density-table run")
+    # numpy alone: nothing, or numpy.ma where numpy imports it with itself
+    base = loaded["import numpy"]
+    assert base in ([], ["numpy.ma"])
     kinds = ("quantiles", "tw-edge", "rigidity-scaling", "local-law-sweep", "spectrum")
-    assert loaded == {step: [] for step in (
-        "import scclab.cli", "classical_locations q=160", *(kind + " run" for kind in kinds))} | {
+    assert loaded == {step: base for step in (
+        "import numpy", "import scclab.cli", "classical_locations q=160",
+        *(kind + " run" for kind in kinds))} | {
         kind + " manifest": True for kind in (*kinds, "density-table")}
