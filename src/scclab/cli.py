@@ -184,11 +184,9 @@ _RUNNERS = {
 
 
 def _environment(processes: int | None, pinned: bool, steady: bool) -> dict:
-    """Library versions, BLAS build and runtime, thread settings and trial processes of this run.
+    """numpy's version, BLAS build and runtime, thread settings and trial processes of this run.
 
-    scipy's version is given where the process has loaded scipy
-    (density-table's quadrature does) and null elsewhere, so that no
-    other run pays for importing it.  pinned says whether
+    numpy is the only third-party library a run loads.  pinned says whether
     one_blas_thread found an OpenBLAS to run on one thread, steady
     whether steady_heap pinned the allocator's thresholds.
     """
@@ -198,7 +196,6 @@ def _environment(processes: int | None, pinned: bool, steady: bool) -> dict:
         blas = {}
     return {
         "numpy": np.__version__,
-        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "blas": {key: blas.get(key) for key in ("name", "version")} | openblas_runtime(),
         "cpu_count": os.cpu_count(),
         "threads": {key: value for key, value in sorted(os.environ.items())

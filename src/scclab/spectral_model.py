@@ -40,8 +40,14 @@ T is increasing in theta, so the classical locations come from one
 vectorized bisection in theta over all targets at once: 48 halvings of
 [0, pi] leave a bracket of pi / 2**48 ~ 1.1e-14, and |dx/dtheta| =
 r sin(theta) < 1 keeps x as close.  It needs no root-finding library.
-Adaptive quadrature of the density stays as the independent route behind
-support_mass; scipy.integrate is imported only when that route runs.
+
+support_mass integrates the density itself, so that it checks the same
+function the density table prints.  In the half-angle form
+x = lambda_plus cos(theta/2)**2 + lambda_minus sin(theta/2)**2 the
+integrand f(x) |dx/dtheta| is even and 2 pi-periodic in theta, so the
+plain trapezoid rule on [0, pi] converges geometrically (Trefethen and
+Weideman, SIAM Review 2014); each halving of the step reuses the sum so
+far and evaluates only the new midpoints.
 
 All square roots of spectral arguments are taken on the branch with
 nonnegative imaginary part.  On the real axis outside the support the
@@ -77,8 +83,10 @@ __all__ = [
     "psi_control",
 ]
 
-# quadrature accuracy contract for tail masses
-_QUAD_TOL = 1e-12
+# trapezoid rule behind support_mass: first and largest interval counts
+# in theta, and the contract on two successive estimates
+_MASS_START = 64
+_MASS_CAP = 2 ** 20
 _QUAD_CHECK = 1e-9
 # halvings of [0, pi] in theta behind classical_location
 _BISECTIONS = 48
@@ -209,52 +217,46 @@ def density(model: SpectralModel, x):
     return out
 
 
-def _quad_checked(fun, a, b, what):
-    # deferred: only support_mass and the test oracle pay for scipy.integrate
-    from scipy import integrate
+def _mass_integrand(model: SpectralModel, theta: np.ndarray) -> np.ndarray:
+    """The density at x(theta) times |dx/dtheta|, for theta in [0, pi].
 
-    val, err = integrate.quad(fun, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    if err > _QUAD_CHECK:
-        raise NumericalError(
-            f"quadrature for {what} did not converge: error estimate {err:.2e}",
-            achieved=err,
-        )
-    return val
-
-
-@functools.lru_cache(maxsize=None)
-def _upper_half_mass(model: SpectralModel) -> float:
-    mid = 0.5 * (model.lambda_minus + model.lambda_plus)
-    return _tail_mass_from(model, mid)
-
-
-def _tail_mass_from(model: SpectralModel, x: float) -> float:
-    """Integral of the density from x up to lambda_plus.
-
-    The substitution t = lambda_plus - s**2 (and its mirror at the lower
-    edge) removes the square-root endpoint behavior, so the adaptive
-    quadrature sees a smooth integrand on each piece.
+    x(theta) = lambda_plus cos(theta/2)**2 + lambda_minus sin(theta/2)**2
+    runs from lambda_plus down to lambda_minus.  At lambda_minus = 0,
+    x(pi) is lambda_plus cos(pi/2)**2 ~ 1e-33 rather than 0, so the
+    product keeps its finite limit lambda_plus / (2 pi c2) there.
     """
     lm, lp = model.lambda_minus, model.lambda_plus
-    x = min(max(x, lm), lp)
-    mid = 0.5 * (lm + lp)
-    if x >= mid:
-        s_hi = math.sqrt(lp - x)
-        return _quad_checked(
-            lambda s: 2.0 * s * density(model, lp - s * s), 0.0, s_hi, "upper tail mass"
-        )
-    lower = _quad_checked(
-        lambda s: 2.0 * s * density(model, lm + s * s),
-        math.sqrt(x - lm),
-        math.sqrt(mid - lm),
-        "lower bulk mass",
-    )
-    return lower + _upper_half_mass(model)
+    s, c = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    return density(model, lp * c * c + lm * s * s) * ((lp - lm) * s * c)
 
 
 def support_mass(model: SpectralModel) -> float:
-    """Total mass of the density over its support (should be 1)."""
-    return _tail_mass_from(model, model.lambda_minus)
+    """Total mass of the density over its support (should be 1).
+
+    Trapezoid rule in theta on [0, pi] from _MASS_START intervals, the
+    step halved until two successive estimates differ by at most
+    _QUAD_CHECK.  Where that needs more than _MASS_CAP intervals, as for
+    a support edge within about 1e-11 of 0 or 1 (both are 1e-12 away at
+    c1 = 0.5, c2 = 0.499999), it raises NumericalError.
+    """
+    intervals = _MASS_START
+    step = math.pi / intervals
+    f = _mass_integrand(model, np.linspace(0.0, math.pi, intervals + 1))
+    estimate = step * (f.sum() - 0.5 * (f[0] + f[-1]))
+    while intervals < _MASS_CAP:
+        midpoints = (np.arange(intervals) + 0.5) * step
+        intervals *= 2
+        step *= 0.5
+        refined = 0.5 * estimate + step * _mass_integrand(model, midpoints).sum()
+        change = abs(refined - estimate)
+        estimate = float(refined)
+        if change <= _QUAD_CHECK:
+            return estimate
+    raise NumericalError(
+        f"support mass did not converge in {_MASS_CAP} trapezoid intervals: "
+        f"successive estimates differ by {change:.2e}",
+        achieved=float(change),
+    )
 
 
 def _tail_mass_at_angle(model: SpectralModel, theta):

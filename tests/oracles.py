@@ -5,8 +5,9 @@ library evaluates in a leaner form: the m3 root of the closed quadratic,
 the dense block-constant limit matrix, the inverse of its 2x2 kernel,
 the un-inverted coupling kernel of the linearization, a classical
 location found by a bracketed root finder one target at a time, the
-top eigenvalues of tridiagonal GOE draws by LAPACK's bisection (stebz),
-one trial at a time, random signs by numpy's bounded-integer draw,
+tail mass of the density by adaptive quadrature, the top eigenvalues
+of tridiagonal GOE draws by LAPACK's bisection (stebz), one trial at a
+time, random signs by numpy's bounded-integer draw,
 whole sampler matrices drawn row by row by the Generator's own calls,
 and the local-law report swept over a materialized G - Pi.  One is an
 exact law rather than a second route: the beta-Jacobi matrix model of
@@ -16,14 +17,14 @@ the Gaussian null spectrum.
 import math
 
 import numpy as np
-from scipy import optimize
+from scipy import integrate, optimize
 from scipy.linalg import eigvalsh_tridiagonal
 
 from scclab import (LocalLawReport, NumericalError, SpectralModel, blocks_via_schur,
                     pi_limit, psi_control, stieltjes)
 from scclab._linalg import sqrt_upper, tridiagonal_top
 from scclab.linearized_resolvent import _real_times, _test_vectors
-from scclab.spectral_model import PiDescriptor, _edge_sqrt, _tail_mass_at_angle
+from scclab.spectral_model import PiDescriptor, _edge_sqrt, _tail_mass_at_angle, density
 
 
 def solve_m3(model: SpectralModel, z) -> complex:
@@ -134,6 +135,35 @@ def classical_location_brentq(model: SpectralModel, j: int, q: int) -> float:
     a = 0.5 * (model.lambda_minus + model.lambda_plus)
     r = 0.5 * (model.lambda_plus - model.lambda_minus)
     return a + r * math.cos(theta)
+
+
+def _quad_checked(fun, a, b, what):
+    val, err = integrate.quad(fun, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
+    if err > 1e-9:
+        raise NumericalError(
+            f"quadrature for {what} did not converge: error estimate {err:.2e}",
+            achieved=err,
+        )
+    return val
+
+
+def tail_mass_quad(model: SpectralModel, x: float) -> float:
+    """Integral of the density from x up to lambda_plus, by adaptive quadrature.
+
+    The substitution t = lambda_plus - s**2 (and its mirror at the lower
+    edge) removes the square-root endpoint behavior, so the quadrature
+    sees a smooth integrand on each piece, split at the support's midpoint.
+    """
+    lm, lp = model.lambda_minus, model.lambda_plus
+    x = min(max(x, lm), lp)
+    mid = 0.5 * (lm + lp)
+    upper = _quad_checked(lambda s: 2.0 * s * density(model, lp - s * s),
+                          0.0, math.sqrt(lp - max(x, mid)), "upper tail mass")
+    if x >= mid:
+        return upper
+    lower = _quad_checked(lambda s: 2.0 * s * density(model, lm + s * s),
+                          math.sqrt(x - lm), math.sqrt(mid - lm), "lower bulk mass")
+    return lower + upper
 
 
 def tridiagonal_top_stebz(diag, off, k: int) -> np.ndarray:

@@ -1,13 +1,13 @@
-"""The CLI pays at import only for the scipy modules its runs use.
+"""No step of the CLI loads any scipy module.
 
 Classical locations come from a numpy bisection, the GOE edge reference
-from a numpy Sturm-count solver, and quadrature imports scipy.integrate
-on first use, so neither importing the CLI, nor computing classical
-locations, nor a run of any kind but density-table may load the root
-finder, the quadrature, the special functions they pull in, or
-scipy.linalg, nor scipy itself: the manifest gives scipy's version only
-where the run loaded it.  Nor may they load numpy.ma, which numpy 2's
-median, quantile and unique import on first use (the rigidity sweep
+from a numpy Sturm-count solver and the density's total mass from a
+numpy trapezoid rule, so neither importing the CLI, nor computing
+classical locations, nor a run of any kind, density-table included, may
+load scipy or any of its modules, the root finder, the quadrature, the
+special functions and scipy.linalg (HEAVY) among them; nor does the
+manifest name a scipy version.  Nor may they load numpy.ma, which numpy
+2's median, quantile and unique import on first use (the rigidity sweep
 sorts instead); where numpy itself loads it at import, as numpy 1.x
 does, every step is compared with that state.  Each check runs in a
 fresh interpreter, because this test process has imported them already.
@@ -26,7 +26,8 @@ from pathlib import Path
 HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg")
 loaded = {}
 def modules():
-    return [m for m in HEAVY + ("scipy", "numpy.ma") if m in sys.modules]
+    named = [m for m in HEAVY + ("numpy.ma",) if m in sys.modules]
+    return named + sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and m not in HEAVY)
 import numpy
 loaded["import numpy"] = modules()
 import scclab.cli
@@ -50,8 +51,8 @@ for kind, overrides in RUNS.items():
     if scclab.cli.main(args) != 0:
         sys.exit(kind + " run failed")
     loaded[kind + " run"] = modules()
-    scipy = json.loads((out / "manifest.json").read_text())["environment"]["scipy"]
-    loaded[kind + " manifest"] = scipy == getattr(sys.modules.get("scipy"), "__version__", None)
+    environment = json.loads((out / "manifest.json").read_text())["environment"]
+    loaded[kind + " manifest"] = "scipy" not in environment
 print(json.dumps(loaded))
 """
 
@@ -62,13 +63,11 @@ def test_no_heavy_scipy_on_cli_path(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    # density-table, run last, loads scipy, and its manifest says which
-    assert "scipy" in loaded.pop("density-table run")
     # numpy alone: nothing, or numpy.ma where numpy imports it with itself
     base = loaded["import numpy"]
     assert base in ([], ["numpy.ma"])
-    kinds = ("quantiles", "tw-edge", "rigidity-scaling", "local-law-sweep", "spectrum")
+    kinds = ("quantiles", "tw-edge", "rigidity-scaling", "local-law-sweep", "spectrum",
+             "density-table")
     assert loaded == {step: base for step in (
         "import numpy", "import scclab.cli", "classical_locations q=160",
-        *(kind + " run" for kind in kinds))} | {
-        kind + " manifest": True for kind in (*kinds, "density-table")}
+        *(kind + " run" for kind in kinds))} | {kind + " manifest": True for kind in kinds}

@@ -96,10 +96,10 @@ def test_digests_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_pinned_digests_hold():
-    # DIGESTS.json pins the results.* of configs/spectrum.json and of the
-    # benchmark's invocations at seed 1; OpenBLAS picks its kernels per
-    # CPU, so the digests are compared only in the environment they were
-    # written in
+    # DIGESTS.json pins the results.* of configs/density_table.json,
+    # quantiles.json and spectrum.json and of the benchmark's invocations
+    # at seed 1; OpenBLAS picks its kernels per CPU, so the digests are
+    # compared only in the environment they were written in
     status, messages = results_digest.check()
     if status == 2:
         pytest.skip(messages[0])

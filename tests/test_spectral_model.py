@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from oracles import classical_location_brentq, pi_dense, pi_kernel_inverse, solve_m3
+from oracles import (classical_location_brentq, pi_dense, pi_kernel_inverse, solve_m3,
+                     tail_mass_quad)
 from test_acceptance import RATIO_GRID_20
 
 from scclab import spectral_model
 from scclab import (
     DomainError,
+    NumericalError,
     ParameterError,
     classical_location,
     classical_locations,
@@ -114,9 +116,33 @@ class TestDensity:
         for x, v in zip(xs, vec):
             assert density(model_thin, float(x)) == pytest.approx(v, abs=0.0)
 
-    @pytest.mark.parametrize("c1,c2", [(0.4, 0.2), (0.3, 0.2), (0.45, 0.45), (0.2, 0.1)])
+    # the grid's c1 = c2 pairs put the lower edge at 0, c1 + c2 near 1
+    # puts the upper edge near 1
+    @pytest.mark.parametrize("c1,c2", RATIO_GRID_20 + [
+        (0.6, 1.0 - delta - 0.6) for delta in (1e-3, 1e-4, 1e-5)] + [
+        ((1.0 - delta) / 2, (1.0 - delta) / 2) for delta in (1e-3, 1e-4, 1e-5)])
     def test_unit_mass(self, c1, c2):
-        assert support_mass(make_model(c1, c2)) == pytest.approx(1.0, abs=1e-9)
+        assert abs(support_mass(make_model(c1, c2)) - 1.0) <= 1e-10
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        # the number of points of each density call
+        sizes = []
+        real = spectral_model.density
+        monkeypatch.setattr(spectral_model, "density",
+                            lambda model, x: sizes.append(np.size(x)) or real(model, x))
+        return sizes
+
+    def test_halvings_evaluate_only_new_midpoints(self, evaluated):
+        support_mass(make_model(0.4, 0.2))
+        assert evaluated == [65, 64]
+
+    def test_capped_intervals_raise(self, evaluated):
+        # both edges lie 1e-12 from 0 and 1: the rule stops at 2**20 intervals
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            support_mass(make_model(0.5, 0.499999))
+        assert sum(evaluated) == 2 ** 20 + 1
+        assert info.value.achieved > 1e-9
 
 
 class TestStieltjes:
@@ -256,7 +282,7 @@ class TestClosedFormTailMass:
         r = 0.5 * (model.lambda_plus - model.lambda_minus)
         for theta in np.linspace(0.0, math.pi, 62)[1:-1]:
             closed = spectral_model._tail_mass_at_angle(model, theta)
-            oracle = spectral_model._tail_mass_from(model, a + r * math.cos(theta))
+            oracle = tail_mass_quad(model, a + r * math.cos(theta))
             assert abs(closed - oracle) <= 1e-10
 
     @pytest.mark.parametrize("c1,c2", RATIO_GRID_20)

@@ -18,7 +18,8 @@ The scclab that is imported, the first on PYTHONPATH, is the one run, so
 running this in two checkouts and diffing the outputs shows whether their
 results.* are byte-identical.
 
---write runs the pinned runs, configs/spectrum.json and the workload
+--write runs the pinned runs, configs/density_table.json,
+configs/quantiles.json, configs/spectrum.json and the workload
 invocations at seed 1, and writes their digests to DIGESTS.json at the
 repository root, with the environment they were computed in: the numpy
 version and the configuration and core name of numpy's OpenBLAS, which
@@ -48,7 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 DIGESTS = ROOT / "DIGESTS.json"
 RESULTS = ("results.csv", "results.json")
-PINNED_CONFIGS = ("spectrum.json",)
+PINNED_CONFIGS = ("density_table.json", "quantiles.json", "spectrum.json")
 PINNED_SEED = 1
 
 
