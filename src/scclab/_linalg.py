@@ -310,7 +310,8 @@ class IndexLayout(NamedTuple):
     index arrays (mu, mu + n), mu < n, of the paired coordinates of the
     two factor blocks, on which H, G and the limit matrix carry a 2x2
     kernel; add_kernel adds one in place, to a whole matrix or to one of
-    its column panels.
+    its column panels.  diagonal indexes one diagonal of a column panel,
+    from arrays built once and shared by every panel with its columns.
     """
 
     p: int
@@ -329,8 +330,17 @@ class IndexLayout(NamedTuple):
 
     @property
     def paired(self) -> tuple[np.ndarray, np.ndarray]:
-        first = self.p + self.q + np.arange(self.n)
-        return first, first + self.n
+        return self.diagonal(self.blocks[3], slice(None), -self.n)
+
+    def diagonal(self, block: slice, cols: slice, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, columns) of the entries (c + shift, c), c in block, of the column panel cols.
+
+        columns count from cols.start, so the pair indexes the panel
+        [:, cols] of a d x d matrix.  The arrays are read-only and built
+        once per block, panel and shift.
+        """
+        start, stop, _ = cols.indices(self.dim)
+        return _diagonal(max(block.start, start), min(block.stop, stop), start, shift)
 
     def add_kernel(self, M: np.ndarray, k00, k01, k11, cols: slice = slice(None)) -> None:
         """M += [[k00, k01], [k01, k11]] on every paired coordinate, in place.
@@ -339,13 +349,20 @@ class IndexLayout(NamedTuple):
         kernel entries in those columns are added; the whole matrix is the
         panel of every column, the default.
         """
-        start, stop, _ = cols.indices(self.dim)
-        first, second = self.paired
-        for own, partner, k in ((first, second, k00), (second, first, k11)):
-            inside = (own >= start) & (own < stop)
-            own, partner = own[inside], partner[inside]
-            M[own, own - start] += k
-            M[partner, own - start] += k01
+        s3, s4 = self.blocks[2:]
+        for own, k, to_partner in ((s3, k00, self.n), (s4, k11, -self.n)):
+            M[self.diagonal(own, cols)] += k
+            M[self.diagonal(own, cols, to_partner)] += k01
+
+
+@functools.lru_cache(maxsize=1024)
+def _diagonal(lo: int, hi: int, start: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c + shift, c - start) for c in lo..hi-1, as two read-only index arrays."""
+    columns = np.arange(lo, hi)
+    rows = columns + shift
+    columns -= start
+    rows.flags.writeable = columns.flags.writeable = False
+    return rows, columns
 
 
 def kernel_inverse_2x2(z: complex) -> np.ndarray:

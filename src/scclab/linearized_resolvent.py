@@ -31,13 +31,14 @@ inverse, one panel of at most _PANEL columns and one block of rows at a
 time: X G3, Y G4, X' G1 + k00 G3 + k01 G4 and Y' G2 + k01 G3 + k00 G4.
 The real data matrices multiply the complex G through its interleaved
 float view, so the exact check costs 4 (p+q) n d real multiply-adds and
-O(n _PANEL) memory.  The Schur route builds G's data columns first and
-then each factor panel in one reused d x _PANEL buffer; X' G1 and Y' G2
-are the products that assembly forms anyway, so its check adds only
-X G3 and Y G4.  A caller may take the finished panels one by one
-(blocks_via_schur's visit), and local_law_errors reduces them so: no
-d x d array is allocated, and the largest are the d x (p+q) data columns
-and the buffer.
+O(n _PANEL) memory.  The Schur route builds G's (p+q) x (p+q) data
+corner and then every column panel, data and factor alike, in one reused
+d x _PANEL buffer; X' G1 and Y' G2 are the products that assembly forms
+anyway, so its check adds only X G3 and Y G4.  A caller may take the
+finished panels one by one (blocks_via_schur's visit), and
+local_law_errors reduces them so: no d x d array is allocated, and a
+point holds O(d _PANEL + (p+q)**2) memory, the buffer and the data
+corner the largest of it.
 
 The partial traces of G over the four blocks (each divided by n)
 satisfy, for every realization and in exact arithmetic,
@@ -78,7 +79,7 @@ __all__ = [
 
 _RESIDUAL_LIMIT = 1e-6
 _TRACE_LIMIT = 1e-10        # for the trace identities, at every z of the spectral window
-_PANEL = 128
+_PANEL = 64
 _N_RANDOM_VECTORS = 24    # seeded global unit vectors in the anisotropic test set
 
 
@@ -125,7 +126,7 @@ class LinearizationMatrix:
     def _entry(self, value: complex):
         return value.real if self.is_real else value
 
-    @property
+    @cached_property
     def kernel_inverse(self) -> tuple:
         """(diagonal, cross) entries of the closed-form 2x2 kernel inverse."""
         kinv = kernel_inverse_2x2(self.z)
@@ -222,7 +223,8 @@ def _panel_residual(lin: LinearizationMatrix, cols: slice, panel: np.ndarray,
     panel's last axis must be contiguous.  top and bottom become the
     panel's factor rows of H G.  A NaN in the panel makes the result NaN.
     """
-    s1, s2, s3, s4 = lin.layout.blocks
+    layout = lin.layout
+    s1, s2, s3, s4 = layout.blocks
     G3, G4 = panel[s3], panel[s4]
     diag, cross = lin.kernel_inverse
     for block, own, other in ((top, G3, G4), (bottom, G4, G3)):
@@ -231,8 +233,7 @@ def _panel_residual(lin: LinearizationMatrix, cols: slice, panel: np.ndarray,
     worst = []
     for rows, block in ((s1, _real_times(lin.X, G3)), (s2, _real_times(lin.Y, G4)),
                         (s3, top), (s4, bottom)):
-        on_diag = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
-        block[on_diag - rows.start, on_diag - cols.start] -= 1.0
+        block[layout.diagonal(rows, cols, -rows.start)] -= 1.0
         worst.append(np.abs(block).max())
     return float(np.max(worst))
 
@@ -291,14 +292,19 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *
     blocks A diag(1/(lam - z)) A', -z**(-1/2) A diag(sv/(lam - z)) B' and
     B diag(1/(lam - z)) B'.  With D = diag(X, Y) and K the (un-inverted)
     kernel, G[right, left] = -K D' GL and the factor corner is
-    K - K D' G[left, right].  G's data columns are built first; each
-    panel of factor columns is then built in one reused buffer, and its
-    identity residual taken there (see the module docstring).  Without
-    visit the panels are copied into a full G.  With visit, each finished
-    panel G[:, cols] is passed to visit(cols, panel) instead, the factor
-    panels first and the data panels last; the visitor may overwrite the
-    panel, and the bundle's G is None.  As in resolvent(), identity
-    residuals above 1e-6 raise a conditioning error.
+    K - K D' G[left, right].  GL is built first, and then every panel of
+    at most _PANEL columns in one reused d x _PANEL buffer, where its
+    identity residual is taken (see the module docstring).  A data panel
+    starts from GL[:, cols].  The factor columns go by blocks mus of at
+    most _PANEL of the n factor indices: X[:, mus]' GL[s1] and
+    Y[:, mus]' GL[s2], formed once per block, give the data rows of the
+    block's panel in each factor block, as G[left, right] is
+    G[right, left]'.
+    Without visit the panels are copied into a full G.  With visit, each
+    finished panel G[:, cols] is passed to visit(cols, panel) instead,
+    the data panels first; the visitor may overwrite the panel, and the
+    bundle's G is None.  As in resolvent(), identity residuals above 1e-6
+    raise a conditioning error.
     """
     lin = build_H(pair, z)
     z = lin.z
@@ -313,20 +319,21 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *
     if min(np.abs(lam_p - z).min(), np.abs(lam_q - z).min()) < 1e-12:
         raise DomainError(f"z = {z} coincides with a sample eigenvalue")
     A, B, k = factor.A, factor.B, len(factor.sv)
+    X, Y = pair.X, pair.Y
     sz = sqrt_upper(z)
-    d = layout.dim
+    d, n = layout.dim, layout.n
     s1, s2, s3, s4 = layout.blocks
     data = slice(s1.start, s2.stop)     # the data corner's rows, and its columns
-    data_cols = np.empty((d, data.stop), dtype=complex)     # G[:, data]
+    GL = np.empty((data.stop, data.stop), dtype=complex)     # G[data, data]
 
     def weighted_gram(left, weights, right):    # left diag(weights) right'
         return _real_times(left, np.multiply(weights[:, None], right.T, order="C"))
 
-    data_cols[s1, s1] = weighted_gram(A, 1.0 / (lam_p - z), A)
+    GL[s1, s1] = weighted_gram(A, 1.0 / (lam_p - z), A)
     cross = -factor.sv / (sz * (lam_q[:k] - z))
-    data_cols[s1, s2] = weighted_gram(A[:, :k], cross, B[:, :k])
-    data_cols[s2, s1] = data_cols[s1, s2].T
-    data_cols[s2, s2] = weighted_gram(B, 1.0 / (lam_q - z), B)
+    GL[s1, s2] = weighted_gram(A[:, :k], cross, B[:, :k])
+    GL[s2, s1] = GL[s1, s2].T
+    GL[s2, s2] = weighted_gram(B, 1.0 / (lam_q - z), B)
 
     G = None
     if visit is None:
@@ -336,27 +343,35 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *
             G[:, cols] = panel
 
     diagonal = np.empty(d, dtype=complex)
+    buffer = np.empty((d, min(_PANEL, max(data.stop, n))), dtype=complex)
+    residuals = []
 
-    def finish(cols: slice, panel: np.ndarray) -> float:
+    def finish(cols: slice, panel: np.ndarray) -> None:
         # G[right, cols] = -K D' G[left, cols], with D' = diag(X', Y'), plus K
-        top = _real_times(pair.X.T, panel[s1])
-        bottom = _real_times(pair.Y.T, panel[s2])
+        top = _real_times(X.T, panel[s1])
+        bottom = _real_times(Y.T, panel[s2])
         for rows, own, other in ((s3, top, bottom), (s4, bottom, top)):
             block = np.multiply(own, -z, out=panel[rows])
             block -= sz * other
         layout.add_kernel(panel, z, sz, z, cols)
         diagonal[cols] = panel[cols].diagonal()
-        return _panel_residual(lin, cols, panel, top, bottom)
-
-    residuals = [finish(cols, data_cols[:, cols]) for cols in _panels(0, data.stop)]
-    buffer = np.empty((d, min(_PANEL, d - data.stop)), dtype=complex)
-    for cols in _panels(data.stop, d):
-        panel = buffer[:, : cols.stop - cols.start]
-        panel[data] = data_cols[cols].T
-        residuals.append(finish(cols, panel))
+        residuals.append(_panel_residual(lin, cols, panel, top, bottom))
         visit(cols, panel)
-    for cols in _panels(0, data.stop):      # last, as the factor panels read G[right, data]
-        visit(cols, data_cols[:, cols])
+
+    for cols in _panels(0, data.stop):
+        panel = buffer[:, : cols.stop - cols.start]
+        panel[data] = GL[:, cols]
+        finish(cols, panel)
+    for mus in _panels(0, n):
+        # G[data, right] is the transpose of -K D' GL, the G[right, data]
+        # that finish forms on the data panels, taken here on rows mus
+        x = _real_times(X[:, mus].T, GL[s1])
+        y = _real_times(Y[:, mus].T, GL[s2])
+        for right, own, other in ((s3, x, y), (s4, y, x)):
+            panel = buffer[:, : mus.stop - mus.start]
+            rows = np.multiply(own.T, -z, out=panel[data])
+            rows -= sz * other.T
+            finish(slice(right.start + mus.start, right.start + mus.stop), panel)
 
     residual = _enforce("resolvent identity", float(np.max(residuals)), _RESIDUAL_LIMIT, z)
     m1, m2, m3, m4 = _partial_traces(diagonal, layout)
@@ -456,7 +471,7 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     vectors = _test_vectors(layout, seed)
     left_forms = np.empty((vectors.shape[1], layout.dim), dtype=complex)    # V' (G - Pi)
     sectors = {f"{a}{b}": 0.0 for a in range(1, 5) for b in range(1, 5)}
-    first, second = layout.paired
+    s4 = layout.blocks[3]
     paired = 0.0
 
     def reduce(cols: slice, panel: np.ndarray) -> None:
@@ -470,9 +485,8 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
                 for a, rows in enumerate(layout.blocks, 1):
                     key = f"{a}{b}"
                     sectors[key] = max(sectors[key], float(np.abs(panel[rows, inside]).max()))
-        hit = (second >= cols.start) & (second < cols.stop)
-        if hit.any():
-            entries = panel[first[hit], second[hit] - cols.start]
+        entries = panel[layout.diagonal(s4, cols, -n)]      # the entries (mu, mu + n)
+        if entries.size:
             paired = max(paired, float(np.abs(entries).max()))
         left_forms[:, cols] = _real_times(vectors.T, panel)
 

@@ -392,17 +392,19 @@ class TestPanels:
             for key, value in fresh.checks.items():
                 assert shared.checks[key] == pytest.approx(value, abs=1e-13)
 
-    @pytest.mark.parametrize("panel", [7, 128, 10 ** 6])
+    @pytest.mark.parametrize("panel", [None, 7, 128, 10 ** 6])
     @pytest.mark.parametrize("p, q, n", [(18, 12, 60), (40, 20, 100)])
     def test_streamed_report_equals_materialized(self, monkeypatch, panel, p, q, n):
         # the report reduced panel by panel is the one swept over the whole
-        # materialized G - Pi, bit for bit; panels of 7 end inside every
-        # block and between paired coordinates (mu, mu + n), 10**6 exceeds d.
+        # materialized G - Pi, bit for bit, at the module's _PANEL (None)
+        # and others; panels of 7 end inside every block and between
+        # paired coordinates (mu, mu + n), 10**6 exceeds d.
         # aniso_err alone comes from a product split into panels: a BLAS
         # may round an entry of V' (G - Pi) differently by the product's
         # width (OpenBLAS 0.3.31 does, at 18, 12, 60), so it may move by
         # a few units in the last place
-        monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
+        if panel is not None:
+            monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
         model = make_model(p / n, q / n)
         truncated = truncate_center_rescale(sample_heavy_tail(p, q, n, seed=7, beta=3.0), 0.2)
         for pair in _mixed_pairs(p, q, n, 4) + [truncated]:
@@ -417,23 +419,36 @@ class TestPanels:
                 for key, value in reference.checks.items():
                     assert abs(report.checks[key] - value) <= 1e-14
 
-    @pytest.mark.parametrize("panel", [7, 128])
+    @pytest.mark.parametrize("panel", [None, 7, 128, 10 ** 6])
     def test_visitor_gets_every_column_once(self, medium_pair, monkeypatch, panel):
         # with a visitor no G is kept; the visited panels are the columns
-        # of the materialized G, and the traces and residual are the same
-        monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
+        # of the materialized G, and the traces and residual are the same.
+        # The data panels come first, and no factor panel crosses from
+        # one factor block into the other
+        if panel is not None:
+            monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
         z = complex(0.6, 0.2)
         full = blocks_via_schur(medium_pair, z)
         seen = np.zeros_like(full.G)
         visits = np.zeros(len(seen), dtype=int)
+        order = []
 
         def visit(cols, panel):
             seen[:, cols] = panel
+            panel[:] = np.nan               # a visitor may overwrite its panel
             visits[cols] += 1
+            order.append(cols)
 
         streamed = blocks_via_schur(medium_pair, z, visit=visit)
         assert streamed.G is None
         assert np.array_equal(seen, full.G) and np.all(visits == 1)
+        s1, s2, s3, s4 = streamed.layout.blocks
+        homes = [[home.start <= cols.start and cols.stop <= home.stop
+                  for home in (slice(0, s2.stop), s3, s4)] for cols in order]
+        assert all(sum(inside) == 1 for inside in homes)
+        data = [inside[0] for inside in homes]
+        assert data == sorted(data, reverse=True)
+        assert all(cols.stop - cols.start <= linearized_resolvent._PANEL for cols in order)
         for name in ("m1", "m2", "m3", "m4", "m", "identity_residual"):
             assert getattr(streamed, name) == getattr(full, name)
 
@@ -448,17 +463,20 @@ class TestPanels:
 
 
 def test_local_law_peak_memory_near_size_of_g():
-    # no d x d array: G's data columns, one reused panel buffer and
-    # panel-sized temporaries
-    pair = sample_gaussian(120, 80, 400, seed=3)
-    model = make_model(0.3, 0.2)
-    z = complex(0.5, 0.3)
-    local_law_errors(pair, model, z)            # warm-up: lazy imports and caches
-    tracemalloc.start()
-    try:
-        local_law_errors(pair, model, z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    d = pair.p + pair.q + 2 * pair.n
-    assert peak <= 0.75 * 16 * d * d, f"peak {peak / (16 * d * d):.2f} x the size of G"
+    # no d x d array: G's data corner, one reused panel buffer and
+    # panel-sized temporaries.  The bound in bytes is 3/4 of G at
+    # (120, 80, 400), and G's d x (p+q) data columns at (240, 160, 800),
+    # as a point holds O(d _PANEL + (p+q)**2)
+    for (p, q, n), bound in (((120, 80, 400), 0.75 * 16 * 1000 * 1000),
+                             ((240, 160, 800), 16 * 2000 * 400)):
+        pair = sample_gaussian(p, q, n, seed=3)
+        model = make_model(p / n, q / n)
+        z = complex(0.5, 0.3)
+        local_law_errors(pair, model, z)        # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            local_law_errors(pair, model, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / bound:.2f} x the bound at n = {n}"
