@@ -5,23 +5,34 @@ configuration (reporting every violated constraint), computes, and only
 then writes results.csv, results.json, and a manifest.json with the full
 configuration echo next to them.  A run that fails writes no results,
 only diagnostics.json on a numerical failure.  Every kind's runner is a
-pure function of the configuration, computed with BLAS on one thread,
-so re-running a manifest's configuration reproduces the result files
-byte for byte at any BLAS thread count.  The three Monte Carlo kinds
-(local-law-sweep, tw-edge, rigidity-scaling) sample their pairs through
-edge_stats.TrialLog alike: a failed pair is resampled and counted in
-results.json's "failures", and the failure that takes the count past one
-percent of the run's pairs stops the run there, with exit code 3.  Their
-trials run through TrialLog.map, one process per CPU the run may use,
-with the same output as one process; manifest.json's environment gives
-the number of processes as "trial_processes".  Every kind's runner
-returns one edge_stats.ExperimentReport, from which run writes the three
-files.  run also pins the C allocator's thresholds (_linalg.steady_heap),
-so the memory that repeated trials and local-law points free stays
-mapped instead of being faulted in again; the forked trial processes
-inherit it, and the manifest records it as "steady_heap".  An --out that
-is a file, or lies under one, is a validation failure found before
-anything is computed.
+pure function of the configuration, so re-running a manifest's
+configuration reproduces the result files byte for byte.  The three
+Monte Carlo kinds (local-law-sweep, tw-edge, rigidity-scaling) sample
+their pairs through edge_stats.TrialLog alike: a failed pair is
+resampled and counted in results.json's "failures", and the failure that
+takes the count past one percent of the run's pairs stops the run there,
+with exit code 3.  Their trials run through TrialLog.map, one process per
+CPU the run may use, with the same output as one process; manifest.json's
+environment gives the number of processes as "trial_processes".  Every
+kind's runner returns one edge_stats.ExperimentReport, from which run
+writes the three files.  An --out that is a file, or lies under one, is a
+validation failure found before anything is computed.
+
+run owns its process and applies three settings to it, which the forked
+trial processes inherit and manifest.json's environment records (the
+last two move no computed value):
+  - BLAS on one thread (_linalg.one_blas_thread), so results.* do not
+    depend on the BLAS thread count ("blas_threads");
+  - the C allocator's thresholds pinned (_linalg.steady_heap), so the
+    memory that repeated trials and local-law points free stays mapped
+    instead of being faulted in again ("steady_heap");
+  - no OpenSSL: the first numpy.random import loads secrets, hmac and
+    hashlib, and hashlib's OpenSSL backend (_hashlib) maps libcrypto,
+    about 3.4 MB resident, though every stream is seeded explicitly and
+    nothing is hashed.  Where _hashlib is not loaded yet, run blocks it
+    (None in sys.modules), so hashlib takes its built-in algorithms
+    ("hashlib_openssl", false).  Importing scclab or this module does
+    not, so a host program keeps OpenSSL's hashes.
 
 Exit codes: 0 success, 2 validation failure (including an unreadable or
 malformed --config file, or a config kind other than the subcommand),
@@ -184,11 +195,13 @@ _RUNNERS = {
 
 
 def _environment(processes: int | None, pinned: bool, steady: bool) -> dict:
-    """numpy's version, BLAS build and runtime, thread settings and trial processes of this run.
+    """numpy's version, BLAS build and runtime, process settings and trial processes of this run.
 
     numpy is the only third-party library a run loads.  pinned says whether
     one_blas_thread found an OpenBLAS to run on one thread, steady
-    whether steady_heap pinned the allocator's thresholds.
+    whether steady_heap pinned the allocator's thresholds; whether
+    hashlib's OpenSSL backend is loaded is read here, as the manifest is
+    written.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -202,6 +215,7 @@ def _environment(processes: int | None, pinned: bool, steady: bool) -> dict:
                     if key.endswith("_NUM_THREADS")},
         "blas_threads": 1 if pinned else None,
         "steady_heap": steady,
+        "hashlib_openssl": sys.modules.get("_hashlib") is not None,
         "triangular_inverse": triangular_inverse_route(),
     } | ({} if processes is None else {"trial_processes": processes})
 
@@ -222,23 +236,25 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     nothing, so a run that raises leaves no output behind; an out_dir
     that is a file, or lies under one, is rejected with the config.  It
     runs with BLAS on one thread, so results.* do not depend on the BLAS
-    thread count either, and with the allocator's thresholds pinned by
-    steady_heap, which this process owns, so the memory its repeated
-    trials and points free stays mapped.  The report's checks
+    thread count either, with the allocator's thresholds pinned by
+    steady_heap, so the memory its repeated trials and points free stays
+    mapped, and with hashlib's OpenSSL backend blocked where it is not
+    loaded yet; this process owns all three settings.  The report's checks
     (self-check residuals, conditioning) go to the manifest only, as do
     the "environment" (library versions, the BLAS build and the
     configuration and core of the OpenBLAS that runs, CPU count,
     *_NUM_THREADS settings, the BLAS thread count in force, 1 where an
     OpenBLAS was pinned and null otherwise, whether steady_heap took
-    effect, the route that inverted the Cholesky factors, "dtrtri" or
-    "inv", and, for a Monte Carlo kind, the number of processes that
-    computed its trials) and the timings, so results.* stay a function
-    of the config.
+    effect, whether hashlib's OpenSSL backend was loaded, the route that
+    inverted the Cholesky factors, "dtrtri" or "inv", and, for a Monte
+    Carlo kind, the number of processes that computed its trials) and
+    the timings, so results.* stay a function of the config.
     """
     out = Path(out_dir)
     reject(validate(config) + _out_dir_violations(out))
     start = time.perf_counter()
     steady = steady_heap()
+    sys.modules.setdefault("_hashlib", None)    # before the first numpy.random import
     with one_blas_thread() as pinned:
         report = _RUNNERS[config.kind](config)
     write_start = time.perf_counter()

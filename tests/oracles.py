@@ -228,9 +228,9 @@ def local_law_reference(pair, model: SpectralModel, z, seed: int = 0,
     )
 
 
-def jacobi_top(p: int, q: int, n: int, draws: int, k: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """The k largest squared canonical correlations of Gaussian data, exactly in law.
+def jacobi_tridiagonal(p: int, q: int, n: int, draws: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The squared canonical correlations of Gaussian data as tridiagonals, exactly in law.
 
     For Gaussian X (uncentered) and any independent Y, the q squared
     sample canonical correlations are the beta = 1 Jacobi ensemble with
@@ -240,8 +240,9 @@ def jacobi_top(p: int, q: int, n: int, draws: int, k: int,
     c_i = sqrt(Beta((a+i)/2, (b+i)/2)) for i = m..1,
     c'_j = sqrt(Beta(j/2, (a+b+1+j)/2)) for j = m-1..1, s = sqrt(1 - c**2),
     diag(B) = (c_m, c_{m-1} s'_{m-1}, ..., c_1 s'_1) and
-    superdiag(B) = (-s_m c'_{m-1}, ..., -s_2 c'_1).  B'B is tridiagonal,
-    and its top k come from _linalg.tridiagonal_top.  Returns (draws, k).
+    superdiag(B) = (-s_m c'_{m-1}, ..., -s_2 c'_1).  Returns the diagonals
+    (draws, q) and off-diagonals (draws, q - 1) of the tridiagonal B'B,
+    whose eigenvalues those are.
     """
     m, a, b = q, p - q, n - p - q
     i = np.arange(m, 0, -1)
@@ -253,4 +254,17 @@ def jacobi_top(p: int, q: int, n: int, draws: int, k: int,
     e = -s[:, :-1] * c_prime
     diag = d * d
     diag[:, 1:] += e * e
-    return tridiagonal_top(diag, d[:, :-1] * e, k)
+    return diag, d[:, :-1] * e
+
+
+def jacobi_top(p: int, q: int, n: int, draws: int, k: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """The k largest of jacobi_tridiagonal's spectra, by _linalg.tridiagonal_top; (draws, k)."""
+    return tridiagonal_top(*jacobi_tridiagonal(p, q, n, draws, rng), k)
+
+
+def jacobi_spectrum(p: int, q: int, n: int, draws: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """All q of jacobi_tridiagonal's eigenvalues per draw, ascending, by LAPACK; (draws, q)."""
+    diag, off = jacobi_tridiagonal(p, q, n, draws, rng)
+    return np.array([eigvalsh_tridiagonal(a, b) for a, b in zip(diag, off)])

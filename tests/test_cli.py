@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -226,7 +227,7 @@ class TestMain:
             env = json.loads((out / "manifest.json").read_text())["environment"]
             monte_carlo = kind in ("local-law-sweep", "tw-edge", "rigidity-scaling")
             assert set(env) == {"numpy", "blas", "cpu_count", "threads", "blas_threads",
-                                "steady_heap", "triangular_inverse"} | (
+                                "steady_heap", "hashlib_openssl", "triangular_inverse"} | (
                                     {"trial_processes"} if monte_carlo else set())
             if monte_carlo:
                 assert 1 <= env["trial_processes"] <= len(os.sched_getaffinity(0))
@@ -236,6 +237,8 @@ class TestMain:
             assert env["threads"]["OPENBLAS_NUM_THREADS"] == threads
             assert env["blas_threads"] == blas_threads
             assert env["steady_heap"] is steady
+            # the run blocks OpenSSL's hashlib backend unless it was loaded before
+            assert env["hashlib_openssl"] is (sys.modules.get("_hashlib") is not None)
             assert env["triangular_inverse"] == triangular_inverse_route()
             assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
             results = json.loads((out / "results.json").read_text())

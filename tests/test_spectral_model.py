@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from oracles import (classical_location_brentq, pi_dense, pi_kernel_inverse, solve_m3,
-                     tail_mass_quad)
+from oracles import (classical_location_brentq, jacobi_spectrum, pi_dense, pi_kernel_inverse,
+                     solve_m3, tail_mass_quad)
 from test_acceptance import RATIO_GRID_20
 
 from scclab import spectral_model
@@ -194,6 +194,37 @@ class TestStieltjes:
         # Herglotz property: Im m > 0 in the upper half plane
         for z in Z_GRID:
             assert stieltjes(model_wide, z).m.imag > 0.0
+
+    def test_averaged_law_on_exact_gaussian_spectra(self):
+        # m_n(z) = (1/q) sum_i 1/(lambda_i - z) over the full null spectrum of
+        # a Gaussian pair, drawn exactly from the beta = 1 Jacobi model (200
+        # draws per n at (c1, c2) = (0.3, 0.2)), is the resolvent's m; the
+        # averaged local law puts it within O(1/(n eta)) of the limit m(z).
+        # So the median of n eta |m_n(z) - m(z)| stays bounded and does not
+        # grow with n, in the bulk and at the upper edge, at eta = 10/n and
+        # n^(-1/2).  Measured over 40 other seeds, the median read 2.4 to 3.5
+        # at E = 0.4 and 1.4 to 2.3 at E = lambda_plus, with a seed-to-seed
+        # spread (sd) of at most 0.18 and means of at most 2.92, so 4 lies
+        # more than 5 sd above every mean.  The ratio of the n = 2000 median
+        # to the n = 400 one had means 0.91 to 1.06 and sds of at most 0.10,
+        # so 1.5 lies 4 sd above the largest; a rate worse than 1/(n eta) by
+        # n^(1/4) would reach 5^(1/4) = 1.5 from 400 to 2000 by itself.
+        medians = {}
+        for n in (400, 2000):
+            p, q = 3 * n // 10, n // 5
+            model = make_model(p / n, q / n)
+            lam = jacobi_spectrum(p, q, n, 200, np.random.default_rng(n))
+            for energy, E in (("bulk", 0.4), ("edge", model.lambda_plus)):
+                for scale, eta in (("10/n", 10.0 / n), ("n^-1/2", n ** -0.5)):
+                    z = complex(E, eta)
+                    m_n = (1.0 / (lam - z)).mean(axis=1)
+                    medians[energy, scale, n] = float(
+                        np.median(n * eta * np.abs(m_n - stieltjes(model, z).m)))
+        for energy in ("bulk", "edge"):
+            for scale in ("10/n", "n^-1/2"):
+                small, large = medians[energy, scale, 400], medians[energy, scale, 2000]
+                assert max(small, large) <= 4.0, medians
+                assert large <= 1.5 * small, medians
 
 
 class TestQuantiles:
