@@ -223,7 +223,9 @@ class TrialLog:
         process computes on its own copy of this log, and every process
         runs with BLAS on one thread; where no OpenBLAS is found to pin,
         every key is computed here.  A key whose work raises drains the
-        queue, so no process starts another.  Each process records, per
+        queue, so no process starts another.  numpy.random is imported
+        before the fork, so the children inherit it instead of each
+        importing it on its first key.  Each process records, per
         key, its result, its failures, the conditioning minima and the
         error it raised; the forked children send theirs back pickled.
         The records are then folded into this log in key order: the fold
@@ -234,6 +236,7 @@ class TrialLog:
         turn.  No child outlives the call.
         """
         keys = list(keys)
+        import numpy.random  # noqa: F401  (not at module level, where every import would pay it)
         with one_blas_thread() as pinned, _KeyQueue(len(keys)) as queue:
             count = max(1, min(_processes(), len(keys))) if pinned else 1
             first = queue.take()        # the first key is computed here

@@ -10,35 +10,31 @@ two n-dimensional factor blocks through the 2x2 kernel
 where Kinv is the closed-form kernel inverse (z(z-1))**(-1)
 [[z, -z^(1/2)], [-z^(1/2), z]] acting on each paired coordinate (mu,
 mu + n); the kernel is never inverted numerically.  A real lam in (0, 1)
-is a squared sample canonical correlation exactly when det H(lam) = 0
-(det_characterization_residual checks this through the smallest singular
-value of H(lam)), and for Im z > 0 the resolvent G(z) = H(z)**(-1) exists
-and collects all of the whitened two-channel resolvent blocks at once.
+is a squared sample canonical correlation exactly when det H(lam) = 0,
+and for Im z > 0 the resolvent G(z) = H(z)**(-1) exists and collects all
+of the whitened two-channel resolvent blocks at once.
 
-Two routes to G are implemented: blocks_via_schur, a Schur-complement
-assembly from a pair's z-free canonical_factor (the whitening and the
-full SVD of the whitened cross matrix), which a sweep computes once and
-reuses at every z; and resolvent(), a direct dense LU inversion of H.
-local_law_errors always uses the Schur route.  resolvent() is the dense
-reference: agreement of the two routes is an end-to-end check of the
-block algebra.  The coordinate blocks of H and G, and the 2x2 kernels
-on their paired coordinates, are written and read through
-_linalg.IndexLayout.
+G is assembled by blocks_via_schur from a pair's z-free canonical_factor
+(the whitening and the full SVD of the whitened cross matrix), which a
+sweep computes once and reuses at every z; H is never formed or
+inverted.  The coordinate blocks of H and G, and the 2x2 kernels on
+their paired coordinates, are written and read through
+_linalg.IndexLayout.  The dense references, H itself, its LU inverse and
+the determinant check, live with the tests (tests/oracles.py).
 
-Both routes check max |H G - I| over all d**2 entries (d = p+q+2n) and
-raise above 1e-6.  The product is formed from X, Y and the kernel
+The assembly checks max |H G - I| over all d**2 entries (d = p+q+2n)
+and raises above 1e-6.  The product is formed from X, Y and the kernel
 inverse, one panel of at most _PANEL columns and one block of rows at a
 time: X G3, Y G4, X' G1 + k00 G3 + k01 G4 and Y' G2 + k01 G3 + k00 G4.
 The real data matrices multiply the complex G through its interleaved
 float view, so the exact check costs 4 (p+q) n d real multiply-adds and
-O(n _PANEL) memory.  The Schur route builds G's (p+q) x (p+q) data
-corner and then every column panel, data and factor alike, in one reused
+O(n _PANEL) memory.  The assembly builds G's (p+q) x (p+q) data corner
+and then every column panel, data and factor alike, in one reused
 d x _PANEL buffer; X' G1 and Y' G2 are the products that assembly forms
-anyway, so its check adds only X G3 and Y G4.  A caller may take the
-finished panels one by one (blocks_via_schur's visit), and
-local_law_errors reduces them so: no d x d array is allocated, and a
-point holds O(d _PANEL + (p+q)**2) memory, the buffer and the data
-corner the largest of it.
+anyway, so its check adds only X G3 and Y G4.  Each finished panel goes
+to the caller's visitor, and local_law_errors reduces them so: no d x d
+array is allocated, and a point holds O(d _PANEL + (p+q)**2) memory, the
+buffer and the data corner the largest of it.
 
 The partial traces of G over the four blocks (each divided by n)
 satisfy, for every realization and in exact arithmetic,
@@ -71,8 +67,6 @@ __all__ = [
     "ResolventBundle",
     "LocalLawReport",
     "build_H",
-    "det_characterization_residual",
-    "resolvent",
     "blocks_via_schur",
     "local_law_errors",
 ]
@@ -104,9 +98,7 @@ def _real_times(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class LinearizationMatrix:
     """H(z) held by its blocks: the data matrices and the kernel inverse.
 
-    ``matrix`` builds the dense d x d array on first use, for the LU and
-    SVD callers; _panel_residual multiplies a column panel by H without
-    forming it.
+    _panel_residual multiplies a column panel by H without forming it.
     """
 
     X: np.ndarray
@@ -118,37 +110,15 @@ class LinearizationMatrix:
     def dim(self) -> int:
         return self.layout.dim
 
-    @property
-    def is_real(self) -> bool:
-        """H is real symmetric exactly for real z > 0."""
-        return self.z.imag == 0 and self.z.real > 0
-
-    def _entry(self, value: complex):
-        return value.real if self.is_real else value
-
     @cached_property
     def kernel_inverse(self) -> tuple:
         """(diagonal, cross) entries of the closed-form 2x2 kernel inverse."""
         kinv = kernel_inverse_2x2(self.z)
-        return self._entry(kinv[0, 0]), self._entry(kinv[0, 1])
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense H(z): real for real z > 0, complex symmetric otherwise."""
-        layout = self.layout
-        s1, s2, s3, s4 = layout.blocks
-        H = np.zeros((layout.dim, layout.dim), dtype=float if self.is_real else complex)
-        H[s1, s3] = self.X
-        H[s2, s4] = self.Y
-        H[s3, s1] = self.X.T
-        H[s4, s2] = self.Y.T
-        diag, cross = self.kernel_inverse
-        layout.add_kernel(H, diag, cross, diag)
-        return H
+        return kinv[0, 0], kinv[0, 1]
 
 
 def build_H(pair: DataPair, z) -> LinearizationMatrix:
-    """H(z) for a pair.  Real symmetric for real z > 0, complex symmetric otherwise."""
+    """H(z) for a pair, held by its blocks; z must lie on or above the real axis, off 0 and 1."""
     z = complex(z)
     if z == 0 or z == 1:
         raise DomainError(f"kernel is singular at z = {z}")
@@ -156,19 +126,6 @@ def build_H(pair: DataPair, z) -> LinearizationMatrix:
         raise DomainError(f"z = {z} lies below the real axis")
     return LinearizationMatrix(X=pair.X, Y=pair.Y, z=z,
                                layout=IndexLayout(pair.p, pair.q, pair.n))
-
-
-def det_characterization_residual(pair: DataPair, lam: float) -> float:
-    """Relative smallest singular value of the linearization at a real point.
-
-    For lam in (0, 1) that is a squared sample canonical correlation the
-    linearization matrix H(lam) is singular, so this residual (smallest
-    singular value over largest) vanishes to roundoff.
-    """
-    if not (0.0 < lam < 1.0):
-        raise ParameterError(f"determinant characterization needs 0 < lambda < 1, got {lam}")
-    sv = np.linalg.svd(build_H(pair, lam).matrix, compute_uv=False)
-    return float(sv[-1] / sv[0])
 
 
 @dataclass(eq=False)
@@ -181,11 +138,9 @@ class ResolventBundle:
     residual records max |H G - I| over every entry of the product,
     computed from the data matrices and the kernel inverse one column
     panel at a time, in O((p+q) n d) time and O(n _PANEL) extra memory
-    (see the module docstring).  G is None when blocks_via_schur handed
-    its panels to a visitor instead of keeping them.
+    (see the module docstring).
     """
 
-    G: np.ndarray | None
     z: complex
     layout: IndexLayout
     m1: complex
@@ -194,7 +149,6 @@ class ResolventBundle:
     m4: complex
     m: complex
     identity_residual: float
-    route: str = "direct"
 
     @property
     def c1(self) -> float:
@@ -238,17 +192,6 @@ def _panel_residual(lin: LinearizationMatrix, cols: slice, panel: np.ndarray,
     return float(np.max(worst))
 
 
-def _identity_residual(lin: LinearizationMatrix, G: np.ndarray) -> float:
-    """max |H G - I| over all d**2 entries, in the Schur route's column panels."""
-    s1, s2 = lin.layout.blocks[:2]
-    worst = []
-    for cols in _panels(0, s2.stop) + _panels(s2.stop, lin.dim):
-        panel = G[:, cols]
-        top, bottom = _real_times(lin.X.T, panel[s1]), _real_times(lin.Y.T, panel[s2])
-        worst.append(_panel_residual(lin, cols, panel, top, bottom))
-    return float(np.max(worst))
-
-
 def _enforce(check: str, residual: float, limit: float, z: complex) -> float:
     if not residual <= limit:       # a NaN residual fails too
         raise NumericalError(
@@ -258,33 +201,8 @@ def _enforce(check: str, residual: float, limit: float, z: complex) -> float:
     return residual
 
 
-def resolvent(pair: DataPair, z) -> ResolventBundle:
-    """G(z) by dense LU inversion of H(z).
-
-    A singular H, as at a real z where det H vanishes (a squared sample
-    canonical correlation), and identity residuals above 1e-6 raise a
-    NumericalError.
-    """
-    lin = build_H(pair, z)
-    layout = lin.layout
-    try:
-        G = np.linalg.inv(lin.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"linearization not invertible at z = {lin.z}: {exc}") from exc
-    residual = _enforce("resolvent identity", _identity_residual(lin, G),
-                        _RESIDUAL_LIMIT, lin.z)
-    m1, m2, m3, m4 = _partial_traces(G.diagonal(), layout)
-    Syy = pair.Y @ pair.Y.T
-    s2 = layout.blocks[1]
-    m = complex(np.trace(G[s2, s2] @ Syy)) / layout.q
-    return ResolventBundle(
-        G=G, z=lin.z, layout=layout, m1=m1, m2=m2, m3=m3, m4=m4, m=m,
-        identity_residual=residual, route="direct",
-    )
-
-
 def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *,
-                     visit=None) -> ResolventBundle:
+                     visit) -> ResolventBundle:
     """Assemble G(z) from the pair's CanonicalFactor without inverting H.
 
     factor defaults to canonical_factor(pair).  With its A, B, sv and lam,
@@ -300,11 +218,9 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *
     Y[:, mus]' GL[s2], formed once per block, give the data rows of the
     block's panel in each factor block, as G[left, right] is
     G[right, left]'.
-    Without visit the panels are copied into a full G.  With visit, each
-    finished panel G[:, cols] is passed to visit(cols, panel) instead,
-    the data panels first; the visitor may overwrite the panel, and the
-    bundle's G is None.  As in resolvent(), identity residuals above 1e-6
-    raise a conditioning error.
+    Each finished panel G[:, cols] is passed to visit(cols, panel), the
+    data panels first; the visitor may overwrite the panel, and no d x d
+    G is kept.  Identity residuals above 1e-6 raise a NumericalError.
     """
     lin = build_H(pair, z)
     z = lin.z
@@ -334,13 +250,6 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *
     GL[s1, s2] = weighted_gram(A[:, :k], cross, B[:, :k])
     GL[s2, s1] = GL[s1, s2].T
     GL[s2, s2] = weighted_gram(B, 1.0 / (lam_q - z), B)
-
-    G = None
-    if visit is None:
-        G = np.empty((d, d), dtype=complex)
-
-        def visit(cols, panel):
-            G[:, cols] = panel
 
     diagonal = np.empty(d, dtype=complex)
     buffer = np.empty((d, min(_PANEL, max(data.stop, n))), dtype=complex)
@@ -376,10 +285,8 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *
     residual = _enforce("resolvent identity", float(np.max(residuals)), _RESIDUAL_LIMIT, z)
     m1, m2, m3, m4 = _partial_traces(diagonal, layout)
     m = complex(np.mean(1.0 / (lam_q - z)))
-    return ResolventBundle(
-        G=G, z=z, layout=layout, m1=m1, m2=m2, m3=m3, m4=m4, m=m,
-        identity_residual=residual, route="schur",
-    )
+    return ResolventBundle(z=z, layout=layout, m1=m1, m2=m2, m3=m3, m4=m4, m=m,
+                           identity_residual=residual)
 
 
 @dataclass(eq=False)
@@ -454,8 +361,7 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     each coordinate block, and representative standard basis vectors (the
     full basis-pair sweep is the entrywise error).  G is always
     assembled by blocks_via_schur, from factor (canonical_factor(pair))
-    when one is given and from a fresh factor otherwise; resolvent() is
-    the dense reference it is tested against.  Each column panel of G is
+    when one is given and from a fresh factor otherwise.  Each column panel of G is
     reduced as the assembly finishes it: Pi is subtracted on the panel,
     the sector maxima and paired34 take its entries, and V' (G - Pi) its
     columns, with V the test set; (V' (G - Pi)) V is formed once at the

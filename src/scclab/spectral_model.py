@@ -14,11 +14,10 @@ and density
 This module evaluates that density and its total mass, its upper-tail
 quantiles (the classical eigenvalue locations, found by bisection on the
 closed-form tail mass below), the four partial Stieltjes transforms of
-the linearized resolvent together with the off-diagonal limit h and the
-residuals of their self-consistency relations, a descriptor of the
-block-constant limit matrix that is subtracted from a resolvent in place
-rather than formed densely, and the fluctuation control parameter used
-to benchmark finite-n resolvent errors.
+the linearized resolvent together with the off-diagonal limit h, a
+descriptor of the block-constant limit matrix that is subtracted from a
+resolvent in place rather than formed densely, and the fluctuation
+control parameter used to benchmark finite-n resolvent errors.
 
 With x = a + r cos(theta), a = (lambda_minus + lambda_plus)/2 and
 r = (lambda_plus - lambda_minus)/2, the mass above x(theta) is, exactly,
@@ -78,7 +77,6 @@ __all__ = [
     "classical_location",
     "classical_locations",
     "stieltjes",
-    "sc_residuals",
     "pi_limit",
     "psi_control",
 ]
@@ -349,25 +347,6 @@ def stieltjes(model: SpectralModel, z) -> StieltjesQuadruple:
     h = 0.5 * sqrt_upper(z) * (-z + (2.0 - c1 - c2) + s)
     m = (1.0 - c2) / c2 * m2
     return StieltjesQuadruple(m1=m1, m2=m2, m3=m3, m4=m4, h=h, m=m)
-
-
-def sc_residuals(model: SpectralModel, quad: StieltjesQuadruple, z) -> np.ndarray:
-    """Absolute residuals of the five self-consistency relations at z.
-
-    In order: the two reciprocal couplings m1 = -c1/m3 and m2 = -c2/m4,
-    the linear difference m3 - m4 = (1-z)(c1-c2), the rational relation
-    expressing m3 through (m1, m2), and the closed quadratic in m3.
-    """
-    c1, c2 = model.c1, model.c2
-    z = complex(z)
-    m1, m2, m3, m4 = quad.m1, quad.m2, quad.m3, quad.m4
-    r = np.empty(5)
-    r[0] = abs(m1 + c1 / m3)
-    r[1] = abs(m2 + c2 / m4)
-    r[2] = abs(m3 - m4 - (1.0 - z) * (c1 - c2))
-    r[3] = abs(m3 * (1.0 / z - (m1 + m2) + (z - 1.0) * m1 * m2) - (1.0 - (z - 1.0) * m2))
-    r[4] = abs(m3 ** 2 + ((2.0 * c1 - 1.0) * z - c1 + c2) * m3 + c1 * (c1 - 1.0) * z * (z - 1.0))
-    return r
 
 
 @dataclass(eq=False)

@@ -2,16 +2,20 @@
 
 Each one recomputes, by a different or more explicit path, an object the
 library evaluates in a leaner form: the m3 root of the closed quadratic,
-the dense block-constant limit matrix, the inverse of its 2x2 kernel,
-the un-inverted coupling kernel of the linearization, a classical
-location found by a bracketed root finder one target at a time, the
-tail mass of the density by adaptive quadrature, the top eigenvalues
-of tridiagonal GOE draws by LAPACK's bisection (stebz), one trial at a
-time, random signs by numpy's bounded-integer draw,
-whole sampler matrices drawn row by row by the Generator's own calls,
-and the local-law report swept over a materialized G - Pi.  One is an
-exact law rather than a second route: the beta-Jacobi matrix model of
-the Gaussian null spectrum.
+the residuals of the transforms' self-consistency relations, the dense
+block-constant limit matrix, the inverse of its 2x2 kernel, the
+un-inverted coupling kernel of the linearization, the dense
+linearization H and its resolvent by LU inversion, the determinant
+characterization of the spectrum by the smallest singular value of H,
+the identity residual max |H G - I| of a whole G, the Schur route's G
+collected whole from its panels, a classical location found by a
+bracketed root finder one target at a time, the tail mass of the
+density by adaptive quadrature, the top eigenvalues of tridiagonal GOE
+draws by LAPACK's bisection (stebz), one trial at a time, random signs
+by numpy's bounded-integer draw, whole sampler matrices drawn row by row
+by the Generator's own calls, and the local-law report swept over a
+materialized G - Pi.  One is an exact law rather than a second route:
+the beta-Jacobi matrix model of the Gaussian null spectrum.
 """
 
 import math
@@ -20,10 +24,12 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.linalg import eigvalsh_tridiagonal
 
-from scclab import (LocalLawReport, NumericalError, SpectralModel, blocks_via_schur,
-                    pi_limit, psi_control, stieltjes)
+from scclab import (LinearizationMatrix, LocalLawReport, NumericalError, ParameterError,
+                    ResolventBundle, SpectralModel, StieltjesQuadruple, blocks_via_schur,
+                    build_H, linearized_resolvent, pi_limit, psi_control, stieltjes)
 from scclab._linalg import sqrt_upper, tridiagonal_top
-from scclab.linearized_resolvent import _real_times, _test_vectors
+from scclab.linearized_resolvent import (_RESIDUAL_LIMIT, _enforce, _panels,
+                                         _partial_traces, _real_times, _test_vectors)
 from scclab.spectral_model import PiDescriptor, _edge_sqrt, _tail_mass_at_angle, density
 
 
@@ -52,6 +58,25 @@ def solve_m3(model: SpectralModel, z) -> complex:
     if z.imag > 0 and root.imag < -1e-12:
         raise NumericalError(f"selected root has negative imaginary part at z={z}")
     return root
+
+
+def sc_residuals(model: SpectralModel, quad: StieltjesQuadruple, z) -> np.ndarray:
+    """Absolute residuals of the five self-consistency relations at z.
+
+    In order: the two reciprocal couplings m1 = -c1/m3 and m2 = -c2/m4,
+    the linear difference m3 - m4 = (1-z)(c1-c2), the rational relation
+    expressing m3 through (m1, m2), and the closed quadratic in m3.
+    """
+    c1, c2 = model.c1, model.c2
+    z = complex(z)
+    m1, m2, m3, m4 = quad.m1, quad.m2, quad.m3, quad.m4
+    r = np.empty(5)
+    r[0] = abs(m1 + c1 / m3)
+    r[1] = abs(m2 + c2 / m4)
+    r[2] = abs(m3 - m4 - (1.0 - z) * (c1 - c2))
+    r[3] = abs(m3 * (1.0 / z - (m1 + m2) + (z - 1.0) * m1 * m2) - (1.0 - (z - 1.0) * m2))
+    r[4] = abs(m3 ** 2 + ((2.0 * c1 - 1.0) * z - c1 + c2) * m3 + c1 * (c1 - 1.0) * z * (z - 1.0))
+    return r
 
 
 def pi_dense(desc: PiDescriptor) -> np.ndarray:
@@ -114,6 +139,85 @@ def kernel_2x2(z: complex) -> np.ndarray:
     """The 2x2 coupling kernel [[z, z^(1/2)], [z^(1/2), z]]."""
     sz = sqrt_upper(z)
     return np.array([[z, sz], [sz, z]])
+
+
+def dense_H(lin: LinearizationMatrix) -> np.ndarray:
+    """The dense H(z) of a linearization: real for real z > 0, complex symmetric otherwise."""
+    layout = lin.layout
+    s1, s2, s3, s4 = layout.blocks
+    real = lin.z.imag == 0 and lin.z.real > 0
+    H = np.zeros((layout.dim, layout.dim), dtype=float if real else complex)
+    H[s1, s3] = lin.X
+    H[s2, s4] = lin.Y
+    H[s3, s1] = lin.X.T
+    H[s4, s2] = lin.Y.T
+    diag, cross = lin.kernel_inverse
+    if real:
+        diag, cross = diag.real, cross.real
+    layout.add_kernel(H, diag, cross, diag)
+    return H
+
+
+def identity_residual(lin: LinearizationMatrix, G: np.ndarray) -> float:
+    """max |H G - I| over all d**2 entries of a whole G, in the Schur route's column panels.
+
+    Each panel goes through the library's _panel_residual, so this checks
+    the residual code that runs.  A real G is taken as complex.
+    """
+    G = np.asarray(G, dtype=complex)
+    s1, s2 = lin.layout.blocks[:2]
+    worst = []
+    for cols in _panels(0, s2.stop) + _panels(s2.stop, lin.dim):
+        panel = G[:, cols]
+        top, bottom = _real_times(lin.X.T, panel[s1]), _real_times(lin.Y.T, panel[s2])
+        worst.append(linearized_resolvent._panel_residual(lin, cols, panel, top, bottom))
+    return float(np.max(worst))
+
+
+def resolvent(pair, z) -> tuple[np.ndarray, ResolventBundle]:
+    """G(z) by dense LU inversion of H(z), with its bundle; (G, bundle).
+
+    A singular H, as at a real z where det H vanishes (a squared sample
+    canonical correlation), and identity residuals above 1e-6 raise a
+    NumericalError.
+    """
+    lin = build_H(pair, z)
+    layout = lin.layout
+    try:
+        G = np.linalg.inv(dense_H(lin))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"linearization not invertible at z = {lin.z}: {exc}") from exc
+    residual = _enforce("resolvent identity", identity_residual(lin, G),
+                        _RESIDUAL_LIMIT, lin.z)
+    m1, m2, m3, m4 = _partial_traces(G.diagonal(), layout)
+    s2 = layout.blocks[1]
+    m = complex(np.trace(G[s2, s2] @ (pair.Y @ pair.Y.T))) / layout.q
+    return G, ResolventBundle(z=lin.z, layout=layout, m1=m1, m2=m2, m3=m3, m4=m4, m=m,
+                              identity_residual=residual)
+
+
+def schur_resolvent(pair, z, factor=None) -> tuple[np.ndarray, ResolventBundle]:
+    """blocks_via_schur's G collected whole by a visitor, with its bundle; (G, bundle)."""
+    d = pair.p + pair.q + 2 * pair.n
+    G = np.empty((d, d), dtype=complex)
+
+    def keep(cols, panel):
+        G[:, cols] = panel
+
+    return G, blocks_via_schur(pair, z, factor, visit=keep)
+
+
+def det_characterization_residual(pair, lam: float) -> float:
+    """Relative smallest singular value of the dense linearization at a real point.
+
+    For lam in (0, 1) that is a squared sample canonical correlation the
+    linearization matrix H(lam) is singular, so this residual (smallest
+    singular value over largest) vanishes to roundoff.
+    """
+    if not (0.0 < lam < 1.0):
+        raise ParameterError(f"determinant characterization needs 0 < lambda < 1, got {lam}")
+    sv = np.linalg.svd(dense_H(build_H(pair, lam)), compute_uv=False)
+    return float(sv[-1] / sv[0])
 
 
 def classical_location_brentq(model: SpectralModel, j: int, q: int) -> float:
@@ -194,16 +298,16 @@ def local_law_reference(pair, model: SpectralModel, z, seed: int = 0,
                         factor=None) -> LocalLawReport:
     """local_law_errors reduced from the whole materialized G - Pi at once.
 
-    G is blocks_via_schur's full G and Pi the dense limit matrix; the
+    G is schur_resolvent's whole G and Pi the dense limit matrix; the
     sectors, paired34 and the quadratic forms are read from their
     difference in one piece, as local_law_errors did before it took G's
     column panels one by one.  The window check is left to the caller.
     """
     z = complex(z)
     n = pair.n
-    bundle = blocks_via_schur(pair, z, factor)
+    G, bundle = schur_resolvent(pair, z, factor)
     layout = bundle.layout
-    diff = bundle.G - pi_dense(pi_limit(model, z, *layout))
+    diff = G - pi_dense(pi_limit(model, z, *layout))
     sectors = {}
     for a, rows in enumerate(layout.blocks, 1):
         for b, cols in enumerate(layout.blocks, 1):

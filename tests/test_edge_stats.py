@@ -277,6 +277,30 @@ class TestTrialMap:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["2"]
 
+    def test_children_inherit_numpy_random(self):
+        # numpy.random is imported once, before the fork, so no process
+        # pays its import on its first key; a fresh interpreter, since
+        # this test process has imported it already
+        probe = ("import os, sys, time\n"
+                 "from scclab import ExperimentConfig, TrialLog, edge_stats\n"
+                 "edge_stats._processes = lambda: 2\n"
+                 "def work(log, key):\n"
+                 "    loaded = 'numpy.random' in sys.modules\n"
+                 "    import numpy.random\n"
+                 "    time.sleep(0.01)\n"
+                 "    return os.getpid(), loaded\n"
+                 "log = TrialLog(ExperimentConfig('tw-edge', n=40, c1=0.3, c2=0.2), 100)\n"
+                 "assert 'numpy.random' not in sys.modules\n"
+                 "first = {}\n"
+                 "for pid, loaded in log.map(work, range(20)):\n"
+                 "    first.setdefault(pid, loaded)\n"
+                 "print(log.processes, len(first), all(first.values()))\n")
+        env = os.environ | {"PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "2", "True"]
+
     @pytest.mark.parametrize("processes", [2, 3])
     def test_error_drains_the_queue(self, tmp_path, monkeypatch, processes):
         # after key 20 raises, no process starts a key past 20 + processes

@@ -18,9 +18,13 @@ in sys.modules, no libcrypto is mapped (read from /proc/self/maps on
 Linux) and hashlib logged no missing built-in hash while the run
 imported it.  Importing scclab or scclab.cli alone must not block it,
 so a host program keeps OpenSSL's hashes: _hashlib stays out of
-sys.modules and as findable as before.  Each check runs in a fresh
-interpreter, because this test process has imported all of these
-already.
+sys.modules and as findable as before.  Nor may importing scclab or
+scclab.cli import numpy.random: a Monte Carlo run imports it before its
+trial processes fork, and an import at module level would add it to the
+import cost of every run.  numpy 2 does not import it with numpy; where
+numpy itself does, each step is compared with that state.  Each check
+runs in a fresh interpreter, because this test process has imported all
+of these already.
 """
 import json
 import os
@@ -34,7 +38,7 @@ _PROBE = """
 import contextlib, importlib.util, io, json, sys
 from pathlib import Path
 HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg")
-loaded, openssl = {}, {}
+loaded, openssl, random = {}, {}, {}
 def modules():
     named = [m for m in HEAVY + ("numpy.ma",) if m in sys.modules]
     return named + sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and m not in HEAVY)
@@ -46,11 +50,14 @@ def libcrypto_mapped():
 findable = importlib.util.find_spec("_hashlib") is not None
 import numpy
 loaded["import numpy"] = modules()
+random["import numpy"] = "numpy.random" in sys.modules
 import scclab
 openssl["import scclab"] = "_hashlib" in sys.modules
+random["import scclab"] = "numpy.random" in sys.modules
 import scclab.cli
 loaded["import scclab.cli"] = modules()
 openssl["import scclab.cli"] = "_hashlib" in sys.modules
+random["import scclab.cli"] = "numpy.random" in sys.modules
 openssl["findable"] = (importlib.util.find_spec("_hashlib") is not None) == findable
 from scclab import classical_locations, make_model
 classical_locations(make_model(0.3, 0.2), 160)
@@ -79,7 +86,7 @@ for kind, overrides in RUNS.items():
     environment = json.loads((out / "manifest.json").read_text())["environment"]
     loaded[kind + " manifest"] = "scipy" not in environment
     openssl[kind + " manifest"] = environment["hashlib_openssl"]
-print(json.dumps({"loaded": loaded, "openssl": openssl}))
+print(json.dumps({"loaded": loaded, "openssl": openssl, "random": random}))
 """
 
 KINDS = ("quantiles", "tw-edge", "rigidity-scaling", "local-law-sweep", "spectrum",
@@ -92,13 +99,16 @@ def test_no_heavy_scipy_on_cli_path(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
-    loaded, openssl = probe["loaded"], probe["openssl"]
+    loaded, openssl, random = probe["loaded"], probe["openssl"], probe["random"]
     # numpy alone: nothing, or numpy.ma where numpy imports it with itself
     base = loaded["import numpy"]
     assert base in ([], ["numpy.ma"])
     assert loaded == {step: base for step in (
         "import numpy", "import scclab.cli", "classical_locations q=160",
         *(kind + " run" for kind in KINDS))} | {kind + " manifest": True for kind in KINDS}
+    # importing leaves numpy.random as numpy alone left it
+    assert random == dict.fromkeys(("import numpy", "import scclab", "import scclab.cli"),
+                                   random["import numpy"])
     # importing leaves _hashlib alone; every run leaves it blocked, libcrypto
     # unmapped (None off Linux) and no hashlib logging on stderr
     mapped = False if sys.platform.startswith("linux") else None

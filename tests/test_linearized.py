@@ -18,7 +18,6 @@ from scclab import (
     local_law_errors,
     make_model,
     pi_limit,
-    resolvent,
     sample_bounded,
     sample_gaussian,
     sample_heavy_tail,
@@ -27,7 +26,8 @@ from scclab import (
 )
 from scclab import linearized_resolvent
 from scclab._linalg import IndexLayout, kernel_inverse_2x2
-from oracles import kernel_2x2, local_law_reference, pi_dense
+from oracles import (dense_H, identity_residual, kernel_2x2, local_law_reference, pi_dense,
+                     resolvent, schur_resolvent)
 
 Z_POINTS = [complex(0.3, 0.5), complex(0.7, 0.1), complex(0.5, 1.0),
             complex(0.9, 0.05), complex(0.1, 0.3)]
@@ -60,19 +60,20 @@ class TestBuild:
 
     def test_real_point_gives_real_symmetric_matrix(self, small_pair):
         lin = build_H(small_pair, 0.37)
-        assert lin.matrix.dtype == np.float64
-        assert np.array_equal(lin.matrix, lin.matrix.T)
+        H = dense_H(lin)
+        assert H.dtype == np.float64
+        assert np.array_equal(H, H.T)
         assert lin.dim == small_pair.p + small_pair.q + 2 * small_pair.n
 
     def test_complex_point_gives_complex_symmetric_matrix(self, small_pair):
-        lin = build_H(small_pair, complex(0.37, 0.1))
-        assert lin.matrix.dtype == np.complex128
-        assert np.max(np.abs(lin.matrix - lin.matrix.T)) == 0.0
+        H = dense_H(build_H(small_pair, complex(0.37, 0.1)))
+        assert H.dtype == np.complex128
+        assert np.max(np.abs(H - H.T)) == 0.0
 
     def test_data_blocks_placed(self, small_pair):
         lin = build_H(small_pair, complex(0.5, 0.2))
         p, q, n = small_pair.p, small_pair.q, small_pair.n
-        H = lin.matrix
+        H = dense_H(lin)
         assert np.array_equal(H[:p, p + q: p + q + n].real, small_pair.X)
         assert np.array_equal(H[p: p + q, p + q + n:].real, small_pair.Y)
         # data corner is zero
@@ -83,7 +84,7 @@ class TestBuild:
         # the factor corner is the kernel inverse on every paired
         # coordinate (mu, mu + n) and zero elsewhere, entry for entry
         p, q, n = small_pair.p, small_pair.q, small_pair.n
-        H = build_H(small_pair, z).matrix
+        H = dense_H(build_H(small_pair, z))
         expected = np.kron(kernel_inverse_2x2(z), np.eye(n))
         assert np.array_equal(H[p + q:, p + q:], expected)
 
@@ -119,12 +120,12 @@ class TestBuild:
 class TestResolventRoutes:
     def test_symmetry(self, small_pair):
         for z in Z_POINTS:
-            bundle = resolvent(small_pair, z)
-            assert np.max(np.abs(bundle.G - bundle.G.T)) < 1e-10
+            G, _ = resolvent(small_pair, z)
+            assert np.max(np.abs(G - G.T)) < 1e-10
 
     def test_identity_residual_small(self, small_pair):
         for z in Z_POINTS:
-            assert resolvent(small_pair, z).identity_residual < 1e-10
+            assert resolvent(small_pair, z)[1].identity_residual < 1e-10
 
     def test_trace_identities(self):
         # exact per-realization identities, holding far below the 1e-10
@@ -132,7 +133,7 @@ class TestResolventRoutes:
         for pair in _mixed_pairs(18, 12, 60, 4):
             c1, c2 = pair.p / pair.n, pair.q / pair.n
             for z in Z_POINTS:
-                b = resolvent(pair, z)
+                _, b = resolvent(pair, z)
                 r1 = abs(b.m3 - b.m4 - (1 - b.z) * (c1 - c2))
                 r2 = abs(b.m3 - (c2 * b.z * (1 - b.z) * b.m + (1 - c1 - c2) * b.z))
                 assert r1 < 1e-10
@@ -141,15 +142,15 @@ class TestResolventRoutes:
     def test_schur_matches_direct(self):
         for pair in _mixed_pairs(18, 12, 60, 2):
             for z in Z_POINTS:
-                direct = resolvent(pair, z)
-                schur = blocks_via_schur(pair, z)
-                scale = np.abs(direct.G).max()
-                assert np.abs(schur.G - direct.G).max() / scale < 1e-8
+                direct_G, direct = resolvent(pair, z)
+                schur_G, schur = schur_resolvent(pair, z)
+                scale = np.abs(direct_G).max()
+                assert np.abs(schur_G - direct_G).max() / scale < 1e-8
                 assert abs(schur.m - direct.m) < 1e-8
-                assert schur.route == "schur"
                 assert schur.identity_residual < 1e-8
 
-    @pytest.mark.parametrize("route", [resolvent, blocks_via_schur, local_law_errors])
+    @pytest.mark.parametrize("route", [resolvent, schur_resolvent, local_law_errors],
+                             ids=["resolvent", "blocks_via_schur", "local_law_errors"])
     def test_identity_residual_enforced(self, small_pair, route, monkeypatch):
         # every route takes its residual panel by panel through one helper
         monkeypatch.setattr(linearized_resolvent, "_panel_residual", lambda *args: 1e-3)
@@ -173,26 +174,25 @@ class TestResolventRoutes:
         # equals the dense product's value up to the rounding of the sums,
         # i.e. relative to the size of the summed terms |H| |G|
         pair = request.getfixturevalue(pair_name)
-        bundle = (blocks_via_schur if route == "schur" else resolvent)(pair, z)
+        G, bundle = (schur_resolvent if route == "schur" else resolvent)(pair, z)
         lin = build_H(pair, z)
-        H = lin.matrix
-        scale = (np.abs(H) @ np.abs(bundle.G)).max()
-        wrong = bundle.G.copy()
+        H = dense_H(lin)
+        scale = (np.abs(H) @ np.abs(G)).max()
+        wrong = G.copy()
         wrong[pair.p + pair.q:] *= 1.001      # a visibly wrong inverse
-        for G in (bundle.G, wrong):
-            dense = np.abs(H @ G - np.eye(len(H))).max()
-            structured = linearized_resolvent._identity_residual(lin, G)
+        for candidate in (G, wrong):
+            dense = np.abs(H @ candidate - np.eye(len(H))).max()
+            structured = identity_residual(lin, candidate)
             assert abs(structured - dense) <= 1e-14 * scale
-        assert bundle.identity_residual == linearized_resolvent._identity_residual(
-            lin, bundle.G)
-        assert linearized_resolvent._identity_residual(lin, wrong) > 1e-6
+        assert bundle.identity_residual == identity_residual(lin, G)
+        assert identity_residual(lin, wrong) > 1e-6
 
     def test_nan_fails_the_identity_check(self, small_pair):
         # a NaN must not vanish in the maxima, nor pass the limit
         z = complex(0.3, 0.5)
-        G = resolvent(small_pair, z).G.copy()
+        G, _ = resolvent(small_pair, z)
         G[150, 150] = np.nan
-        assert np.isnan(linearized_resolvent._identity_residual(build_H(small_pair, z), G))
+        assert np.isnan(identity_residual(build_H(small_pair, z), G))
         with pytest.raises(NumericalError, match="residual nan exceeds"):
             linearized_resolvent._enforce("resolvent identity", np.nan, 1e-6, z)
 
@@ -206,13 +206,18 @@ class TestResolventRoutes:
     def test_schur_rejects_sample_eigenvalue(self, small_pair):
         lam = float(ccc_eigenvalues(small_pair).eigenvalues[4])
         with pytest.raises(DomainError):
-            blocks_via_schur(small_pair, lam)
+            schur_resolvent(small_pair, lam)
+
+    def test_schur_needs_a_visitor(self, small_pair):
+        # the Schur route keeps no G, so it cannot run without a visitor
+        with pytest.raises(TypeError, match="visit"):
+            blocks_via_schur(small_pair, complex(0.3, 0.5))
 
     def test_trace_of_correlation_resolvent(self, small_pair):
         # m agrees with the direct eigenvalue sum of the q x q product
         lam = ccc_eigenvalues(small_pair).eigenvalues
         for z in Z_POINTS:
-            b = resolvent(small_pair, z)
+            _, b = resolvent(small_pair, z)
             direct = np.mean(1.0 / (lam - b.z))
             assert abs(b.m - direct) < 1e-8
 
@@ -223,8 +228,8 @@ class TestResolventBounds:
         # over the spectral window
         for eta in (0.1, 0.3, 1.0):
             for E in (0.1, 0.5, 0.9):
-                b = blocks_via_schur(small_pair, complex(E, eta))
-                assert np.linalg.norm(b.G, 2) * eta <= 10.0
+                G, _ = schur_resolvent(small_pair, complex(E, eta))
+                assert np.linalg.norm(G, 2) * eta <= 10.0
 
 
 class TestLocalLawReport:
@@ -271,7 +276,6 @@ class TestLocalLawReport:
 
         def perturbed(*args, **kwargs):
             bundle = real(*args, **kwargs)
-            assert bundle.route == route
             return dataclasses.replace(bundle, m3=bundle.m3 + 1e-8)
 
         monkeypatch.setattr(linearized_resolvent, assemble, perturbed)
@@ -294,7 +298,7 @@ class TestLocalLawReport:
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         z = complex(0.5, 0.4)
         rep = local_law_errors(medium_pair, model, z)
-        bundle = blocks_via_schur(medium_pair, z)
+        _, bundle = schur_resolvent(medium_pair, z)
         limit = stieltjes(model, z)
         assert rep.avg_err[0] == pytest.approx(abs(bundle.m1 - limit.m1), rel=1e-12)
         assert rep.avg_err[4] == pytest.approx(abs(bundle.m - limit.m), rel=1e-12)
@@ -308,8 +312,8 @@ class TestLocalLawReport:
         z = complex(0.5, 0.4)
         rep = local_law_errors(pair, model, z)
         assert rep.route == route
-        bundle = blocks_via_schur(pair, z)
-        diff = bundle.G - pi_dense(pi_limit(model, z, pair.p, pair.q, pair.n))
+        G, bundle = schur_resolvent(pair, z)
+        diff = G - pi_dense(pi_limit(model, z, pair.p, pair.q, pair.n))
         layout = bundle.layout
         assert rep.entrywise_err == pytest.approx(np.abs(diff).max(), rel=1e-12)
         vectors = linearized_resolvent._test_vectors(layout, 0)
@@ -345,9 +349,9 @@ class TestLocalLawReport:
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         z = complex(0.5, 0.4)
         rep = local_law_errors(medium_pair, model, z)
-        bundle = blocks_via_schur(medium_pair, z)
+        G, _ = schur_resolvent(medium_pair, z)
         pi = pi_limit(model, z, medium_pair.p, medium_pair.q, medium_pair.n)
-        op = np.linalg.norm(bundle.G - pi_dense(pi), 2)
+        op = np.linalg.norm(G - pi_dense(pi), 2)
         assert rep.aniso_err <= op * (1.0 + 1e-12)
         assert rep.entrywise_err <= op * (1.0 + 1e-12)
 
@@ -361,19 +365,19 @@ class TestPanels:
         if panel is not None:
             monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
         for z in (complex(0.3, 0.5), complex(0.7, 0.1)):
-            schur = blocks_via_schur(pair, z)
-            direct = resolvent(pair, z)
-            assert np.abs(schur.G - direct.G).max() <= 1e-12 * np.abs(direct.G).max()
+            schur_G, _ = schur_resolvent(pair, z)
+            direct_G, _ = resolvent(pair, z)
+            assert np.abs(schur_G - direct_G).max() <= 1e-12 * np.abs(direct_G).max()
             lin = build_H(pair, z)
-            H, eye = lin.matrix, np.eye(lin.dim)
-            scale = (np.abs(H) @ np.abs(schur.G)).max()
-            wrong = schur.G.copy()
+            H, eye = dense_H(lin), np.eye(lin.dim)
+            scale = (np.abs(H) @ np.abs(schur_G)).max()
+            wrong = schur_G.copy()
             wrong[-1, -1] += 1e-3                 # one entry, in the last panel
-            for G in (schur.G, wrong):
+            for G in (schur_G, wrong):
                 dense = np.abs(H @ G - eye).max()
-                structured = linearized_resolvent._identity_residual(lin, G)
+                structured = identity_residual(lin, G)
                 assert abs(structured - dense) <= 1e-14 * scale
-            assert linearized_resolvent._identity_residual(lin, wrong) > 1e-6
+            assert identity_residual(lin, wrong) > 1e-6
 
     def test_shared_factor_matches_fresh_reports(self, medium_pair):
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
@@ -421,15 +425,15 @@ class TestPanels:
 
     @pytest.mark.parametrize("panel", [None, 7, 128, 10 ** 6])
     def test_visitor_gets_every_column_once(self, medium_pair, monkeypatch, panel):
-        # with a visitor no G is kept; the visited panels are the columns
-        # of the materialized G, and the traces and residual are the same.
-        # The data panels come first, and no factor panel crosses from
-        # one factor block into the other
+        # a visitor that overwrites its panels sees the columns of the G a
+        # keeping visitor collects, each once, and the traces and residual
+        # are the same.  The data panels come first, and no factor panel
+        # crosses from one factor block into the other
         if panel is not None:
             monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
         z = complex(0.6, 0.2)
-        full = blocks_via_schur(medium_pair, z)
-        seen = np.zeros_like(full.G)
+        full_G, full = schur_resolvent(medium_pair, z)
+        seen = np.zeros_like(full_G)
         visits = np.zeros(len(seen), dtype=int)
         order = []
 
@@ -440,8 +444,7 @@ class TestPanels:
             order.append(cols)
 
         streamed = blocks_via_schur(medium_pair, z, visit=visit)
-        assert streamed.G is None
-        assert np.array_equal(seen, full.G) and np.all(visits == 1)
+        assert np.array_equal(seen, full_G) and np.all(visits == 1)
         s1, s2, s3, s4 = streamed.layout.blocks
         homes = [[home.start <= cols.start and cols.stop <= home.stop
                   for home in (slice(0, s2.stop), s3, s4)] for cols in order]
@@ -457,7 +460,8 @@ class TestPanels:
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         z = complex(0.5, 0.4)
         with pytest.raises(ParameterError):
-            blocks_via_schur(medium_pair, z, canonical_factor(small_pair))
+            blocks_via_schur(medium_pair, z, canonical_factor(small_pair),
+                             visit=lambda cols, panel: None)
         with pytest.raises(ParameterError):
             local_law_errors(medium_pair, model, z, factor=canonical_factor(small_pair))
 

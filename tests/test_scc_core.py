@@ -11,7 +11,6 @@ from scclab import (
     canonical_factor,
     ccc_eigenvalues,
     classical_locations,
-    det_characterization_residual,
     ks_two_sample,
     make_model,
     rigidity_profile,
@@ -21,7 +20,7 @@ from scclab import (
     whitened_cross,
 )
 from scclab import _linalg, scc_core
-from oracles import jacobi_top
+from oracles import det_characterization_residual, jacobi_top
 
 
 def _pair_from(X, Y):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from oracles import (classical_location_brentq, jacobi_spectrum, pi_dense, pi_kernel_inverse,
-                     solve_m3, tail_mass_quad)
+                     sc_residuals, solve_m3, tail_mass_quad)
 from test_acceptance import RATIO_GRID_20
 
 from scclab import spectral_model
@@ -20,7 +20,6 @@ from scclab import (
     make_model,
     pi_limit,
     psi_control,
-    sc_residuals,
     stieltjes,
     support_edges,
     support_mass,
