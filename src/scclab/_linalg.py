@@ -10,9 +10,14 @@ blocks, the paired factor coordinates and the in-place add of a 2x2
 kernel on them, which H, the Schur assembly of its resolvent and the
 limit matrix all go through.
 
-tridiagonal_top finds the top eigenvalues of a batch of symmetric
-tridiagonal matrices by Sturm-count multisection in plain numpy, so the
-GOE edge reference needs no scipy.linalg.
+tridiagonal_top and invert_lower call LAPACK through LAPACKE, in the
+OpenBLAS that the numpy wheel loads, as the thread controls below do:
+_lapacke looks each routine up once, and numpy itself has neither
+bisection for a tridiagonal nor a triangular inverse.  Where no loaded
+library exports a routine, numpy does the same job on a dense matrix:
+np.linalg.eigvalsh for the top eigenvalues of one tridiagonal at a time
+(dstebz's bisection), np.linalg.inv by a general LU for the triangular
+inverse (dtrtri).
 
 one_blas_thread runs a block with every loaded OpenBLAS on one thread.
 A multithreaded BLAS may sum a product in another order than a single
@@ -20,11 +25,6 @@ thread does, so results are computed under it to stay the same bytes at
 any thread count.  openblas_runtime names the configuration and CPU
 core of numpy's OpenBLAS as it runs; the core picks the kernels, and so
 which bytes a result has.
-
-invert_lower inverts a lower triangular matrix with LAPACK's dtrtri,
-reached, as the thread controls are, in the OpenBLAS that the numpy
-wheel loads; numpy itself has no triangular routine.  Where no loaded
-library exports it, np.linalg.inv does the same job by a general LU.
 
 steady_heap fixes the C allocator's mmap and trim thresholds at the
 ceiling of glibc's dynamic rule.  A Monte Carlo trial or a local-law
@@ -44,104 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-_EPS = np.finfo(float).eps
-_POINTS = 2         # trial points per interval and sweep
-_ROWS = 64          # matrix rows whose pivots are held, and counted, at once
-_MAX_SWEEPS = 64    # 3**64 is far beyond the 2/eps a converging bracket needs
-
-
-def tridiagonal_top(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
-    """The k largest eigenvalues, descending, of each tridiagonal in a batch.
-
-    diag is (batch, n) and off (batch, n - 1); row b holds the diagonal
-    and off-diagonal of matrix b.  Each eigenvalue is bracketed from the
-    Gershgorin bounds and the bracket cut into _POINTS + 1 pieces per
-    sweep; the number of eigenvalues below a point x is the number of
-    negative pivots d_i = (a_i - x) - b_{i-1}**2 / d_{i-1} of T - x = L D L'.
-    A bracket stops moving once it is narrower than
-    2 eps max(|lo|, |hi|) + eps |T| (|T| the Gershgorin norm, the default
-    tolerance of LAPACK's stebz), so each result depends on its own matrix
-    only; sweeps end when all have stopped, and the midpoints are returned.
-
-    A zero pivot is left to IEEE arithmetic (Demmel, Dhillon and Ren,
-    ETNA 1995): b**2 / +0 = +inf makes the next pivot -inf and the one
-    after a - x again.  A pivot of -0.0 counts as negative and is followed
-    by +inf, so either signed zero adds one to the count.  b**2 is kept at
-    least the smallest subnormal so that 0 / 0 never occurs; off-diagonals
-    must stay below 1e154 so that b**2 is finite.
-    """
-    n = diag.shape[1]
-    radius = np.zeros_like(diag)
-    radius[:, :-1] += np.abs(off)
-    radius[:, 1:] += np.abs(off)
-    lower = (diag - radius).min(axis=1)
-    upper = (diag + radius).max(axis=1)
-    norm = np.maximum(np.abs(lower), np.abs(upper))
-    # widen as stebz does, so rounding in the count cannot leave the bracket
-    lower -= 2.0 * n * _EPS * norm
-    upper += 2.0 * n * _EPS * norm
-
-    # trial points are laid out (eigenvalue, point, matrix)
-    lo = np.repeat(lower[None, :], k, axis=0)
-    hi = np.repeat(upper[None, :], k, axis=0)
-    index = (n - 1 - np.arange(k))[:, None, None]      # ascending index of the j-th largest
-    fractions = (np.arange(1, _POINTS + 1) / (_POINTS + 1))[None, :, None]
-    diag_rows = np.ascontiguousarray(diag.T)
-    off2_rows = np.ascontiguousarray(np.maximum(off * off, np.finfo(float).smallest_subnormal).T)
-    for _ in range(_MAX_SWEEPS):
-        gap = hi - lo
-        # a converged bracket stays put, so no matrix's result depends on the batch
-        active = gap > 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + _EPS * norm
-        if not active.any():
-            break
-        x = lo[:, None, :] + gap[:, None, :] * fractions
-        below = _negative_pivots(diag_rows, off2_rows, x.reshape(-1)).reshape(x.shape)
-        # points with at most index eigenvalues below them lie below the eigenvalue
-        cut = (below <= index).sum(axis=1)[:, None, :]
-        grid = np.concatenate([lo[:, None, :], x, hi[:, None, :]], axis=1)
-        lo = np.where(active, np.take_along_axis(grid, cut, axis=1)[:, 0], lo)
-        hi = np.where(active, np.take_along_axis(grid, cut + 1, axis=1)[:, 0], hi)
-    return ((lo + hi) / 2.0).T
-
-
-def _negative_pivots(diag_rows: np.ndarray, off2_rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Number of negative pivots of T_b - x, for many shifts x of each matrix T_b.
-
-    diag_rows (n, batch) and off2_rows (n - 1, batch) hold the diagonals
-    and squared off-diagonals row by row, and x the shifts flattened as
-    (group, matrix).  Each row's entries are repeated across the groups
-    _ROWS rows at a time, so every per-row step is one contiguous divide
-    and subtract.
-    """
-    n, batch = diag_rows.shape
-    shape = (-1, x.size // batch, batch)
-    rows = min(_ROWS, n)
-    pivots, off2 = np.empty((rows, x.size)), np.empty((rows, x.size))
-    negative, quotient = np.empty((rows, x.size), dtype=bool), np.empty(x.size)
-    counts = np.zeros(x.size, dtype=np.intp)
-    divide, subtract = np.divide, np.subtract
-    carry = None
-    with np.errstate(divide="ignore"):      # a zero pivot divides by zero on purpose
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            block, coupling = pivots[: stop - start], off2[: stop - start]
-            np.copyto(block.reshape(shape), diag_rows[start:stop, None, :])
-            block -= x
-            # coupling[r] joins row start + r to the row before it
-            first = 1 if start == 0 else 0
-            np.copyto(coupling[first:].reshape(shape),
-                      off2_rows[start + first - 1: stop - 1, None, :])
-            pairs = iter(zip(block, coupling))
-            if carry is None:
-                carry = next(pairs)[0]
-            for pivot, b2 in pairs:
-                divide(b2, carry, quotient)
-                subtract(pivot, quotient, pivot)
-                carry = pivot
-            signs = np.signbit(block, out=negative[: stop - start])
-            counts += np.add.reduce(signs, axis=0, dtype=np.uint8)     # rows < 256
-            carry = carry.copy()
-    return counts
+from .errors import NumericalError
 
 
 def _openblas_libraries() -> tuple:
@@ -197,27 +100,65 @@ def openblas_runtime() -> dict:
 
 
 _COL_MAJOR = 102        # LAPACK_COL_MAJOR, lapacke.h
+_INT, _PTR = ctypes.c_int64, ctypes.c_void_p
+_LAPACKE_ARGTYPES = {
+    "dstebz": [ctypes.c_char, ctypes.c_char, _INT, ctypes.c_double, ctypes.c_double, _INT, _INT,
+               ctypes.c_double, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+    "dtrtri": [ctypes.c_int, ctypes.c_char, ctypes.c_char, _INT, _PTR, _INT],
+}
 
 
 @functools.cache
-def _dtrtri():
-    """LAPACKE_dtrtri of the numpy wheel's ILP64 OpenBLAS, or None where none is loaded.
+def _lapacke(routine: str):
+    """LAPACKE_<routine> of the numpy wheel's ILP64 OpenBLAS, or None where none is loaded.
 
-    Looked up once, on first use; numpy's own OpenBLAS is mapped by then.
+    Looked up once per routine, on first use; numpy's own OpenBLAS is
+    mapped by then.  The argument types are those of _LAPACKE_ARGTYPES.
     """
     for lib in _openblas_libraries():
-        if hasattr(lib, "scipy_LAPACKE_dtrtri64_"):
-            dtrtri = lib.scipy_LAPACKE_dtrtri64_
-            dtrtri.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                               ctypes.c_void_p, ctypes.c_int64]
-            dtrtri.restype = ctypes.c_int64
-            return dtrtri
+        if hasattr(lib, f"scipy_LAPACKE_{routine}64_"):
+            function = getattr(lib, f"scipy_LAPACKE_{routine}64_")
+            function.argtypes, function.restype = _LAPACKE_ARGTYPES[routine], _INT
+            return function
     return None
 
 
-def triangular_inverse_route() -> str:
-    """"dtrtri" where invert_lower calls LAPACK's triangular inverse, "inv" otherwise."""
-    return "inv" if _dtrtri() is None else "dtrtri"
+def lapacke_routines() -> list[str]:
+    """The LAPACKE routines _lapacke finds, sorted; the others take numpy's dense route."""
+    return [routine for routine in sorted(_LAPACKE_ARGTYPES) if _lapacke(routine) is not None]
+
+
+def tridiagonal_top(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """The k largest eigenvalues, descending, of each tridiagonal in a batch.
+
+    diag is (batch, n) and off (batch, n - 1); row b holds the diagonal
+    and off-diagonal of matrix b.  LAPACK's dstebz bisects each matrix on
+    its own for its eigenvalues n - k + 1 to n, to its default tolerance
+    (ABSTOL = 0), so a row's result does not depend on the batch.  A
+    failed bisection raises NumericalError.  Without dstebz, each matrix
+    in turn is made dense and solved by np.linalg.eigvalsh.
+    """
+    batch, n = diag.shape
+    top = np.empty((batch, k))
+    dstebz = _lapacke("dstebz")
+    if dstebz is None:
+        dense = np.zeros((n, n))
+        for row, a, b in zip(top, diag, off):
+            dense.flat[:: n + 1], dense.flat[n:: n + 1] = a, b   # eigvalsh reads the lower triangle
+            row[:] = np.linalg.eigvalsh(dense)[n - k:][::-1]
+        return top
+    diag, off = np.require(diag, np.float64, "C"), np.require(off, np.float64, "C")
+    m, nsplit, w = np.empty(1, np.int64), np.empty(1, np.int64), np.empty(n)
+    iblock, isplit = np.empty(n, np.int64), np.empty(n, np.int64)
+    out = [array.ctypes.data for array in (m, nsplit, w, iblock, isplit)]
+    for row, a, b in zip(top, diag, off):
+        info = dstebz(b"I", b"E", n, 0.0, 0.0, n - k + 1, n, 0.0, a.ctypes.data, b.ctypes.data,
+                      *out)
+        if info != 0 or m[0] != k:
+            raise NumericalError(f"dstebz failed with info = {info}, "
+                                 f"{m[0]} eigenvalues found of the top {k}")
+        row[:] = w[k - 1:: -1]
+    return top
 
 
 def invert_lower(L: np.ndarray) -> np.ndarray:
@@ -231,7 +172,7 @@ def invert_lower(L: np.ndarray) -> np.ndarray:
     triangle of np.linalg.inv(L) returned.  A zero on the diagonal
     raises LinAlgError either way.
     """
-    dtrtri = _dtrtri()
+    dtrtri = _lapacke("dtrtri")
     if dtrtri is None:
         return np.tril(np.linalg.inv(L))
     L = np.require(L, np.float64, ("C", "W"))

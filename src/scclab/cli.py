@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._linalg import one_blas_thread, openblas_runtime, steady_heap, triangular_inverse_route
+from ._linalg import lapacke_routines, one_blas_thread, openblas_runtime, steady_heap
 from .config import KINDS, ExperimentConfig, build_config, validate
 from .edge_stats import (
     ExperimentReport,
@@ -216,7 +216,7 @@ def _environment(processes: int | None, pinned: bool, steady: bool) -> dict:
         "blas_threads": 1 if pinned else None,
         "steady_heap": steady,
         "hashlib_openssl": sys.modules.get("_hashlib") is not None,
-        "triangular_inverse": triangular_inverse_route(),
+        "lapacke": lapacke_routines(),
     } | ({} if processes is None else {"trial_processes": processes})
 
 
@@ -245,10 +245,10 @@ def run(config: ExperimentConfig, out_dir) -> dict:
     configuration and core of the OpenBLAS that runs, CPU count,
     *_NUM_THREADS settings, the BLAS thread count in force, 1 where an
     OpenBLAS was pinned and null otherwise, whether steady_heap took
-    effect, whether hashlib's OpenSSL backend was loaded, the route that
-    inverted the Cholesky factors, "dtrtri" or "inv", and, for a Monte
-    Carlo kind, the number of processes that computed its trials) and
-    the timings, so results.* stay a function of the config.
+    effect, whether hashlib's OpenSSL backend was loaded, the LAPACKE
+    routines found in numpy's OpenBLAS, and, for a Monte Carlo kind, the
+    number of processes that computed its trials) and the timings, so
+    results.* stay a function of the config.
     """
     out = Path(out_dir)
     reject(validate(config) + _out_dir_violations(out))

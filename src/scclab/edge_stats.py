@@ -16,10 +16,9 @@ the Gaussian orthogonal ensemble (Gaussian diagonal, chi-distributed
 off-diagonal with decreasing degrees of freedom; Dumitriu and Edelman,
 2002), which has exactly the GOE eigenvalue law at every n but costs
 O(n) memory per draw; it is validated against a dense GOE eigensolve in
-the test suite.  Each trial draws from its own stream; the tridiagonals
-of _GOE_BLOCK trials at a time are solved together by numpy Sturm-count
-multisection (_linalg.tridiagonal_top), which agrees with LAPACK's
-bisection to a few ulps and keeps scipy.linalg off the import path.
+the test suite.  Each trial draws from its own stream, and its top
+eigenvalues are found by LAPACK's bisection (_linalg.tridiagonal_top,
+dstebz in numpy's OpenBLAS), one trial at a time.
 
 Both drivers take the one ExperimentConfig and check it with its
 validator before sampling.  Every Monte Carlo experiment of the
@@ -99,7 +98,6 @@ __all__ = [
 
 _FAILURE_BUDGET = 0.01
 _UPPER_TAIL_CUT = 3.0
-_GOE_BLOCK = 256    # trials whose tridiagonals are solved in one batch
 _GOE_MEMO_SIZE = 8  # GOE references goe_reference keeps
 
 
@@ -372,18 +370,14 @@ class _KeyQueue:
 def _goe_values(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarray:
     """Rescaled top k_max eigenvalues of edge-at-2 GOE matrices, one row per trial."""
     values = np.empty((trials, k_max))
-    diag = np.empty((min(trials, _GOE_BLOCK), n_goe))
-    off = np.empty((min(trials, _GOE_BLOCK), n_goe - 1))
     dof = np.arange(n_goe - 1, 0, -1)
-    for start in range(0, trials, _GOE_BLOCK):
-        block = range(start, min(start + _GOE_BLOCK, trials))
-        for row, trial in enumerate(block):
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=seed, spawn_key=(2, trial))))
-            diag[row] = rng.standard_normal(n_goe) * math.sqrt(2.0)
-            off[row] = np.sqrt(rng.chisquare(dof))
-        top = tridiagonal_top(diag[: len(block)], off[: len(block)], k_max)
-        values[block.start: block.stop] = n_goe ** (2.0 / 3.0) * (top / math.sqrt(n_goe) - 2.0)
+    for trial in range(trials):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(2, trial))))
+        diag = rng.standard_normal(n_goe) * math.sqrt(2.0)
+        off = np.sqrt(rng.chisquare(dof))
+        top = tridiagonal_top(diag[None], off[None], k_max)[0]
+        values[trial] = n_goe ** (2.0 / 3.0) * (top / math.sqrt(n_goe) - 2.0)
     return values
 
 

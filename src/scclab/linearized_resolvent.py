@@ -314,7 +314,6 @@ class LocalLawReport:
     phi_n: float
     benchmarks: dict = field(default_factory=dict)
     sectors: dict = field(default_factory=dict)
-    route: str = "schur"
     checks: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:

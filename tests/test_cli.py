@@ -32,7 +32,7 @@ from scclab import (
     truncate_center_rescale,
     tw_rescale,
 )
-from scclab._linalg import one_blas_thread, steady_heap, triangular_inverse_route
+from scclab._linalg import lapacke_routines, one_blas_thread, steady_heap
 from scclab.cli import ExperimentConfig, build_config, main, validate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -227,7 +227,7 @@ class TestMain:
             env = json.loads((out / "manifest.json").read_text())["environment"]
             monte_carlo = kind in ("local-law-sweep", "tw-edge", "rigidity-scaling")
             assert set(env) == {"numpy", "blas", "cpu_count", "threads", "blas_threads",
-                                "steady_heap", "hashlib_openssl", "triangular_inverse"} | (
+                                "steady_heap", "hashlib_openssl", "lapacke"} | (
                                     {"trial_processes"} if monte_carlo else set())
             if monte_carlo:
                 assert 1 <= env["trial_processes"] <= len(os.sched_getaffinity(0))
@@ -239,7 +239,7 @@ class TestMain:
             assert env["steady_heap"] is steady
             # the run blocks OpenSSL's hashlib backend unless it was loaded before
             assert env["hashlib_openssl"] is (sys.modules.get("_hashlib") is not None)
-            assert env["triangular_inverse"] == triangular_inverse_route()
+            assert env["lapacke"] == lapacke_routines()
             assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
             results = json.loads((out / "results.json").read_text())
             assert not {"environment", "numpy", "scipy", "blas", "threads"} & set(results)

@@ -1,8 +1,8 @@
 """No step of the CLI loads any scipy module, nor OpenSSL's libcrypto.
 
 Classical locations come from a numpy bisection, the GOE edge reference
-from a numpy Sturm-count solver and the density's total mass from a
-numpy trapezoid rule, so neither importing the CLI, nor computing
+from LAPACK's dstebz in numpy's own OpenBLAS and the density's total
+mass from a numpy trapezoid rule, so neither importing the CLI, nor computing
 classical locations, nor a run of any kind, density-table included, may
 load scipy or any of its modules, the root finder, the quadrature, the
 special functions and scipy.linalg (HEAVY) among them; nor does the

@@ -244,7 +244,7 @@ class TestLocalLawReport:
         assert len(d["avg_err"]) == 5
         assert set(d["benchmarks"]) == {"entrywise", "averaged"}
         assert set(d["sectors"]) == {f"{a}{b}" for a in "1234" for b in "1234"} | {"paired34"}
-        assert d["route"] == "schur"
+        assert "route" not in d
         assert rep.entrywise_err == max(
             v for k, v in rep.sectors.items() if k != "paired34"
         )
@@ -267,18 +267,17 @@ class TestLocalLawReport:
         with pytest.raises(DomainError):
             local_law_errors(medium_pair, model, complex(0.5, 50.0))   # Im above 1/eps
 
-    @pytest.mark.parametrize("route, assemble", [("schur", "blocks_via_schur")])
-    def test_trace_identities_enforced(self, medium_pair, monkeypatch, route, assemble):
+    def test_trace_identities_enforced(self, medium_pair, monkeypatch):
         # a bundle whose traces break the exact identities by 1e-8 is
         # rejected, though its identity residual is fine
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
-        real = getattr(linearized_resolvent, assemble)
+        real = linearized_resolvent.blocks_via_schur
 
         def perturbed(*args, **kwargs):
             bundle = real(*args, **kwargs)
             return dataclasses.replace(bundle, m3=bundle.m3 + 1e-8)
 
-        monkeypatch.setattr(linearized_resolvent, assemble, perturbed)
+        monkeypatch.setattr(linearized_resolvent, "blocks_via_schur", perturbed)
         with pytest.raises(NumericalError, match="trace identity") as info:
             local_law_errors(medium_pair, model, complex(0.5, 0.4))
         assert info.value.achieved == pytest.approx(1e-8, rel=1e-3)
@@ -304,14 +303,12 @@ class TestLocalLawReport:
         assert rep.avg_err[4] == pytest.approx(abs(bundle.m - limit.m), rel=1e-12)
 
     @pytest.mark.parametrize("pair_name", ["small_pair", "medium_pair"])
-    @pytest.mark.parametrize("route", ["schur"])
-    def test_matches_dense_reference(self, request, pair_name, route):
+    def test_matches_dense_reference(self, request, pair_name):
         # reference: materialize G - Pi and sweep it densely
         pair = request.getfixturevalue(pair_name)
         model = make_model(pair.p / pair.n, pair.q / pair.n)
         z = complex(0.5, 0.4)
         rep = local_law_errors(pair, model, z)
-        assert rep.route == route
         G, bundle = schur_resolvent(pair, z)
         diff = G - pi_dense(pi_limit(model, z, pair.p, pair.q, pair.n))
         layout = bundle.layout

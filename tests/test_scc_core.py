@@ -222,7 +222,7 @@ class TestConditioningGuard:
 
     def test_inv_route_same_spectra_and_rejections(self, medium_pair, monkeypatch):
         # np.linalg.inv in place of dtrtri, as where no OpenBLAS exports it
-        if _linalg.triangular_inverse_route() != "dtrtri":
+        if _linalg._lapacke("dtrtri") is None:
             pytest.skip("no loaded OpenBLAS exports dtrtri: every run takes the inv route")
         pairs = [medium_pair, _pareto_pair()] + [sample_gaussian(20, 12, 60, seed)
                                                  for seed in range(10)]
@@ -239,8 +239,8 @@ class TestConditioningGuard:
             return spectra, rejected
 
         spectra, rejected = run()
-        monkeypatch.setattr(_linalg, "_dtrtri", lambda: None)
-        assert _linalg.triangular_inverse_route() == "inv"
+        monkeypatch.setattr(_linalg, "_lapacke", lambda routine: None)
+        assert _linalg.lapacke_routines() == []
         inv_spectra, inv_rejected = run()
         assert inv_rejected == rejected
         for a, b in zip(spectra, inv_spectra):
@@ -248,12 +248,12 @@ class TestConditioningGuard:
             assert a.min_eig_xx_bound == pytest.approx(b.min_eig_xx_bound, rel=1e-10)
 
     def test_invert_lower_routes_agree(self, medium_pair, monkeypatch):
-        if _linalg.triangular_inverse_route() != "dtrtri":
+        if _linalg._lapacke("dtrtri") is None:
             pytest.skip("no loaded OpenBLAS exports dtrtri: every run takes the inv route")
         Sxx = sample_covariances(medium_pair)[0]
         L = np.linalg.cholesky(Sxx)
         inverse = _linalg.invert_lower(L.copy())
-        monkeypatch.setattr(_linalg, "_dtrtri", lambda: None)
+        monkeypatch.setattr(_linalg, "_lapacke", lambda routine: None)
         general = _linalg.invert_lower(L)
         for W in (inverse, general):
             assert np.array_equal(W, np.tril(W))

@@ -1,11 +1,14 @@
-"""The numpy Sturm-count solver for the top eigenvalues of tridiagonals.
+"""The top eigenvalues of tridiagonals: LAPACK's dstebz and its dense fallback.
 
-LAPACK's bisection (stebz, through scipy) is the oracle, one matrix at a
-time.  The tolerance is fixed from the dtype before any comparison: each
-eigenvalue may differ by at most 4 eps |T|_1, |T|_1 the largest absolute
-row sum of the matrix.
+scipy's stebz (eigvalsh_tridiagonal) is the oracle, one matrix at a
+time.  The tolerances are fixed from the dtype before any comparison,
+with |T|_1 the largest absolute row sum of the matrix: each eigenvalue
+of _linalg.tridiagonal_top may differ by at most 4 eps |T|_1, and by at
+most n eps |T|_1 on the np.linalg.eigvalsh fallback, which solves a
+dense n x n matrix where no loaded OpenBLAS exports dstebz.
 """
 
+import ctypes
 import math
 import tracemalloc
 
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 
 from scclab import _linalg, edge_stats, goe_reference
-from scclab._linalg import _negative_pivots, tridiagonal_top
+from scclab._linalg import tridiagonal_top
+from scclab.errors import NumericalError
 from oracles import goe_values_stebz, tridiagonal_top_stebz
 
 EPS = np.finfo(float).eps
@@ -62,16 +66,10 @@ def test_wilkinson_near_double_pairs():
     assert got[1] - got[2] > 0.5
 
 
-def test_zero_diagonal_hits_eigenvalue_zero(monkeypatch):
-    # symmetric Gershgorin bounds put the middle of three trial points
-    # exactly at 0, an eigenvalue of the odd-sized matrix: the count meets
-    # a zero pivot
-    monkeypatch.setattr(_linalg, "_POINTS", 3)
-    points = []
-    monkeypatch.setattr(_linalg, "_negative_pivots",
-                        lambda d, o, x: points.append(x.copy()) or _negative_pivots(d, o, x))
+def test_zero_diagonal_hits_eigenvalue_zero():
+    # the odd-sized matrix has the eigenvalue 0, the midpoint of its
+    # symmetric Gershgorin bounds
     got = _assert_matches_stebz(np.zeros(7), np.ones(6), 7)[0]
-    assert any(np.any(x == 0.0) for x in points)
     assert np.abs(got[3]) <= 4.0 * EPS * 2.0
 
 
@@ -83,22 +81,9 @@ def test_tiny_off_diagonals_leave_the_diagonal():
 
 def test_zero_pivot_count_is_exact():
     # tridiag(1, 1, 1) of size 3 has eigenvalues 1 - sqrt(2), 1, 1 + sqrt(2);
-    # at x = 1 the first pivot is exactly zero and the next one -inf
-    x = np.array([1.0 - math.sqrt(2.0) - 1e-9, 0.0, 1.0, 2.0, 3.0])
-    assert _negative_pivots(np.ones((3, 1)), np.ones((2, 1)), x).tolist() == [0, 1, 1, 2, 3]
+    # a Sturm count at x = 1 meets an exactly zero pivot
     diag, off = np.ones((1, 3)), np.ones((1, 2))
     _assert_matches_stebz(diag, off, 3)
-
-
-def test_counts_match_dense_eigenvalues():
-    diag, off = _goe_tridiagonals(30, 4, seed=3)
-    x = np.linspace(-15.0, 15.0, 11)
-    counts = _negative_pivots(np.ascontiguousarray(diag.T), np.ascontiguousarray((off * off).T),
-                              np.repeat(x, 4)).reshape(x.size, 4)
-    for b in range(4):
-        dense = np.diag(diag[b]) + np.diag(off[b], 1) + np.diag(off[b], -1)
-        eigs = np.linalg.eigvalsh(dense)
-        assert counts[:, b].tolist() == [int(np.sum(eigs < v)) for v in x]
 
 
 def test_zero_matrix_stops():
@@ -113,11 +98,43 @@ def test_result_independent_of_batch():
         assert np.array_equal(tridiagonal_top(diag[b:b + 1], off[b:b + 1], 3), together[b:b + 1])
 
 
-def test_row_blocks_do_not_change_counts(monkeypatch):
-    diag, off = _goe_tridiagonals(45, 3, seed=4)
-    full = tridiagonal_top(diag, off, 3)
-    monkeypatch.setattr(_linalg, "_ROWS", 7)       # 7 divides neither 45 nor 44
-    assert np.array_equal(tridiagonal_top(diag, off, 3), full)
+@pytest.mark.parametrize("info, found", [(3, 3), (0, 2)])
+def test_failed_bisection_raises(monkeypatch, info, found):
+    # a dstebz that reports an error, or fewer eigenvalues than asked for
+    def dstebz(*args):
+        ctypes.c_int64.from_address(args[10]).value = found      # M
+        return info
+
+    monkeypatch.setattr(_linalg, "_lapacke", lambda routine: dstebz)
+    diag, off = _goe_tridiagonals(10, 2, seed=6)
+    with pytest.raises(NumericalError, match=f"info = {info}"):
+        tridiagonal_top(diag, off, 3)
+
+
+class TestDenseFallback:
+    """tridiagonal_top where no loaded OpenBLAS exports dstebz."""
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (5, 3), (40, 39), (400, 3)])
+    def test_matches_stebz(self, monkeypatch, n, k):
+        diag, off = _goe_tridiagonals(n, 4, seed=n + k)
+        bound = n * EPS * _norm1(diag, off)[:, None]
+        monkeypatch.setattr(_linalg, "_lapacke", lambda routine: None)
+        got = tridiagonal_top(diag, off, k)
+        assert np.all(np.abs(got - tridiagonal_top_stebz(diag, off, k)) <= bound)
+        assert np.all(np.diff(got, axis=1) <= 0.0)
+
+    def test_holds_one_matrix_at_a_time(self, monkeypatch):
+        n, batch = 400, 20
+        diag, off = _goe_tridiagonals(n, batch, seed=9)
+        monkeypatch.setattr(_linalg, "_lapacke", lambda routine: None)
+        tridiagonal_top(diag[:1, :40], off[:1, :39], 3)     # warm imports and caches
+        tracemalloc.start()
+        try:
+            tridiagonal_top(diag, off, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 8       # a batch of dense matrices would take 20
 
 
 class TestGoeReference:
@@ -125,11 +142,6 @@ class TestGoeReference:
     def test_matches_stebz_path(self, args):
         values = goe_reference(*args).values
         assert np.abs(values - goe_values_stebz(*args)).max() <= 1e-12
-
-    def test_trial_blocks_do_not_change_values(self, monkeypatch):
-        full = edge_stats._goe_values(30, 20, 3, 4)
-        monkeypatch.setattr(edge_stats, "_GOE_BLOCK", 7)
-        assert np.array_equal(edge_stats._goe_values(30, 20, 3, 4), full)
 
     def test_memory_does_not_grow_with_trials(self):
         edge_stats._goe_values(40, 3, 3, 5)     # warm imports and caches
