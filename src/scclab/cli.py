@@ -139,7 +139,6 @@ def _run_spectrum(config: ExperimentConfig):
 def _run_local_law_sweep(config: ExperimentConfig):
     n = config.n
     p, q = config.dims()
-    model = config.model()
     es = np.linspace(config.e_min, config.e_max, config.e_points)
     if config.eta_scale == "log":
         etas = np.geomspace(config.eta_min, config.eta_max, config.eta_points)
@@ -155,8 +154,8 @@ def _run_local_law_sweep(config: ExperimentConfig):
         points = []
         for E in es:
             for eta in etas:
-                rep = local_law_errors(factor.pair, model, complex(E, eta), seed=config.seed,
-                                       epsilon=config.epsilon, factor=factor)
+                rep = local_law_errors(factor, complex(E, eta), seed=config.seed,
+                                       epsilon=config.epsilon)
                 row = (trial, repr(float(E)), repr(float(eta)),
                        repr(rep.entrywise_err), repr(rep.aniso_err),
                        *(repr(e) for e in rep.avg_err),

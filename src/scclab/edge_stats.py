@@ -63,6 +63,7 @@ import math
 import os
 import pickle
 import signal
+import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -332,21 +333,24 @@ class TrialLog:
 class _KeyQueue:
     """The index of the next key of a map, shared by its forked processes.
 
-    The index is 8 bytes of an anonymous memory file (memfd) that the
-    children inherit, read and advanced under a POSIX record lock
-    (lockf), which excludes the other processes, so no index is handed
-    out twice; the file has no size to fill.
+    The index is 8 bytes of an anonymous file in the temporary directory
+    (tempfile.TemporaryFile) that the children inherit, read and
+    advanced under a POSIX record lock (lockf), which excludes the other
+    processes, so no index is handed out twice; the file has no size to
+    fill.  It is not a Linux memfd because every map opens the queue,
+    the serial map of a host without memfd_create too.
     """
 
     def __init__(self, size: int):
         self.size = size
-        self.fd = os.memfd_create("scclab-trial-keys")
+        self.file = tempfile.TemporaryFile(buffering=0)
+        self.fd = self.file.fileno()
 
     def __enter__(self) -> _KeyQueue:
         return self
 
     def __exit__(self, *exc) -> None:
-        os.close(self.fd)
+        self.file.close()
 
     def take(self) -> int | None:
         """The next index, or None once every index is taken or the queue drained."""

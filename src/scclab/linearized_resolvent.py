@@ -17,10 +17,12 @@ of the whitened two-channel resolvent blocks at once.
 G is assembled by blocks_via_schur from a pair's z-free canonical_factor
 (the whitening and the full SVD of the whitened cross matrix), which a
 sweep computes once and reuses at every z; H is never formed or
-inverted.  The coordinate blocks of H and G, and the 2x2 kernels on
-their paired coordinates, are written and read through
-_linalg.IndexLayout.  The dense references, H itself, its LU inverse and
-the determinant check, live with the tests (tests/oracles.py).
+inverted.  A point is fixed by that factor and z alone: the pair is
+factor.pair, and the limit is the model at its finite-n ratios p/n, q/n.
+The coordinate blocks of H and G, and the 2x2 kernels on their paired
+coordinates, are written and read through _linalg.IndexLayout.  The
+dense references, H itself, its LU inverse and the determinant check,
+live with the tests (tests/oracles.py).
 
 The assembly checks max |H G - I| over all d**2 entries (d = p+q+2n)
 and raises above 1e-6.  The product is formed from X, Y and the kernel
@@ -58,9 +60,8 @@ import numpy as np
 from ._linalg import IndexLayout, kernel_inverse_2x2, sqrt_upper
 from .errors import DomainError, NumericalError, ParameterError, reject
 from .sampler import DataPair
-from .scc_core import CanonicalFactor, canonical_factor
-from .spectral_model import (SpectralModel, pi_limit, psi_control, stieltjes,
-                             window_violations)
+from .scc_core import CanonicalFactor
+from .spectral_model import make_model, pi_limit, psi_control, stieltjes, window_violations
 
 __all__ = [
     "LinearizationMatrix",
@@ -201,16 +202,15 @@ def _enforce(check: str, residual: float, limit: float, z: complex) -> float:
     return residual
 
 
-def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *,
-                     visit) -> ResolventBundle:
-    """Assemble G(z) from the pair's CanonicalFactor without inverting H.
+def blocks_via_schur(factor: CanonicalFactor, z, *, visit) -> ResolventBundle:
+    """Assemble G(z) for factor.pair from its CanonicalFactor without inverting H.
 
-    factor defaults to canonical_factor(pair).  With its A, B, sv and lam,
-    the data-corner block GL, the two-channel whitened resolvent, has the
-    blocks A diag(1/(lam - z)) A', -z**(-1/2) A diag(sv/(lam - z)) B' and
-    B diag(1/(lam - z)) B'.  With D = diag(X, Y) and K the (un-inverted)
-    kernel, G[right, left] = -K D' GL and the factor corner is
-    K - K D' G[left, right].  GL is built first, and then every panel of
+    With the factor's A, B, sv and lam, the data-corner block GL, the
+    two-channel whitened resolvent, has the blocks A diag(1/(lam - z)) A',
+    -z**(-1/2) A diag(sv/(lam - z)) B' and B diag(1/(lam - z)) B'.  With
+    D = diag(X, Y) and K the (un-inverted) kernel, G[right, left] =
+    -K D' GL and the factor corner is K - K D' G[left, right].  GL is
+    built first, and then every panel of
     at most _PANEL columns in one reused d x _PANEL buffer, where its
     identity residual is taken (see the module docstring).  A data panel
     starts from GL[:, cols].  The factor columns go by blocks mus of at
@@ -222,14 +222,11 @@ def blocks_via_schur(pair: DataPair, z, factor: CanonicalFactor | None = None, *
     data panels first; the visitor may overwrite the panel, and no d x d
     G is kept.  Identity residuals above 1e-6 raise a NumericalError.
     """
+    pair = factor.pair
     lin = build_H(pair, z)
     z = lin.z
     if not (1e-8 < abs(z) < 1e8):
         raise ParameterError(f"|z| = {abs(z)} outside the supported range for this route")
-    if factor is None:
-        factor = canonical_factor(pair)
-    elif factor.pair is not pair:
-        raise ParameterError("the canonical factor belongs to a different pair")
     layout = lin.layout
     lam_p, lam_q = factor.lam_p, factor.lam_q
     if min(np.abs(lam_p - z).min(), np.abs(lam_q - z).min()) < 1e-12:
@@ -348,19 +345,18 @@ def _test_vectors(layout: IndexLayout, seed: int) -> np.ndarray:
     return vectors
 
 
-def local_law_errors(pair: DataPair, model: SpectralModel, z,
-                     seed: int = 0, epsilon: float = 0.05,
-                     factor: CanonicalFactor | None = None) -> LocalLawReport:
+def local_law_errors(factor: CanonicalFactor, z, seed: int = 0,
+                     epsilon: float = 0.05) -> LocalLawReport:
     """Measure entrywise, anisotropic, and averaged deviations of G from the limit.
 
-    z must lie in the spectral window epsilon <= Re z <= 1,
-    n**(-1+epsilon) <= Im z <= 1/epsilon.  The anisotropic error is the
+    G is factor.pair's resolvent, and the limit is that of the finite-n
+    ratios p/n, q/n.  z must lie in the spectral window
+    epsilon <= Re z <= 1, n**(-1+epsilon) <= Im z <= 1/epsilon.  The anisotropic error is the
     maximum of |u' (G - Pi) v| over all ordered pairs from a deterministic
     test set: seeded uniform unit vectors, one unit vector supported on
     each coordinate block, and representative standard basis vectors (the
-    full basis-pair sweep is the entrywise error).  G is always
-    assembled by blocks_via_schur, from factor (canonical_factor(pair))
-    when one is given and from a fresh factor otherwise.  Each column panel of G is
+    full basis-pair sweep is the entrywise error).  G is assembled by
+    blocks_via_schur from the factor.  Each column panel of G is
     reduced as the assembly finishes it: Pi is subtracted on the panel,
     the sector maxima and paired34 take its entries, and V' (G - Pi) its
     columns, with V the test set; (V' (G - Pi)) V is formed once at the
@@ -369,9 +365,11 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
     NumericalError.
     """
     z = complex(z)
+    pair = factor.pair
     n = pair.n
     reject(window_violations(n, epsilon, z.real, z.real, z.imag, z.imag), DomainError)
     layout = IndexLayout(pair.p, pair.q, n)
+    model = make_model(pair.p / n, pair.q / n)
     pi = pi_limit(model, z, *layout)
     vectors = _test_vectors(layout, seed)
     left_forms = np.empty((vectors.shape[1], layout.dim), dtype=complex)    # V' (G - Pi)
@@ -395,7 +393,7 @@ def local_law_errors(pair: DataPair, model: SpectralModel, z,
             paired = max(paired, float(np.abs(entries).max()))
         left_forms[:, cols] = _real_times(vectors.T, panel)
 
-    bundle = blocks_via_schur(pair, z, factor, visit=reduce)
+    bundle = blocks_via_schur(factor, z, visit=reduce)
     trace_residual = _enforce("trace identity", bundle.trace_identity_residual,
                               _TRACE_LIMIT, z)
     entrywise = max(sectors.values())

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._linalg import invert_lower
 from .errors import NumericalError, ParameterError, SingularityError
-from .sampler import DataPair, PairMeta
+from .sampler import DataPair
 from .spectral_model import SpectralModel, classical_locations
 
 __all__ = [
@@ -192,7 +192,6 @@ class SpectrumResult:
     n: int
     min_eig_xx_bound: float
     min_eig_yy_bound: float
-    meta: PairMeta | None = None
 
 
 def ccc_eigenvalues(pair: DataPair) -> SpectrumResult:
@@ -216,7 +215,6 @@ def ccc_eigenvalues(pair: DataPair) -> SpectrumResult:
         n=pair.n,
         min_eig_xx_bound=wc.min_eig_xx_bound,
         min_eig_yy_bound=wc.min_eig_yy_bound,
-        meta=pair.meta,
     )
 
 

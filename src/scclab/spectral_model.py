@@ -136,17 +136,18 @@ def window_violations(n: int, epsilon: float, e_min: float, e_max: float,
 
     The local law's spectral window is eps <= E <= 1 and
     n**(-1+eps) <= eta <= 1/eps, for a window parameter 0 < eps < 1.  A
-    single z passes its real part twice and its imaginary part twice.
+    single z passes its real part twice and its imaginary part twice.  A
+    NaN bound lies outside the window.
     """
     if not (0.0 < epsilon < 1.0):
         return [f"spectral window parameter must lie in (0, 1), got {epsilon}"]
     violations = [f"E = {E} outside the spectral window [eps, 1] = [{epsilon}, 1]"
                   for E in sorted({e_min, e_max}) if not (epsilon <= E <= 1.0)]
     eta_floor = n ** (-1.0 + epsilon)
-    if eta_min < eta_floor:
+    if not eta_min >= eta_floor:
         violations.append(f"eta = {eta_min} below the admissible floor "
                           f"n^(-1+eps) = {eta_floor:.4e} of the spectral window")
-    if eta_max > 1.0 / epsilon:
+    if not eta_max <= 1.0 / epsilon:
         violations.append(f"eta = {eta_max} above the admissible ceiling "
                           f"1/eps = {1.0 / epsilon:.4e} of the spectral window")
     return violations

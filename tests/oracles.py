@@ -196,15 +196,16 @@ def resolvent(pair, z) -> tuple[np.ndarray, ResolventBundle]:
                               identity_residual=residual)
 
 
-def schur_resolvent(pair, z, factor=None) -> tuple[np.ndarray, ResolventBundle]:
+def schur_resolvent(factor, z) -> tuple[np.ndarray, ResolventBundle]:
     """blocks_via_schur's G collected whole by a visitor, with its bundle; (G, bundle)."""
+    pair = factor.pair
     d = pair.p + pair.q + 2 * pair.n
     G = np.empty((d, d), dtype=complex)
 
     def keep(cols, panel):
         G[:, cols] = panel
 
-    return G, blocks_via_schur(pair, z, factor, visit=keep)
+    return G, blocks_via_schur(factor, z, visit=keep)
 
 
 def det_characterization_residual(pair, lam: float) -> float:
@@ -294,18 +295,19 @@ def goe_values_stebz(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarr
     return np.array(values)
 
 
-def local_law_reference(pair, model: SpectralModel, z, seed: int = 0,
-                        factor=None) -> LocalLawReport:
+def local_law_reference(factor, model: SpectralModel, z, seed: int = 0) -> LocalLawReport:
     """local_law_errors reduced from the whole materialized G - Pi at once.
 
-    G is schur_resolvent's whole G and Pi the dense limit matrix; the
-    sectors, paired34 and the quadratic forms are read from their
+    G is schur_resolvent's whole G and Pi the dense limit matrix of the
+    given model, where local_law_errors derives its model from the pair;
+    the sectors, paired34 and the quadratic forms are read from their
     difference in one piece, as local_law_errors did before it took G's
     column panels one by one.  The window check is left to the caller.
     """
     z = complex(z)
+    pair = factor.pair
     n = pair.n
-    G, bundle = schur_resolvent(pair, z, factor)
+    G, bundle = schur_resolvent(factor, z)
     layout = bundle.layout
     diff = G - pi_dense(pi_limit(model, z, *layout))
     sectors = {}

@@ -20,6 +20,7 @@ from scclab import (
     DataPair,
     ExperimentConfig,
     PairMeta,
+    canonical_factor,
     ccc_eigenvalues,
     classical_locations,
     derived_seed,
@@ -101,7 +102,7 @@ def test_criterion_3_route_agreement():
         pair = sample_gaussian(18, 12, 60, seed=500 + seed)
         for z in zs:
             direct_G, direct = resolvent(pair, z)
-            schur_G, schur = schur_resolvent(pair, z)
+            schur_G, schur = schur_resolvent(canonical_factor(pair), z)
             scale = float(np.abs(direct_G).max())
             rel = float(np.abs(schur_G - direct_G).max()) / scale
             rel = max(rel, abs(schur.m - direct.m) / max(abs(direct.m), 1.0))
@@ -153,8 +154,8 @@ def test_criterion_6_deviation_decay():
 
         reports = []
         for seed in range(20):
-            pair = sample_gaussian(p, q, n, derived_seed(5, 4, seed))
-            reports.append([local_law_errors(pair, model, complex(lp, eta)) for eta in etas])
+            factor = canonical_factor(sample_gaussian(p, q, n, derived_seed(5, 4, seed)))
+            reports.append([local_law_errors(factor, complex(lp, eta)) for eta in etas])
         for j, eta in enumerate(etas):
             medians[(n, eta)] = float(np.median([r[j].entrywise_err for r in reports]))
             if n == 400:

@@ -72,6 +72,14 @@ class TestValidate:
         msgs = validate(cfg)
         assert any("1/eps" in m for m in msgs)
 
+    @pytest.mark.parametrize("bound, rule", [("eta_min", "n^(-1+eps)"), ("eta_max", "1/eps")])
+    def test_nan_eta_bound_cited(self, bound, rule):
+        # NaN compares False with every number, so only a test written to
+        # fail on it reports the bound
+        cfg = ExperimentConfig(kind="local-law-sweep", n=100, **{bound: math.nan})
+        msgs = validate(cfg)
+        assert len(msgs) == 1 and "eta = nan" in msgs[0] and rule in msgs[0]
+
     def test_multiple_violations_all_reported(self):
         cfg = ExperimentConfig(kind="tw-edge", c1=0.7, c2=0.8, law="nope",
                                trials=1, seed=-3)
@@ -116,8 +124,7 @@ def _gaussian(p=3, q=2, n=10):
 
 
 def _local_law(z, epsilon=0.05):
-    pair = _gaussian(30, 20, 100)
-    return local_law_errors(pair, make_model(0.3, 0.2), z, epsilon=epsilon)
+    return local_law_errors(canonical_factor(_gaussian(30, 20, 100)), z, epsilon=epsilon)
 
 
 class TestOneMessagePerRule:
@@ -333,6 +340,19 @@ class TestMain:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and "known laws" in err
+
+    @pytest.mark.parametrize("bound", ["eta_min", "eta_max"])
+    def test_nan_eta_bound_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                  one_trial_process, bound):
+        pairs = []
+        monkeypatch.setattr(cli, "canonical_factor",
+                            lambda pair: pairs.append(pair) or canonical_factor(pair))
+        out = tmp_path / "ll"
+        assert main(["local-law-sweep", "--out", str(out), "--override", "n=40",
+                     "--override", "trials=1", "--override", f"{bound}=NaN"]) == 2
+        assert pairs == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "spectral window" in err
 
     def test_trace_identity_failure_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
         real = linearized_resolvent.blocks_via_schur

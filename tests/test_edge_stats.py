@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from scclab import _linalg, edge_stats
 from scclab import config as config_module
-from scclab import edge_stats
 from scclab import (
     DomainError,
     ExperimentConfig,
@@ -503,6 +503,28 @@ class TestTwExperiment:
         for rep in reps:
             assert rep.results["metrics"]["goe_mean"] == [float(m) for m in
                                                           expected.mean(axis=0)]
+
+    def test_serial_map_on_a_host_without_memfd(self, monkeypatch):
+        # a host whose os has no memfd_create and no /proc/self/maps, as
+        # with macOS Accelerate wheels: no OpenBLAS is found to pin, so
+        # the map computes every key in this process, and dtrtri and
+        # dstebz take their numpy routes
+        cfg = ExperimentConfig("tw-edge", n=60, c1=0.3, c2=0.2, trials=30, law="gaussian",
+                               seed=8)
+        expected = tw_experiment(cfg).results["metrics"]
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+        monkeypatch.setattr(_linalg, "_openblas_libraries", lambda: ())
+        monkeypatch.setattr(edge_stats, "_GOE_MEMO", {})
+        _linalg._lapacke.cache_clear()
+        try:
+            rep = tw_experiment(cfg)
+        finally:
+            _linalg._lapacke.cache_clear()
+        assert rep.processes == 1
+        metrics = rep.results["metrics"]
+        assert metrics["failures"] == expected["failures"] == 0
+        for key in ("ccc_mean", "goe_mean"):
+            assert np.allclose(metrics[key], expected[key], rtol=0.0, atol=1e-9)
 
     def test_failure_budget_aborts(self, monkeypatch, one_trial_process):
         # tiny Rademacher matrices hit singular Gram blocks often enough to

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from scclab import (
     DomainError,
     NumericalError,
-    ParameterError,
     blocks_via_schur,
     build_H,
     canonical_factor,
@@ -141,9 +141,10 @@ class TestResolventRoutes:
 
     def test_schur_matches_direct(self):
         for pair in _mixed_pairs(18, 12, 60, 2):
+            factor = canonical_factor(pair)
             for z in Z_POINTS:
                 direct_G, direct = resolvent(pair, z)
-                schur_G, schur = schur_resolvent(pair, z)
+                schur_G, schur = schur_resolvent(factor, z)
                 scale = np.abs(direct_G).max()
                 assert np.abs(schur_G - direct_G).max() / scale < 1e-8
                 assert abs(schur.m - direct.m) < 1e-8
@@ -154,10 +155,9 @@ class TestResolventRoutes:
     def test_identity_residual_enforced(self, small_pair, route, monkeypatch):
         # every route takes its residual panel by panel through one helper
         monkeypatch.setattr(linearized_resolvent, "_panel_residual", lambda *args: 1e-3)
-        model = make_model(small_pair.p / small_pair.n, small_pair.q / small_pair.n)
-        args = (model,) if route is local_law_errors else ()
+        source = small_pair if route is resolvent else canonical_factor(small_pair)
         with pytest.raises(NumericalError) as info:
-            route(small_pair, *args, complex(0.3, 0.5))
+            route(source, complex(0.3, 0.5))
         assert info.value.achieved == 1e-3
 
     @pytest.mark.parametrize("pair_name", ["small_pair", "medium_pair"])
@@ -174,7 +174,8 @@ class TestResolventRoutes:
         # equals the dense product's value up to the rounding of the sums,
         # i.e. relative to the size of the summed terms |H| |G|
         pair = request.getfixturevalue(pair_name)
-        G, bundle = (schur_resolvent if route == "schur" else resolvent)(pair, z)
+        G, bundle = (schur_resolvent(canonical_factor(pair), z) if route == "schur"
+                     else resolvent(pair, z))
         lin = build_H(pair, z)
         H = dense_H(lin)
         scale = (np.abs(H) @ np.abs(G)).max()
@@ -206,12 +207,12 @@ class TestResolventRoutes:
     def test_schur_rejects_sample_eigenvalue(self, small_pair):
         lam = float(ccc_eigenvalues(small_pair).eigenvalues[4])
         with pytest.raises(DomainError):
-            schur_resolvent(small_pair, lam)
+            schur_resolvent(canonical_factor(small_pair), lam)
 
     def test_schur_needs_a_visitor(self, small_pair):
         # the Schur route keeps no G, so it cannot run without a visitor
         with pytest.raises(TypeError, match="visit"):
-            blocks_via_schur(small_pair, complex(0.3, 0.5))
+            blocks_via_schur(canonical_factor(small_pair), complex(0.3, 0.5))
 
     def test_trace_of_correlation_resolvent(self, small_pair):
         # m agrees with the direct eigenvalue sum of the q x q product
@@ -226,16 +227,16 @@ class TestResolventBounds:
     def test_norm_decay_in_eta(self, small_pair):
         # trivial resolvent bound: the spectral norm stays below 10 / eta
         # over the spectral window
+        factor = canonical_factor(small_pair)
         for eta in (0.1, 0.3, 1.0):
             for E in (0.1, 0.5, 0.9):
-                G, _ = schur_resolvent(small_pair, complex(E, eta))
+                G, _ = schur_resolvent(factor, complex(E, eta))
                 assert np.linalg.norm(G, 2) * eta <= 10.0
 
 
 class TestLocalLawReport:
     def test_structure(self, medium_pair):
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
-        rep = local_law_errors(medium_pair, model, complex(0.5, 0.4))
+        rep = local_law_errors(canonical_factor(medium_pair), complex(0.5, 0.4))
         d = rep.to_json_dict()
         assert set(d) == {f.name for f in dataclasses.fields(rep)} - {"checks"}
         json.dumps(d)
@@ -251,26 +252,27 @@ class TestLocalLawReport:
 
     def test_deviations_are_small(self, medium_pair):
         # at eta of order one the deviations sit well below their benchmarks
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
-        rep = local_law_errors(medium_pair, model, complex(0.5, 1.0))
+        rep = local_law_errors(canonical_factor(medium_pair), complex(0.5, 1.0))
         assert rep.entrywise_err < rep.benchmarks["entrywise"] * 8.0
         assert max(rep.avg_err) < 20.0 * rep.benchmarks["averaged"]
 
     def test_spectral_window_enforced(self, medium_pair):
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        factor = canonical_factor(medium_pair)
         with pytest.raises(DomainError):
-            local_law_errors(medium_pair, model, complex(0.01, 0.4))   # Re too small
+            local_law_errors(factor, complex(0.01, 0.4))   # Re too small
         with pytest.raises(DomainError):
-            local_law_errors(medium_pair, model, complex(1.2, 0.4))    # Re too large
+            local_law_errors(factor, complex(1.2, 0.4))    # Re too large
         with pytest.raises(DomainError):
-            local_law_errors(medium_pair, model, complex(0.5, 1e-6))   # Im below floor
+            local_law_errors(factor, complex(0.5, 1e-6))   # Im below floor
         with pytest.raises(DomainError):
-            local_law_errors(medium_pair, model, complex(0.5, 50.0))   # Im above 1/eps
+            local_law_errors(factor, complex(0.5, 50.0))   # Im above 1/eps
+        with pytest.raises(DomainError, match="eta = nan below"):
+            local_law_errors(factor, complex(0.5, math.nan))   # Im NaN, neither < nor >
 
     def test_trace_identities_enforced(self, medium_pair, monkeypatch):
         # a bundle whose traces break the exact identities by 1e-8 is
         # rejected, though its identity residual is fine
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        factor = canonical_factor(medium_pair)
         real = linearized_resolvent.blocks_via_schur
 
         def perturbed(*args, **kwargs):
@@ -279,37 +281,40 @@ class TestLocalLawReport:
 
         monkeypatch.setattr(linearized_resolvent, "blocks_via_schur", perturbed)
         with pytest.raises(NumericalError, match="trace identity") as info:
-            local_law_errors(medium_pair, model, complex(0.5, 0.4))
+            local_law_errors(factor, complex(0.5, 0.4))
         assert info.value.achieved == pytest.approx(1e-8, rel=1e-3)
 
     def test_nan_trace_identity_enforced(self, medium_pair, monkeypatch):
         # a NaN in the second identity alone must fail the check
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        factor = canonical_factor(medium_pair)
         real = linearized_resolvent.blocks_via_schur
         monkeypatch.setattr(linearized_resolvent, "blocks_via_schur",
                             lambda *a, **k: dataclasses.replace(real(*a, **k), m=complex("nan")))
         with pytest.raises(NumericalError, match="trace identity residual nan"):
-            local_law_errors(medium_pair, model, complex(0.5, 0.4))
+            local_law_errors(factor, complex(0.5, 0.4))
 
     def test_limit_objects_consistent(self, medium_pair):
         # the averaged deviations compare against the same transform values
         # the limit descriptor was built from
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        factor = canonical_factor(medium_pair)
         z = complex(0.5, 0.4)
-        rep = local_law_errors(medium_pair, model, z)
-        _, bundle = schur_resolvent(medium_pair, z)
+        rep = local_law_errors(factor, z)
+        _, bundle = schur_resolvent(factor, z)
         limit = stieltjes(model, z)
         assert rep.avg_err[0] == pytest.approx(abs(bundle.m1 - limit.m1), rel=1e-12)
         assert rep.avg_err[4] == pytest.approx(abs(bundle.m - limit.m), rel=1e-12)
 
     @pytest.mark.parametrize("pair_name", ["small_pair", "medium_pair"])
     def test_matches_dense_reference(self, request, pair_name):
-        # reference: materialize G - Pi and sweep it densely
+        # reference: materialize G - Pi and sweep it densely, against the
+        # limit at the finite-n ratios p/n, q/n that local_law_errors derives
         pair = request.getfixturevalue(pair_name)
         model = make_model(pair.p / pair.n, pair.q / pair.n)
+        factor = canonical_factor(pair)
         z = complex(0.5, 0.4)
-        rep = local_law_errors(pair, model, z)
-        G, bundle = schur_resolvent(pair, z)
+        rep = local_law_errors(factor, z)
+        G, bundle = schur_resolvent(factor, z)
         diff = G - pi_dense(pi_limit(model, z, pair.p, pair.q, pair.n))
         layout = bundle.layout
         assert rep.entrywise_err == pytest.approx(np.abs(diff).max(), rel=1e-12)
@@ -329,11 +334,10 @@ class TestLocalLawReport:
         assert rep.checks["trace_identity"] == bundle.trace_identity_residual < 1e-10
 
     def test_test_vectors_built_once_per_pair(self, medium_pair):
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         factor = canonical_factor(medium_pair)
         linearized_resolvent._test_vectors.cache_clear()
         for z in (complex(0.4, 0.3), complex(0.6, 0.5), complex(0.6, 0.5)):
-            local_law_errors(medium_pair, model, z, factor=factor)
+            local_law_errors(factor, z)
         info = linearized_resolvent._test_vectors.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         layout = build_H(medium_pair, complex(0.4, 0.3)).layout
@@ -344,9 +348,10 @@ class TestLocalLawReport:
 
     def test_aniso_bounded_by_operator_norm(self, medium_pair):
         model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
+        factor = canonical_factor(medium_pair)
         z = complex(0.5, 0.4)
-        rep = local_law_errors(medium_pair, model, z)
-        G, _ = schur_resolvent(medium_pair, z)
+        rep = local_law_errors(factor, z)
+        G, _ = schur_resolvent(factor, z)
         pi = pi_limit(model, z, medium_pair.p, medium_pair.q, medium_pair.n)
         op = np.linalg.norm(G - pi_dense(pi), 2)
         assert rep.aniso_err <= op * (1.0 + 1e-12)
@@ -361,8 +366,9 @@ class TestPanels:
         pair = request.getfixturevalue(pair_name)
         if panel is not None:
             monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
+        factor = canonical_factor(pair)
         for z in (complex(0.3, 0.5), complex(0.7, 0.1)):
-            schur_G, _ = schur_resolvent(pair, z)
+            schur_G, _ = schur_resolvent(factor, z)
             direct_G, _ = resolvent(pair, z)
             assert np.abs(schur_G - direct_G).max() <= 1e-12 * np.abs(direct_G).max()
             lin = build_H(pair, z)
@@ -377,11 +383,10 @@ class TestPanels:
             assert identity_residual(lin, wrong) > 1e-6
 
     def test_shared_factor_matches_fresh_reports(self, medium_pair):
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         factor = canonical_factor(medium_pair)
         for z in (complex(0.3, 0.1), complex(0.5, 0.4), complex(0.8, 1.0)):
-            shared = local_law_errors(medium_pair, model, z, factor=factor)
-            fresh = local_law_errors(medium_pair, model, z)
+            shared = local_law_errors(factor, z)
+            fresh = local_law_errors(canonical_factor(medium_pair), z)
             a, b = shared.to_json_dict(), fresh.to_json_dict()
             assert a.keys() == b.keys()
             for key in ("entrywise_err", "aniso_err", "psi", "phi_n"):
@@ -411,8 +416,8 @@ class TestPanels:
         for pair in _mixed_pairs(p, q, n, 4) + [truncated]:
             factor = canonical_factor(pair)
             for z in (complex(0.3, 0.5), complex(0.7, 0.1)):
-                report = local_law_errors(pair, model, z, factor=factor)
-                reference = local_law_reference(pair, model, z, factor=factor)
+                report = local_law_errors(factor, z)
+                reference = local_law_reference(factor, model, z)
                 streamed, expected = report.to_json_dict(), reference.to_json_dict()
                 assert streamed.pop("aniso_err") == pytest.approx(expected.pop("aniso_err"),
                                                                   rel=4 * np.finfo(float).eps)
@@ -429,7 +434,8 @@ class TestPanels:
         if panel is not None:
             monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
         z = complex(0.6, 0.2)
-        full_G, full = schur_resolvent(medium_pair, z)
+        factor = canonical_factor(medium_pair)
+        full_G, full = schur_resolvent(factor, z)
         seen = np.zeros_like(full_G)
         visits = np.zeros(len(seen), dtype=int)
         order = []
@@ -440,7 +446,7 @@ class TestPanels:
             visits[cols] += 1
             order.append(cols)
 
-        streamed = blocks_via_schur(medium_pair, z, visit=visit)
+        streamed = blocks_via_schur(factor, z, visit=visit)
         assert np.array_equal(seen, full_G) and np.all(visits == 1)
         s1, s2, s3, s4 = streamed.layout.blocks
         homes = [[home.start <= cols.start and cols.stop <= home.stop
@@ -452,16 +458,6 @@ class TestPanels:
         for name in ("m1", "m2", "m3", "m4", "m", "identity_residual"):
             assert getattr(streamed, name) == getattr(full, name)
 
-    def test_factor_must_match_pair_and_route(self, small_pair, medium_pair):
-        # on the Schur route, called alone or by local_law_errors
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
-        z = complex(0.5, 0.4)
-        with pytest.raises(ParameterError):
-            blocks_via_schur(medium_pair, z, canonical_factor(small_pair),
-                             visit=lambda cols, panel: None)
-        with pytest.raises(ParameterError):
-            local_law_errors(medium_pair, model, z, factor=canonical_factor(small_pair))
-
 
 def test_local_law_peak_memory_near_size_of_g():
     # no d x d array: G's data corner, one reused panel buffer and
@@ -471,12 +467,11 @@ def test_local_law_peak_memory_near_size_of_g():
     for (p, q, n), bound in (((120, 80, 400), 0.75 * 16 * 1000 * 1000),
                              ((240, 160, 800), 16 * 2000 * 400)):
         pair = sample_gaussian(p, q, n, seed=3)
-        model = make_model(p / n, q / n)
         z = complex(0.5, 0.3)
-        local_law_errors(pair, model, z)        # warm-up: lazy imports and caches
+        local_law_errors(canonical_factor(pair), z)     # warm-up: lazy imports and caches
         tracemalloc.start()
         try:
-            local_law_errors(pair, model, z)
+            local_law_errors(canonical_factor(pair), z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -99,7 +99,6 @@ class TestSpectrum:
         res = ccc_eigenvalues(medium_pair)
         assert res.min_eig_xx_bound > 0.0
         assert res.min_eig_yy_bound > 0.0
-        assert res.meta is medium_pair.meta
 
 
 def _symmetric_whitening_spectrum(pair):
