@@ -8,7 +8,8 @@ Both agree with the principal branch on the upper half plane.
 IndexLayout owns the coordinate structure of the linearization: its four
 blocks, the paired factor coordinates and the in-place add of a 2x2
 kernel on them, which H, the Schur assembly of its resolvent and the
-limit matrix all go through.
+limit matrix all go through.  Every structured entry lies on a diagonal
+of a block, which IndexLayout hands out as a writeable view.
 
 tridiagonal_top and invert_lower call LAPACK through LAPACKE, in the
 OpenBLAS that the numpy wheel loads, as the thread controls below do:
@@ -247,12 +248,12 @@ class IndexLayout(NamedTuple):
 
     The one owner of H's coordinates.  blocks holds the four coordinate
     blocks in order: the p rows of the first data channel, the q of the
-    second, then two n-blocks for the right factors.  paired holds the
-    index arrays (mu, mu + n), mu < n, of the paired coordinates of the
-    two factor blocks, on which H, G and the limit matrix carry a 2x2
-    kernel; add_kernel adds one in place, to a whole matrix or to one of
-    its column panels.  diagonal indexes one diagonal of a column panel,
-    from arrays built once and shared by every panel with its columns.
+    second, then two n-blocks for the right factors.  H, G and the limit
+    matrix carry a 2x2 kernel on the paired coordinates (mu, mu + n),
+    mu < n, of the two factor blocks; add_kernel adds one in place, to a
+    whole matrix or to one of its column panels.  overlap is where a
+    block meets a column panel, and diagonal a writeable view of one
+    diagonal of the panel there, so no index array is built.
     """
 
     p: int
@@ -269,19 +270,27 @@ class IndexLayout(NamedTuple):
         return (slice(0, p), slice(p, p + q), slice(p + q, p + q + n),
                 slice(p + q + n, p + q + 2 * n))
 
-    @property
-    def paired(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.diagonal(self.blocks[3], slice(None), -self.n)
+    def overlap(self, block: slice, cols: slice) -> slice:
+        """The columns of the panel [:, cols] in block, counted from the panel's first column.
 
-    def diagonal(self, block: slice, cols: slice, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, columns) of the entries (c + shift, c), c in block, of the column panel cols.
-
-        columns count from cols.start, so the pair indexes the panel
-        [:, cols] of a d x d matrix.  The arrays are read-only and built
-        once per block, panel and shift.
+        Empty where the two do not meet.
         """
         start, stop, _ = cols.indices(self.dim)
-        return _diagonal(max(block.start, start), min(block.stop, stop), start, shift)
+        lo, hi = max(block.start, start), min(block.stop, stop)
+        return slice(lo - start, max(lo, hi) - start)
+
+    def diagonal(self, M: np.ndarray, block: slice, cols: slice = slice(None),
+                 shift: int = 0) -> np.ndarray:
+        """A writeable view of the entries (c + shift, c), c in block, of M = [:, cols].
+
+        M is the column panel [:, cols] of a d x d matrix, the whole
+        matrix by default.  The view is the diagonal of M's square
+        sub-block where block meets the panel's columns, and empty where
+        they do not meet.
+        """
+        inside = self.overlap(block, cols)
+        first = cols.indices(self.dim)[0] + inside.start + shift
+        return np.einsum("ii->i", M[first: first + inside.stop - inside.start, inside])
 
     def add_kernel(self, M: np.ndarray, k00, k01, k11, cols: slice = slice(None)) -> None:
         """M += [[k00, k01], [k01, k11]] on every paired coordinate, in place.
@@ -292,18 +301,8 @@ class IndexLayout(NamedTuple):
         """
         s3, s4 = self.blocks[2:]
         for own, k, to_partner in ((s3, k00, self.n), (s4, k11, -self.n)):
-            M[self.diagonal(own, cols)] += k
-            M[self.diagonal(own, cols, to_partner)] += k01
-
-
-@functools.lru_cache(maxsize=1024)
-def _diagonal(lo: int, hi: int, start: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c + shift, c - start) for c in lo..hi-1, as two read-only index arrays."""
-    columns = np.arange(lo, hi)
-    rows = columns + shift
-    columns -= start
-    rows.flags.writeable = columns.flags.writeable = False
-    return rows, columns
+            self.diagonal(M, own, cols)[...] += k
+            self.diagonal(M, own, cols, to_partner)[...] += k01
 
 
 def kernel_inverse_2x2(z: complex) -> np.ndarray:

@@ -155,19 +155,23 @@ def validate(config: ExperimentConfig) -> list[str]:
     if v:
         # the range checks below compare numbers and would fail on these
         return v
-    v = aspect_ratio_violations(config.c1, config.c2) or _size_violations(config)
+    # the rules that need sizes p, q run only at admissible ratios: round(c n)
+    # raises on a NaN or infinite c
+    ratios = aspect_ratio_violations(config.c1, config.c2)
+    v = ratios or _size_violations(config)
     v += seed_violations(config.seed) + law_violations(config.law, config.beta)
     if config.c_phi is not None:
         v += truncation_violations(config.c_phi)
 
     if config.kind == "tw-edge":
-        v += k_max_violations(config.k_max, config.dims()[1])
+        if not ratios:
+            v += k_max_violations(config.k_max, config.dims()[1])
         if config.trials < 2:
             v.append(f"tw-edge needs trials >= 2, got {config.trials}")
     if config.kind == "rigidity-scaling":
         if config.trials < 3:
             v.append(f"rigidity-scaling needs trials >= 3, got {config.trials}")
-        if config.n0 < 4 or config.dims(config.n0)[1] < 2:
+        if config.n0 < 4 or (not ratios and config.dims(config.n0)[1] < 2):
             v.append(f"rigidity base size n0={config.n0} too small for c2={config.c2}")
         if any(f < 1 for f in config.factors):
             v.append(f"factors must be positive integers, got {list(config.factors)}")

@@ -188,7 +188,7 @@ def _panel_residual(lin: LinearizationMatrix, cols: slice, panel: np.ndarray,
     worst = []
     for rows, block in ((s1, _real_times(lin.X, G3)), (s2, _real_times(lin.Y, G4)),
                         (s3, top), (s4, bottom)):
-        block[layout.diagonal(rows, cols, -rows.start)] -= 1.0
+        layout.diagonal(block, rows, cols, -rows.start)[...] -= 1.0
         worst.append(np.abs(block).max())
     return float(np.max(worst))
 
@@ -382,13 +382,12 @@ def local_law_errors(factor: CanonicalFactor, z, seed: int = 0,
         nonlocal paired
         pi.subtract_from(panel, cols)
         for b, block in enumerate(layout.blocks, 1):
-            inside = slice(max(block.start, cols.start) - cols.start,
-                           min(block.stop, cols.stop) - cols.start)
+            inside = layout.overlap(block, cols)
             if inside.start < inside.stop:
                 for a, rows in enumerate(layout.blocks, 1):
                     key = f"{a}{b}"
                     sectors[key] = max(sectors[key], float(np.abs(panel[rows, inside]).max()))
-        entries = panel[layout.diagonal(s4, cols, -n)]      # the entries (mu, mu + n)
+        entries = layout.diagonal(panel, s4, cols, -n)      # the entries (mu, mu + n)
         if entries.size:
             paired = max(paired, float(np.abs(entries).max()))
         left_forms[:, cols] = _real_times(vectors.T, panel)

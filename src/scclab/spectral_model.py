@@ -379,7 +379,7 @@ class PiDescriptor:
         if G.shape != (layout.dim, stop - start):
             raise ParameterError(f"G has shape {G.shape}, expected {(layout.dim, stop - start)}")
         for block, value in zip(layout.blocks, (self.diag1, self.diag2)):
-            G[layout.diagonal(block, cols)] -= value
+            layout.diagonal(G, block, cols)[...] -= value
         layout.add_kernel(G, -self.kernel[0, 0], -self.kernel[0, 1], -self.kernel[1, 1], cols)
 
 

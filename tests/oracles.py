@@ -315,7 +315,7 @@ def local_law_reference(factor, model: SpectralModel, z, seed: int = 0) -> Local
         for b, cols in enumerate(layout.blocks, 1):
             sectors[f"{a}{b}"] = float(np.abs(diff[rows, cols]).max())
     entrywise = max(sectors.values())
-    sectors["paired34"] = float(np.abs(diff[layout.paired]).max())
+    sectors["paired34"] = float(np.abs(layout.diagonal(diff, layout.blocks[3], shift=-n)).max())
     vectors = _test_vectors(layout, seed)
     aniso = float(np.abs(_real_times(vectors.T, diff) @ vectors).max())
     limit = stieltjes(model, z)

@@ -33,7 +33,7 @@ from scclab import (
     tw_rescale,
 )
 from scclab._linalg import lapacke_routines, one_blas_thread, steady_heap
-from scclab.cli import ExperimentConfig, build_config, main, validate
+from scclab.cli import KINDS, ExperimentConfig, build_config, main, validate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -79,6 +79,15 @@ class TestValidate:
         cfg = ExperimentConfig(kind="local-law-sweep", n=100, **{bound: math.nan})
         msgs = validate(cfg)
         assert len(msgs) == 1 and "eta = nan" in msgs[0] and rule in msgs[0]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("field", ["c1", "c2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ratio_reported(self, kind, field, value):
+        # the rules that need p = round(c1 n) or q = round(c2 n) do not run
+        # on a ratio the aspect-ratio rule rejects, so nothing raises
+        msgs = validate(ExperimentConfig(kind=kind, **{field: value}))
+        assert msgs and all(m.startswith("aspect ratios must satisfy") for m in msgs)
 
     def test_multiple_violations_all_reported(self):
         cfg = ExperimentConfig(kind="tw-edge", c1=0.7, c2=0.8, law="nope",
@@ -353,6 +362,21 @@ class TestMain:
         assert pairs == [] and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and "spectral window" in err
+
+    @pytest.mark.parametrize("kind", ["tw-edge", "rigidity-scaling"])
+    @pytest.mark.parametrize("field", ["c1", "c2"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_ratio_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                     kind, field, value):
+        def never(config):
+            raise AssertionError("the run sampled")
+
+        monkeypatch.setitem(cli._RUNNERS, kind, never)
+        out = tmp_path / "bad"
+        assert main([kind, "--out", str(out), "--override", f"{field}={value}"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and "aspect ratios" in err
 
     def test_trace_identity_failure_exit_3_with_diagnostics(self, tmp_path, monkeypatch):
         real = linearized_resolvent.blocks_via_schur

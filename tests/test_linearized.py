@@ -93,9 +93,13 @@ class TestBuild:
         blocks = layout.blocks
         assert [(b.start, b.stop) for b in blocks] == [(0, 5), (5, 8), (8, 15), (15, 22)]
         assert layout.dim == 22
-        first, second = layout.paired
-        assert np.array_equal(first, np.arange(8, 15))
-        assert np.array_equal(second, np.arange(15, 22))
+        # the paired coordinates (mu, mu + n), read and written through the view
+        entries = np.arange(22.0 * 22).reshape(22, 22)
+        mu = np.arange(8, 15)
+        paired = layout.diagonal(entries, blocks[3], shift=-7)
+        assert np.array_equal(paired, entries[mu, mu + 7])
+        paired[...] = -1.0
+        assert np.array_equal(np.argwhere(entries == -1.0), np.column_stack([mu, mu + 7]))
         M = np.zeros((22, 22))
         layout.add_kernel(M, 1.0, 2.0, 3.0)
         expected = np.zeros((22, 22))
@@ -107,6 +111,42 @@ class TestBuild:
             cols = slice(start, min(start + 4, 22))
             layout.add_kernel(panels[:, cols], 1.0, 2.0, 3.0, cols)
         assert np.array_equal(panels, expected)
+
+    @pytest.mark.parametrize("cols, missed", [(slice(0, 4), (1, 2, 3)),
+                                              (slice(18, 22), (0, 1, 2))])
+    def test_diagonal_view_of_a_panel_that_misses_the_block(self, cols, missed):
+        # columns 0..3 lie in the first data block only, 18..21 in the last
+        # factor block: a block the panel misses has an empty diagonal
+        # view, at any shift, and writing it changes nothing
+        layout = IndexLayout(5, 3, 7)
+        panel = np.zeros((22, 4))
+        for b in missed:
+            block = layout.blocks[b]
+            inside = layout.overlap(block, cols)
+            assert inside.start == inside.stop
+            for shift in (0, -block.start, 7, -7):
+                view = layout.diagonal(panel, block, cols, shift)
+                assert view.shape == (0,)
+                view[...] += 1.0
+        assert not panel.any()
+
+    def test_diagonal_view_of_a_panel_across_two_blocks(self):
+        # columns 12..17 end the first factor block (12..14) and start the
+        # second (15..17); each block's diagonal is written through
+        layout = IndexLayout(5, 3, 7)
+        cols = slice(12, 18)
+        whole = np.zeros((22, 22))
+        panel = whole[:, cols]
+        for block, value in zip(layout.blocks[2:], (1.0, 2.0)):
+            view = layout.diagonal(panel, block, cols)
+            assert view.shape == (3,) and np.shares_memory(view, whole)
+            view[...] += value
+        assert layout.overlap(layout.blocks[2], cols) == slice(0, 3)
+        assert layout.overlap(layout.blocks[3], cols) == slice(3, 6)
+        expected = np.zeros((22, 22))
+        expected[[12, 13, 14], [12, 13, 14]] = 1.0
+        expected[[15, 16, 17], [15, 16, 17]] = 2.0
+        assert np.array_equal(whole, expected)
 
     def test_kernel_poles_rejected(self, small_pair):
         with pytest.raises(DomainError):
