@@ -78,6 +78,7 @@ from .sampler import (
     sample_bounded,
     sample_gaussian,
     sample_heavy_tail,
+    seed_violations,
     truncate_center_rescale,
 )
 from .scc_core import SpectrumResult, ccc_eigenvalues, rigidity_profile
@@ -410,7 +411,7 @@ def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> Edg
     draws a tw-edge run's reference beside its trials into the same
     memo, so the call that follows it draws nothing.
     """
-    reject(goe_size_violations(n_goe, k_max))
+    reject(goe_size_violations(n_goe, k_max) + seed_violations(seed))
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
     key = (n_goe, trials, k_max, seed)

@@ -33,8 +33,10 @@ class ParameterError(ScclabError, ValueError):
 class DomainError(ScclabError, ValueError):
     """A spectral argument z lies outside the admissible domain.
 
-    Raised for evaluation on the branch cut (real z inside the support),
-    at a pole (z = 0), or below the real axis.
+    Raised for a limit transform evaluated off the upper half plane
+    Im z > 0, for a linearization at z = 0, z = 1 or below the real
+    axis, for a resolvent at a sample eigenvalue, and for a local-law
+    point outside the spectral window.
     """
 
 

@@ -135,7 +135,9 @@ class ResolventBundle:
 
     m1..m4 are the per-n traces of the four diagonal blocks of G; m is
     the q-normalized trace of the resolvent of the q x q correlation
-    product, recovered from the second data block of G.  The identity
+    product, mean(1/(lam_q - z)) over the factor's eigenvalues, so the
+    trace identity m3 = c2 z (1 - z) m + (1 - c1 - c2) z ties G to the
+    sample spectrum.  The identity
     residual records max |H G - I| over every entry of the product,
     computed from the data matrices and the kernel inverse one column
     panel at a time, in O((p+q) n d) time and O(n _PANEL) extra memory
@@ -226,7 +228,7 @@ def blocks_via_schur(factor: CanonicalFactor, z, *, visit) -> ResolventBundle:
     lin = build_H(pair, z)
     z = lin.z
     if not (1e-8 < abs(z) < 1e8):
-        raise ParameterError(f"|z| = {abs(z)} outside the supported range for this route")
+        raise ParameterError(f"|z| = {abs(z)} outside the supported range")
     layout = lin.layout
     lam_p, lam_q = factor.lam_p, factor.lam_q
     if min(np.abs(lam_p - z).min(), np.abs(lam_q - z).min()) < 1e-12:

@@ -48,11 +48,10 @@ plain trapezoid rule on [0, pi] converges geometrically (Trefethen and
 Weideman, SIAM Review 2014); each halving of the step reuses the sum so
 far and evaluates only the new midpoints.
 
-All square roots of spectral arguments are taken on the branch with
-nonnegative imaginary part.  On the real axis outside the support the
-transforms are evaluated as boundary values from the upper half plane,
-which makes them the genuine Stieltjes integrals there (in particular
-positive to the left of the support, negative to the right).
+The transforms are evaluated on the spectral domain Im z > 0 only, the
+half plane the local law lives on; real z, including the pole z = 0 and
+the removable point z = 1, is rejected.  Every square root of a spectral
+argument is taken on the branch with nonnegative imaginary part.
 """
 
 from __future__ import annotations
@@ -178,27 +177,6 @@ class StieltjesQuadruple:
     m: complex
 
 
-def _edge_sqrt(model: SpectralModel, z: complex) -> complex:
-    """sqrt((z - lambda_minus)(z - lambda_plus)) continued from the upper half plane.
-
-    For Im z > 0 this is the nonnegative-imaginary-part root.  On the real
-    axis the product crosses to the second sheet left of the support, so
-    the boundary value is -sqrt there and +sqrt right of the support.
-    """
-    lm, lp = model.lambda_minus, model.lambda_plus
-    if z.imag > 0:
-        return sqrt_upper((z - lm) * (z - lp))
-    E = z.real
-    w = (E - lm) * (E - lp)
-    if E >= lp:
-        return complex(math.sqrt(max(w, 0.0)))
-    if E <= lm:
-        return complex(-math.sqrt(max(w, 0.0)))
-    raise DomainError(
-        f"real z = {E} lies inside the support [{lm}, {lp}]: branch cut"
-    )
-
-
 def density(model: SpectralModel, x):
     """Limit density f(x); zero off the open support interval.
 
@@ -312,34 +290,16 @@ def classical_locations(model: SpectralModel, q: int) -> np.ndarray:
 
 
 def stieltjes(model: SpectralModel, z) -> StieltjesQuadruple:
-    """Evaluate the limiting transform system at z.
+    """Evaluate the limiting transform system at z with Im z > 0.
 
-    Admissible z: Im z > 0, or real z outside the closed support and not
-    in {0, 1}.  z = 1 is a removable singularity of the m1, m2 formulas;
-    the finite limits there are
-
-        m1(1) = -c1 / (1 - c1 - c2),   m2(1) = -c2 / (1 - c1 - c2),
-
-    with m3(1) = m4(1) = h(1) = 1 - c1 - c2.
+    Any other z, real or below the axis or with a NaN imaginary part,
+    raises DomainError.
     """
     c1, c2 = model.c1, model.c2
     z = complex(z)
-    if z.imag < 0:
-        raise DomainError(f"z = {z} lies below the real axis")
-    if z.imag == 0:
-        if z.real == 0:
-            raise DomainError("z = 0 is a pole of the transform system")
-        if z.real == 1:
-            one = 1.0 - c1 - c2
-            return StieltjesQuadruple(
-                m1=complex(-c1 / one),
-                m2=complex(-c2 / one),
-                m3=complex(one),
-                m4=complex(one),
-                h=complex(one),
-                m=complex(-(1.0 - c2) / one),
-            )
-    s = _edge_sqrt(model, z)
+    if not z.imag > 0:
+        raise DomainError(f"the transforms need Im z > 0, got z = {z}")
+    s = sqrt_upper((z - model.lambda_minus) * (z - model.lambda_plus))
     core = -z + c1 + c2 + s
     m1 = core / (2.0 * (1.0 - c1) * z * (1.0 - z)) - c1 / ((1.0 - c1) * z)
     m2 = core / (2.0 * (1.0 - c2) * z * (1.0 - z)) - c2 / ((1.0 - c2) * z)
@@ -407,10 +367,10 @@ def pi_limit(model: SpectralModel, z, p: int, q: int, n: int) -> PiDescriptor:
 
 
 def psi_control(model: SpectralModel, z, n: int) -> float:
-    """Fluctuation control parameter sqrt(Im m / (n eta)) + 1/(n eta)."""
-    zc = complex(z)
-    if zc.imag <= 0:
-        raise DomainError(f"control parameter needs Im z > 0, got z = {zc}")
-    quad = stieltjes(model, zc)
-    n_eta = n * zc.imag
+    """Fluctuation control parameter sqrt(Im m / (n eta)) + 1/(n eta), for n >= 1."""
+    if n < 1:
+        raise ParameterError(f"control parameter needs n >= 1, got n = {n}")
+    z = complex(z)
+    quad = stieltjes(model, z)
+    n_eta = n * z.imag
     return math.sqrt(max(quad.m.imag, 0.0) / n_eta) + 1.0 / n_eta

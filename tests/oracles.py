@@ -30,7 +30,7 @@ from scclab import (LinearizationMatrix, LocalLawReport, NumericalError, Paramet
 from scclab._linalg import sqrt_upper, tridiagonal_top
 from scclab.linearized_resolvent import (_RESIDUAL_LIMIT, _enforce, _panels,
                                          _partial_traces, _real_times, _test_vectors)
-from scclab.spectral_model import PiDescriptor, _edge_sqrt, _tail_mass_at_angle, density
+from scclab.spectral_model import PiDescriptor, _tail_mass_at_angle, density
 
 
 def solve_m3(model: SpectralModel, z) -> complex:
@@ -53,9 +53,8 @@ def solve_m3(model: SpectralModel, z) -> complex:
             f"discriminant mismatch at z={z}: {disc} vs edge product {factored}",
             achieved=abs(disc - factored),
         )
-    s = _edge_sqrt(model, z) if z.imag == 0 else sqrt_upper(disc)
-    root = 0.5 * (-b + s)
-    if z.imag > 0 and root.imag < -1e-12:
+    root = 0.5 * (-b + sqrt_upper(disc))
+    if root.imag < -1e-12:
         raise NumericalError(f"selected root has negative imaginary part at z={z}")
     return root
 

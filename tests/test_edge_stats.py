@@ -368,6 +368,9 @@ class TestGoeReference:
             goe_reference(3, 10, k_max=3)
         with pytest.raises(ParameterError):
             goe_reference(100, 0)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ParameterError, match=f"unsigned 64-bit integer, got {seed}"):
+                goe_reference(50, 4, 3, seed)
 
     @pytest.mark.parametrize("k_max", [0, -1, 50])
     def test_edge_depth_outside_one_to_n_goe(self, k_max):

@@ -11,6 +11,7 @@ import pytest
 from scclab import (
     DomainError,
     NumericalError,
+    ParameterError,
     blocks_via_schur,
     build_H,
     canonical_factor,
@@ -253,6 +254,10 @@ class TestResolventRoutes:
         # the Schur route keeps no G, so it cannot run without a visitor
         with pytest.raises(TypeError, match="visit"):
             blocks_via_schur(canonical_factor(small_pair), complex(0.3, 0.5))
+
+    def test_schur_rejects_far_z(self, small_pair):
+        with pytest.raises(ParameterError, match=r"\|z\| = 1000000000.0 outside the supported range$"):
+            blocks_via_schur(canonical_factor(small_pair), 1e9, visit=lambda cols, panel: None)
 
     def test_trace_of_correlation_resolvent(self, small_pair):
         # m agrees with the direct eigenvalue sum of the q x q product

@@ -358,6 +358,11 @@ class TestRigidity:
         with pytest.raises(ParameterError, match="q = 10 eigenvalues"):
             rigidity_profile(res, model_thin)
 
+    def test_keep_fraction_above_one_rejected(self, medium_pair, model_wide):
+        res = ccc_eigenvalues(medium_pair)
+        with pytest.raises(ParameterError, match=r"keep_fraction must lie in \(0, 1\], got 1.5"):
+            rigidity_profile(res, model_wide, keep_fraction=1.5)
+
     def test_counting_function_tracks_quantiles(self):
         # the number of eigenvalues above the j-th classical location stays
         # within a few indices of j - 1
