@@ -1,6 +1,6 @@
 """Command line driver for the laboratory's experiments.
 
-Each subcommand runs one experiment kind end-to-end: it validates the
+Each experiment kind runs end-to-end from one command: it validates the
 configuration (reporting every violated constraint), computes, and only
 then writes results.csv, results.json, and a manifest.json with the full
 configuration echo next to them.  A run that fails writes no results,
@@ -35,8 +35,8 @@ last two move no computed value):
     not, so a host program keeps OpenSSL's hashes.
 
 Exit codes: 0 success, 2 validation failure (including an unreadable or
-malformed --config file, or a config kind other than the subcommand),
-3 numerical failure.
+malformed --config file, an unknown kind, or a config kind other than
+the one named), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -305,13 +305,11 @@ def main(argv=None) -> int:
         prog="scclab",
         description="Numerical laboratory for null-model canonical correlation spectra",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        sp = sub.add_parser(kind, help=f"run the {kind} experiment")
-        sp.add_argument("--config", type=Path, default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None, help="master seed in [0, 2**64)")
-        sp.add_argument("--out", type=Path, default=None, help="output directory")
-        sp.add_argument("--override", action="append", default=[],
+    parser.add_argument("kind", choices=KINDS, help="the experiment to run")
+    parser.add_argument("--config", type=Path, default=None, help="JSON config file")
+    parser.add_argument("--seed", type=int, default=None, help="master seed in [0, 2**64)")
+    parser.add_argument("--out", type=Path, default=None, help="output directory")
+    parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config field")
     args = parser.parse_args(argv)
 

@@ -18,7 +18,10 @@ off-diagonal with decreasing degrees of freedom; Dumitriu and Edelman,
 O(n) memory per draw; it is validated against a dense GOE eigensolve in
 the test suite.  Each trial draws from its own stream, and its top
 eigenvalues are found by LAPACK's bisection (_linalg.tridiagonal_top,
-dstebz in numpy's OpenBLAS), one trial at a time.
+dstebz in numpy's OpenBLAS), one trial at a time.  goe_reference
+returns them rescaled, as one memoized read-only (trials, k_max) array,
+and run_edge_trials the sample side's rows with the TrialLog and the
+limit model behind them.
 
 Both drivers take the one ExperimentConfig and check it with its
 validator before sampling.  Every Monte Carlo experiment of the
@@ -86,7 +89,6 @@ from .spectral_model import SpectralModel, classical_locations
 
 __all__ = [
     "TrialLog",
-    "EdgeSamples",
     "ExperimentReport",
     "sample_pair",
     "tw_rescale",
@@ -126,20 +128,6 @@ def tw_rescale(result: SpectrumResult, model: SpectralModel, k_max: int = 3) -> 
     reject(k_max_violations(k_max, len(result.eigenvalues)))
     lam = result.eigenvalues[:k_max]
     return result.n ** (2.0 / 3.0) * (lam - model.lambda_plus) / model.c_tw
-
-
-@dataclass(eq=False)
-class EdgeSamples:
-    """Rescaled edge statistics, one row per trial, one column per k.
-
-    trials is the TrialLog that sampled the rows and model the limit
-    model whose lambda_plus and c_tw rescaled them; both are None for the
-    GOE reference.
-    """
-
-    values: np.ndarray
-    trials: TrialLog | None = None
-    model: SpectralModel | None = None
 
 
 def derived_seed(seed: int, *key: int) -> int:
@@ -402,14 +390,14 @@ def goe_size_violations(n_goe: int, k_max: int) -> list[str]:
         f"k_max must lie in [1, n_goe - 1 = {n_goe - 1}], got {k_max}"]
 
 
-def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> EdgeSamples:
+def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> np.ndarray:
     """Monte Carlo reference sample of rescaled top GOE eigenvalues.
 
-    The draws are memoized on (n_goe, trials, k_max, seed), the last
-    eight drawn: every call returns a fresh EdgeSamples whose values are
-    the one read-only array drawn for those arguments.  run_edge_trials
-    draws a tw-edge run's reference beside its trials into the same
-    memo, so the call that follows it draws nothing.
+    One row per trial, one column per k.  The draws are memoized on
+    (n_goe, trials, k_max, seed), the last eight drawn: every call
+    returns the one read-only array drawn for those arguments.
+    run_edge_trials draws a tw-edge run's reference beside its trials
+    into the same memo, so the call that follows it draws nothing.
     """
     reject(goe_size_violations(n_goe, k_max) + seed_violations(seed))
     if trials < 1:
@@ -417,7 +405,7 @@ def goe_reference(n_goe: int, trials: int, k_max: int = 3, seed: int = 0) -> Edg
     key = (n_goe, trials, k_max, seed)
     if key not in _GOE_MEMO:
         _remember_goe(key, _goe_values(*key))
-    return EdgeSamples(values=_GOE_MEMO[key])
+    return _GOE_MEMO[key]
 
 
 def ks_two_sample(a, b) -> float:
@@ -456,9 +444,13 @@ def _require_valid(config: ExperimentConfig, kind: str) -> None:
     reject(validate(config))
 
 
-def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
-    """Edge statistics for an explicit set of trial indices.
+def run_edge_trials(config: ExperimentConfig,
+                    indices) -> tuple[np.ndarray, TrialLog, SpectralModel]:
+    """(rows, log, model): edge statistics for an explicit set of trial indices.
 
+    rows holds the rescaled top k_max eigenvalues, one row per index, log
+    is the TrialLog that sampled them and model the config's limit model,
+    whose lambda_plus and c_tw rescaled them, built once per call.
     Per-trial seeds depend only on (experiment seed, trial index, retry),
     so splitting the index range across calls and concatenating the rows
     in index order reproduces a single full run exactly.  The failure
@@ -487,7 +479,7 @@ def run_edge_trials(config: ExperimentConfig, indices) -> EdgeSamples:
     values = log.map(rescaled, keys)
     if drawn:
         _remember_goe(reference, values.pop(keys.index(None)))
-    return EdgeSamples(values=np.array(values), trials=log, model=model)
+    return np.array(values), log, model
 
 
 def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -497,27 +489,27 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     upper-tail-mass comparison of the top-1 statistic (heavy-tailed input
     below the fourth-moment condition tends to overshoot the edge).
     """
-    ccc = run_edge_trials(config, range(config.trials))     # validates the config
+    ccc, log, model = run_edge_trials(config, range(config.trials))     # validates the config
     goe = goe_reference(config.n, config.trials, config.k_max, config.seed)
 
-    ks = [ks_two_sample(ccc.values[:, k], goe.values[:, k]) for k in range(config.k_max)]
-    tail_ccc = float(np.mean(ccc.values[:, 0] > _UPPER_TAIL_CUT))
-    tail_goe = float(np.mean(goe.values[:, 0] > _UPPER_TAIL_CUT))
+    ks = [ks_two_sample(ccc[:, k], goe[:, k]) for k in range(config.k_max)]
+    tail_ccc = float(np.mean(ccc[:, 0] > _UPPER_TAIL_CUT))
+    tail_goe = float(np.mean(goe[:, 0] > _UPPER_TAIL_CUT))
     tail_sd = math.sqrt(max(tail_goe * (1.0 - tail_goe), 1.0 / config.trials) / config.trials)
     heavy_flag = tail_ccc > tail_goe + 2.0 * tail_sd + 2.0 / config.trials
 
     metrics = {
-        "ccc_mean": [float(m) for m in ccc.values.mean(axis=0)],
-        "ccc_var": [float(v) for v in ccc.values.var(axis=0, ddof=1)],
-        "goe_mean": [float(m) for m in goe.values.mean(axis=0)],
-        "goe_var": [float(v) for v in goe.values.var(axis=0, ddof=1)],
+        "ccc_mean": [float(m) for m in ccc.mean(axis=0)],
+        "ccc_var": [float(v) for v in ccc.var(axis=0, ddof=1)],
+        "goe_mean": [float(m) for m in goe.mean(axis=0)],
+        "goe_var": [float(v) for v in goe.var(axis=0, ddof=1)],
         "ks": [float(k) for k in ks],
-        "failures": ccc.trials.failures,
+        "failures": log.failures,
         "upper_tail_mass_ccc": tail_ccc,
         "upper_tail_mass_goe": tail_goe,
         "heavy_upper_tail": bool(heavy_flag),
-        "lambda_plus": ccc.model.lambda_plus,
-        "c_tw": ccc.model.c_tw,
+        "lambda_plus": model.lambda_plus,
+        "c_tw": model.c_tw,
     }
     p, q = config.dims()
     params = {
@@ -529,13 +521,13 @@ def tw_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows = []
     for t in range(config.trials):
         for k in range(config.k_max):
-            rows.append(("ccc", t, k + 1, repr(float(ccc.values[t, k]))))
+            rows.append(("ccc", t, k + 1, repr(float(ccc[t, k]))))
     for t in range(config.trials):
         for k in range(config.k_max):
-            rows.append(("goe", t, k + 1, repr(float(goe.values[t, k]))))
+            rows.append(("goe", t, k + 1, repr(float(goe[t, k]))))
     results = {"kind": "tw-edge", "params": params, "metrics": metrics}
     return ExperimentReport(("source", "trial", "k", "value"), rows, results,
-                            ccc.trials.checks(), ccc.trials.processes)
+                            log.checks(), log.processes)
 
 
 def _median(values) -> float:

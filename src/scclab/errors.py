@@ -34,9 +34,9 @@ class DomainError(ScclabError, ValueError):
     """A spectral argument z lies outside the admissible domain.
 
     Raised for a limit transform evaluated off the upper half plane
-    Im z > 0, for a linearization at z = 0, z = 1 or below the real
-    axis, for a resolvent at a sample eigenvalue, and for a local-law
-    point outside the spectral window.
+    Im z > 0, for a linearization at a non-finite z, at z = 0, z = 1 or
+    below the real axis, for a resolvent at a sample eigenvalue, and for
+    a local-law point outside the spectral window.
     """
 
 

@@ -119,8 +119,14 @@ class LinearizationMatrix:
 
 
 def build_H(pair: DataPair, z) -> LinearizationMatrix:
-    """H(z) for a pair, held by its blocks; z must lie on or above the real axis, off 0 and 1."""
+    """H(z) for a pair, held by its blocks.
+
+    z must be finite, on or above the real axis, and off 0 and 1; any
+    other z raises DomainError.
+    """
     z = complex(z)
+    if not np.isfinite(z):
+        raise DomainError(f"z = {z} is not finite")
     if z == 0 or z == 1:
         raise DomainError(f"kernel is singular at z = {z}")
     if z.imag < 0:
@@ -371,8 +377,7 @@ def local_law_errors(factor: CanonicalFactor, z, seed: int = 0,
     n = pair.n
     reject(window_violations(n, epsilon, z.real, z.real, z.imag, z.imag), DomainError)
     layout = IndexLayout(pair.p, pair.q, n)
-    model = make_model(pair.p / n, pair.q / n)
-    pi = pi_limit(model, z, *layout)
+    pi = pi_limit(layout, z)
     vectors = _test_vectors(layout, seed)
     left_forms = np.empty((vectors.shape[1], layout.dim), dtype=complex)    # V' (G - Pi)
     sectors = {f"{a}{b}": 0.0 for a in range(1, 5) for b in range(1, 5)}
@@ -401,7 +406,7 @@ def local_law_errors(factor: CanonicalFactor, z, seed: int = 0,
     sectors["paired34"] = paired
     aniso = float(np.abs(left_forms @ vectors).max())
 
-    limit = stieltjes(model, z)
+    limit = stieltjes(make_model(pair.p / n, pair.q / n), z)
     avg_err = [
         abs(bundle.m1 - limit.m1),
         abs(bundle.m2 - limit.m2),
@@ -410,7 +415,7 @@ def local_law_errors(factor: CanonicalFactor, z, seed: int = 0,
         abs(bundle.m - limit.m),
     ]
 
-    psi = psi_control(model, z, n)
+    psi = psi_control(layout, z)
     phi_n = pair.meta.phi_n if pair.meta.phi_n is not None else n ** -0.5
     benchmarks = {
         "entrywise": phi_n + psi,

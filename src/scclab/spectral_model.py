@@ -17,7 +17,9 @@ closed-form tail mass below), the four partial Stieltjes transforms of
 the linearized resolvent together with the off-diagonal limit h, a
 descriptor of the block-constant limit matrix that is subtracted from a
 resolvent in place rather than formed densely, and the fluctuation
-control parameter used to benchmark finite-n resolvent errors.
+control parameter used to benchmark finite-n resolvent errors.  The
+last two take an IndexLayout and z, and are those of the model at the
+layout's finite-n ratios p/n and q/n.
 
 With x = a + r cos(theta), a = (lambda_minus + lambda_plus)/2 and
 r = (lambda_plus - lambda_minus)/2, the mass above x(theta) is, exactly,
@@ -315,10 +317,11 @@ class PiDescriptor:
     """Block-constant limit of the linearized resolvent at one z.
 
     Held by its distinct values on the layout's coordinates, never as a
-    dense d x d array.  The diagonal values are m1/c1 on the first data
-    block and m2/c2 on the second; the two factor blocks carry the
-    kernel [[m3, h], [h, m4]] on their paired coordinates (mu, mu + n)
-    and are zero elsewhere.
+    dense d x d array.  The transforms are those of the layout's own
+    ratios c1 = p/n and c2 = q/n, which fix the limit with z.  The
+    diagonal values are m1/c1 on the first data block and m2/c2 on the
+    second; the two factor blocks carry the kernel [[m3, h], [h, m4]] on
+    their paired coordinates (mu, mu + n) and are zero elsewhere.
     """
 
     z: complex
@@ -343,34 +346,40 @@ class PiDescriptor:
         layout.add_kernel(G, -self.kernel[0, 0], -self.kernel[0, 1], -self.kernel[1, 1], cols)
 
 
-def pi_limit(model: SpectralModel, z, p: int, q: int, n: int) -> PiDescriptor:
-    """Assemble the block-constant limit matrix descriptor at z.
+def _finite_n_model(layout: IndexLayout) -> SpectralModel:
+    """The model at the layout's own ratios p/n, q/n, for n >= 1."""
+    p, q, n = layout
+    if n < 1:
+        raise ParameterError(f"the limit objects need n >= 1, got n = {n}")
+    return make_model(p / n, q / n)
 
-    The caller is expected to build the model from the finite-n ratios
-    p/n and q/n; a mismatch beyond 1/n is rejected.
+
+def pi_limit(layout: IndexLayout, z) -> PiDescriptor:
+    """Assemble the block-constant limit matrix descriptor at z on layout.
+
+    The limit is that of the layout's finite-n ratios p/n and q/n; a
+    layout with n < 1 raises ParameterError.
     """
-    if abs(p / n - model.c1) > 1.0 / n + 1e-12 or abs(q / n - model.c2) > 1.0 / n + 1e-12:
-        raise ParameterError(
-            f"dimensions (p={p}, q={q}, n={n}) inconsistent with model ratios "
-            f"({model.c1}, {model.c2})"
-        )
+    model = _finite_n_model(layout)
     z = complex(z)
     quad = stieltjes(model, z)
     kernel = np.array([[quad.m3, quad.h], [quad.h, quad.m4]])
     return PiDescriptor(
         z=z,
-        layout=IndexLayout(p, q, n),
+        layout=layout,
         diag1=quad.m1 / model.c1,
         diag2=quad.m2 / model.c2,
         kernel=kernel,
     )
 
 
-def psi_control(model: SpectralModel, z, n: int) -> float:
-    """Fluctuation control parameter sqrt(Im m / (n eta)) + 1/(n eta), for n >= 1."""
-    if n < 1:
-        raise ParameterError(f"control parameter needs n >= 1, got n = {n}")
+def psi_control(layout: IndexLayout, z) -> float:
+    """Fluctuation control parameter sqrt(Im m / (n eta)) + 1/(n eta) at z on layout.
+
+    m is the limit transform at the layout's finite-n ratios p/n and
+    q/n; a layout with n < 1 raises ParameterError.
+    """
     z = complex(z)
-    quad = stieltjes(model, z)
-    n_eta = n * z.imag
+    quad = stieltjes(_finite_n_model(layout), z)
+    n_eta = layout.n * z.imag
     return math.sqrt(max(quad.m.imag, 0.0) / n_eta) + 1.0 / n_eta

@@ -26,7 +26,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from scclab import (LinearizationMatrix, LocalLawReport, NumericalError, ParameterError,
                     ResolventBundle, SpectralModel, StieltjesQuadruple, blocks_via_schur,
-                    build_H, linearized_resolvent, pi_limit, psi_control, stieltjes)
+                    build_H, linearized_resolvent, make_model, pi_limit, psi_control, stieltjes)
 from scclab._linalg import sqrt_upper, tridiagonal_top
 from scclab.linearized_resolvent import (_RESIDUAL_LIMIT, _enforce, _panels,
                                          _partial_traces, _real_times, _test_vectors)
@@ -294,21 +294,20 @@ def goe_values_stebz(n_goe: int, trials: int, k_max: int, seed: int) -> np.ndarr
     return np.array(values)
 
 
-def local_law_reference(factor, model: SpectralModel, z, seed: int = 0) -> LocalLawReport:
+def local_law_reference(factor, z, seed: int = 0) -> LocalLawReport:
     """local_law_errors reduced from the whole materialized G - Pi at once.
 
-    G is schur_resolvent's whole G and Pi the dense limit matrix of the
-    given model, where local_law_errors derives its model from the pair;
-    the sectors, paired34 and the quadratic forms are read from their
-    difference in one piece, as local_law_errors did before it took G's
-    column panels one by one.  The window check is left to the caller.
+    G is schur_resolvent's whole G and Pi the dense limit matrix of its
+    layout; the sectors, paired34 and the quadratic forms are read from
+    their difference in one piece, as local_law_errors did before it took
+    G's column panels one by one.  The window check is left to the caller.
     """
     z = complex(z)
     pair = factor.pair
     n = pair.n
     G, bundle = schur_resolvent(factor, z)
     layout = bundle.layout
-    diff = G - pi_dense(pi_limit(model, z, *layout))
+    diff = G - pi_dense(pi_limit(layout, z))
     sectors = {}
     for a, rows in enumerate(layout.blocks, 1):
         for b, cols in enumerate(layout.blocks, 1):
@@ -317,10 +316,10 @@ def local_law_reference(factor, model: SpectralModel, z, seed: int = 0) -> Local
     sectors["paired34"] = float(np.abs(layout.diagonal(diff, layout.blocks[3], shift=-n)).max())
     vectors = _test_vectors(layout, seed)
     aniso = float(np.abs(_real_times(vectors.T, diff) @ vectors).max())
-    limit = stieltjes(model, z)
+    limit = stieltjes(make_model(layout.p / n, layout.q / n), z)
     found = (bundle.m1, bundle.m2, bundle.m3, bundle.m4, bundle.m)
     expected = (limit.m1, limit.m2, limit.m3, limit.m4, limit.m)
-    psi = psi_control(model, z, n)
+    psi = psi_control(layout, z)
     phi_n = pair.meta.phi_n if pair.meta.phi_n is not None else n ** -0.5
     return LocalLawReport(
         z=z, n=n, p=layout.p, q=layout.q, entrywise_err=entrywise, aniso_err=aniso,

@@ -437,6 +437,15 @@ class TestMain:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["--seed", "1"]])
+    def test_unknown_or_missing_kind_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "kind" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_3_with_diagnostics(self, tmp_path, monkeypatch,
                                                        one_trial_process):
         # configuration known to blow the resampling failure budget: its

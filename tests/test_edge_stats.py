@@ -326,23 +326,22 @@ class TestGoeReference:
     def test_deterministic(self):
         a = goe_reference(100, 20, k_max=2, seed=5)
         b = goe_reference(100, 20, k_max=2, seed=5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = goe_reference(100, 20, k_max=2, seed=6)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_memoized_read_only(self):
         a = goe_reference(100, 20, k_max=2, seed=5)
         b = goe_reference(100, 20, k_max=2, seed=5)
-        assert a is not b
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.values, edge_stats._goe_values(100, 20, 2, 5))
+        assert a is b
+        assert np.array_equal(a, edge_stats._goe_values(100, 20, 2, 5))
         with pytest.raises(ValueError):
-            a.values[0, 0] = 0.0
+            a[0, 0] = 0.0
 
     def test_ordering_and_shape(self):
         samples = goe_reference(200, 25, k_max=3, seed=1)
-        assert samples.values.shape == (25, 3)
-        assert np.all(np.diff(samples.values, axis=1) <= 0)
+        assert samples.shape == (25, 3)
+        assert np.all(np.diff(samples, axis=1) <= 0)
 
     def test_matches_dense_construction(self):
         # oracle: full dense GOE matrices, eigenvalues by symmetric solver
@@ -353,14 +352,14 @@ class TestGoeReference:
             A = rng.standard_normal((n, n))
             M = (A + A.T) / np.sqrt(2.0)
             dense[t] = n ** (2 / 3) * (np.linalg.eigvalsh(M)[-1] / np.sqrt(n) - 2.0)
-        tri = goe_reference(n, trials, k_max=1, seed=77).values[:, 0]
+        tri = goe_reference(n, trials, k_max=1, seed=77)[:, 0]
         assert abs(dense.mean() - tri.mean()) < 0.1
         assert ks_two_sample(dense, tri) < 0.08
 
     def test_top_eigenvalue_near_two(self):
         # the unrescaled top eigenvalue concentrates at the edge value 2
         samples = goe_reference(800, 200, k_max=1, seed=9)
-        lam1 = 2.0 + samples.values[:, 0] / 800 ** (2 / 3)
+        lam1 = 2.0 + samples[:, 0] / 800 ** (2 / 3)
         assert abs(np.median(lam1) - 2.0) < 0.05
 
     def test_validation(self):
@@ -377,7 +376,7 @@ class TestGoeReference:
         with pytest.raises(ParameterError, match=rf"k_max must lie in \[1, n_goe - 1 = 49\], "
                                                  rf"got {k_max}"):
             goe_reference(50, 4, k_max=k_max)
-        assert goe_reference(50, 4, k_max=49).values.shape == (4, 49)
+        assert goe_reference(50, 4, k_max=49).shape == (4, 49)
 
 
 class TestKolmogorovSmirnov:
@@ -409,17 +408,16 @@ class TestEdgeTrials:
                            seed=8)
 
     def test_split_merge_equals_full(self):
-        full = run_edge_trials(self.CFG, range(24))
-        first = run_edge_trials(self.CFG, range(12))
-        second = run_edge_trials(self.CFG, range(12, 24))
-        merged = np.vstack([first.values, second.values])
-        assert np.array_equal(full.values, merged)
+        full, *_ = run_edge_trials(self.CFG, range(24))
+        first, *_ = run_edge_trials(self.CFG, range(12))
+        second, *_ = run_edge_trials(self.CFG, range(12, 24))
+        assert np.array_equal(full, np.vstack([first, second]))
 
     def test_trial_seed_exchangeability(self):
         # any single trial can be recomputed in isolation
-        full = run_edge_trials(self.CFG, range(24))
-        alone = run_edge_trials(self.CFG, [17])
-        assert np.array_equal(full.values[17], alone.values[0])
+        full, *_ = run_edge_trials(self.CFG, range(24))
+        alone, *_ = run_edge_trials(self.CFG, [17])
+        assert np.array_equal(full[17], alone[0])
 
     def test_law_dispatch_validation(self):
         with pytest.raises(ParameterError):
@@ -502,7 +500,7 @@ class TestTwExperiment:
         reps = [tw_experiment(cfg), tw_experiment(replace(cfg, law="pareto", beta=4.5))]
         assert drawn.read_text().splitlines() == ["(60, 30, 3, 21)"]
         expected = real(60, 30, 3, 21)
-        assert np.array_equal(goe_reference(60, 30, 3, 21).values, expected)
+        assert np.array_equal(goe_reference(60, 30, 3, 21), expected)
         for rep in reps:
             assert rep.results["metrics"]["goe_mean"] == [float(m) for m in
                                                           expected.mean(axis=0)]

@@ -157,6 +157,15 @@ class TestBuild:
         with pytest.raises(DomainError):
             build_H(small_pair, complex(0.5, -0.1))
 
+    @pytest.mark.parametrize("z", [complex(0.5, math.nan), complex(math.nan, 0.3),
+                                   complex(0.5, math.inf), complex(-math.inf, 0.3)])
+    def test_non_finite_z_rejected(self, small_pair, z):
+        # a NaN imaginary part is neither below the axis nor on it
+        with pytest.raises(DomainError, match="is not finite"):
+            build_H(small_pair, z)
+        with pytest.raises(DomainError, match="is not finite"):
+            blocks_via_schur(canonical_factor(small_pair), z, visit=lambda cols, panel: None)
+
 
 class TestResolventRoutes:
     def test_symmetry(self, small_pair):
@@ -355,13 +364,12 @@ class TestLocalLawReport:
         # reference: materialize G - Pi and sweep it densely, against the
         # limit at the finite-n ratios p/n, q/n that local_law_errors derives
         pair = request.getfixturevalue(pair_name)
-        model = make_model(pair.p / pair.n, pair.q / pair.n)
         factor = canonical_factor(pair)
         z = complex(0.5, 0.4)
         rep = local_law_errors(factor, z)
         G, bundle = schur_resolvent(factor, z)
-        diff = G - pi_dense(pi_limit(model, z, pair.p, pair.q, pair.n))
         layout = bundle.layout
+        diff = G - pi_dense(pi_limit(layout, z))
         assert rep.entrywise_err == pytest.approx(np.abs(diff).max(), rel=1e-12)
         vectors = linearized_resolvent._test_vectors(layout, 0)
         aniso = np.abs(vectors.T @ diff @ vectors).max()
@@ -392,13 +400,11 @@ class TestLocalLawReport:
             vectors[0, 0] = 1.0
 
     def test_aniso_bounded_by_operator_norm(self, medium_pair):
-        model = make_model(medium_pair.p / medium_pair.n, medium_pair.q / medium_pair.n)
         factor = canonical_factor(medium_pair)
         z = complex(0.5, 0.4)
         rep = local_law_errors(factor, z)
-        G, _ = schur_resolvent(factor, z)
-        pi = pi_limit(model, z, medium_pair.p, medium_pair.q, medium_pair.n)
-        op = np.linalg.norm(G - pi_dense(pi), 2)
+        G, bundle = schur_resolvent(factor, z)
+        op = np.linalg.norm(G - pi_dense(pi_limit(bundle.layout, z)), 2)
         assert rep.aniso_err <= op * (1.0 + 1e-12)
         assert rep.entrywise_err <= op * (1.0 + 1e-12)
 
@@ -456,13 +462,12 @@ class TestPanels:
         # a few units in the last place
         if panel is not None:
             monkeypatch.setattr(linearized_resolvent, "_PANEL", panel)
-        model = make_model(p / n, q / n)
         truncated = truncate_center_rescale(sample_heavy_tail(p, q, n, seed=7, beta=3.0), 0.2)
         for pair in _mixed_pairs(p, q, n, 4) + [truncated]:
             factor = canonical_factor(pair)
             for z in (complex(0.3, 0.5), complex(0.7, 0.1)):
                 report = local_law_errors(factor, z)
-                reference = local_law_reference(factor, model, z)
+                reference = local_law_reference(factor, z)
                 streamed, expected = report.to_json_dict(), reference.to_json_dict()
                 assert streamed.pop("aniso_err") == pytest.approx(expected.pop("aniso_err"),
                                                                   rel=4 * np.finfo(float).eps)

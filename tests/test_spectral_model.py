@@ -10,6 +10,7 @@ from oracles import (classical_location_brentq, jacobi_spectrum, pi_dense, pi_ke
 from test_acceptance import RATIO_GRID_20
 
 from scclab import spectral_model
+from scclab._linalg import IndexLayout
 from scclab import (
     DomainError,
     NumericalError,
@@ -334,7 +335,7 @@ class TestClosedFormTailMass:
 class TestMatrixLimit:
     def test_descriptor_inverse(self, model_wide):
         for z in (complex(0.44, 0.1), complex(0.2, 0.7), complex(1.5, 0.02)):
-            desc = pi_limit(model_wide, z, p=40, q=20, n=100)
+            desc = pi_limit(IndexLayout(40, 20, 100), z)
             dense = pi_dense(desc)
             dim = dense.shape[0]
             assert dim == 40 + 20 + 200
@@ -342,15 +343,26 @@ class TestMatrixLimit:
             kinv = pi_kernel_inverse(model_wide, z)
             assert np.max(np.abs(kernel @ kinv - np.eye(2))) < 1e-12
 
-    def test_dimensions_must_match_ratios(self, model_thin):
-        # p/n = 0.4 lies 0.1 from c1 = 0.3, beyond the 1/n slack
-        with pytest.raises(ParameterError, match=r"\(p=40, q=20, n=100\) inconsistent"):
-            pi_limit(model_thin, complex(0.5, 0.3), p=40, q=20, n=100)
+    def test_layout_ratios_fix_the_limit(self):
+        # the limit is that of p/n and q/n however near a nominal ratio
+        # lies: (120, 80, 401) is within 1/n of (0.3, 0.2), but at this z
+        # diag1 differs from the nominal model's by about 4.2e-3
+        z = complex(0.5, 0.3)
+        desc = pi_limit(IndexLayout(120, 80, 401), z)
+        exact = stieltjes(make_model(120 / 401, 80 / 401), z)
+        assert desc.diag1 == exact.m1 / (120 / 401)
+        assert desc.kernel[0, 1] == exact.h
+        nominal = stieltjes(make_model(0.3, 0.2), z)
+        assert abs(desc.diag1 - nominal.m1 / 0.3) > 1e-3
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ParameterError, match="n >= 1, got n = 0"):
+            pi_limit(IndexLayout(30, 20, 0), complex(0.5, 0.3))
 
     def test_dense_structure(self, model_wide):
         z = complex(0.5, 0.3)
         quad_t = stieltjes(model_wide, z)
-        desc = pi_limit(model_wide, z, p=8, q=4, n=20)
+        desc = pi_limit(IndexLayout(8, 4, 20), z)
         dense = pi_dense(desc)
         assert dense[0, 0] == pytest.approx(quad_t.m1 / model_wide.c1)
         assert dense[8, 8] == pytest.approx(quad_t.m2 / model_wide.c2)
@@ -363,10 +375,10 @@ class TestMatrixLimit:
         assert dense[0, 1] == 0.0
         assert dense[12, 13] == 0.0
 
-    def test_subtract_from_is_exact(self, model_wide):
+    def test_subtract_from_is_exact(self):
         # in place, on the layout's own coordinates, bit for bit the dense
         # subtraction (p != q, so a swapped data block would show)
-        desc = pi_limit(model_wide, complex(0.5, 0.3), p=8, q=4, n=20)
+        desc = pi_limit(IndexLayout(8, 4, 20), complex(0.5, 0.3))
         rng = np.random.default_rng(5)
         G = rng.standard_normal((52, 52)) + 1j * rng.standard_normal((52, 52))
         expected = G - pi_dense(desc)
@@ -381,32 +393,32 @@ class TestMatrixLimit:
         with pytest.raises(ParameterError):
             desc.subtract_from(panels[:, :5], slice(0, 6))
 
-    def test_bounded_norm_on_window(self, model_thin):
+    def test_bounded_norm_on_window(self):
         # the limit stays order one uniformly over the spectral window
         for E in np.linspace(0.1, 1.0, 7):
             for eta in (0.05, 0.2, 1.0):
-                desc = pi_limit(model_thin, complex(E, eta), p=30, q=20, n=100)
+                desc = pi_limit(IndexLayout(30, 20, 100), complex(E, eta))
                 assert np.max(np.abs(pi_dense(desc))) < 50.0
 
 
 class TestFluctuationControl:
-    def test_decays_like_inverse_sqrt_n(self, model_wide):
+    def test_decays_like_inverse_sqrt_n(self):
         z = complex(0.44, 0.3)
-        psi_n = psi_control(model_wide, z, 100)
-        psi_4n = psi_control(model_wide, z, 400)
+        psi_n = psi_control(IndexLayout(40, 20, 100), z)
+        psi_4n = psi_control(IndexLayout(160, 80, 400), z)
         assert psi_n / psi_4n == pytest.approx(2.0, rel=0.25)
 
-    def test_rejects_n_below_one(self, model_wide):
+    def test_rejects_n_below_one(self):
         with pytest.raises(ParameterError, match="n >= 1, got n = 0"):
-            psi_control(model_wide, complex(0.44, 0.3), 0)
+            psi_control(IndexLayout(30, 20, 0), complex(0.44, 0.3))
 
-    def test_real_z_rejected(self, model_wide):
+    def test_real_z_rejected(self):
         with pytest.raises(DomainError, match=r"need Im z > 0"):
-            psi_control(model_wide, 0.44, 100)
+            psi_control(IndexLayout(40, 20, 100), 0.44)
 
     def test_dominates_both_terms(self, model_wide):
         z = complex(0.44, 0.05)
         n = 500
         quad_t = stieltjes(model_wide, z)
         expected = np.sqrt(quad_t.m.imag / (n * 0.05)) + 1.0 / (n * 0.05)
-        assert psi_control(model_wide, z, n) == pytest.approx(expected, rel=1e-12)
+        assert psi_control(IndexLayout(200, 100, n), z) == pytest.approx(expected, rel=1e-12)
